@@ -123,8 +123,9 @@ uint64_t solveRep(uint32_t Rep) {
   lia::Arena A;
   tagaut::ParikhFormula Pf =
       buildParikhFormula(Ta, A, "b.", tagaut::SpanMode::Eager);
+  Budget Bud(Budget::Limits{20000, 0, 0, nullptr});
   lia::QfOptions Opts;
-  Opts.TimeoutMs = 20000;
+  Opts.Budget = &Bud;
   lia::QfResult R = lia::solveQF(A, Pf.Formula, Opts);
   SolveCounters += R.Stats;
   return static_cast<uint64_t>(R.V == Verdict::Sat ? 1 : 0);

@@ -5,7 +5,8 @@
 //
 // A minimal `postr file.smt2` driver for the supported QF_S(LIA) subset.
 // With no argument it solves a built-in demo problem, so the binary is
-// runnable from the bench/examples sweep without fixtures.
+// runnable from the bench/examples sweep without fixtures. Exits 1 on a
+// parse error, otherwise with solver::exitCodeFor's code.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,30 +18,6 @@
 #include <string>
 
 using namespace postr;
-
-/// Exit codes: 0 sat/unsat, 1 parse error, 2 unknown (no recorded
-/// reason), then one per resource stop so scripts can tell a timeout
-/// from a memout without scraping stdout; 7 means the self-check
-/// rejected the solver's own answer (a bug worth reporting).
-static int exitCodeFor(const solver::SolveResult &R) {
-  if (R.Validation.Failed)
-    return 7;
-  if (R.V != Verdict::Unknown)
-    return 0;
-  switch (R.Stop) {
-  case StopReason::None:
-    return 2;
-  case StopReason::Timeout:
-    return 3;
-  case StopReason::Cancelled:
-    return 4;
-  case StopReason::MemOut:
-    return 5;
-  case StopReason::StepBudget:
-    return 6;
-  }
-  return 2;
-}
 
 /// With POSTR_PROOF_DIR set and a certificate in hand (certification on
 /// and the verdict Unsat, or a rejected certificate kept as evidence),
@@ -139,5 +116,5 @@ int main(int Argc, char **Argv) {
               R.Stats.ParanoidChecks, R.Stats.UnsatsCertified,
               R.Stats.CertificationFailures);
   maybeWriteCert(R, Argc > 1 ? Argv[1] : nullptr);
-  return exitCodeFor(R);
+  return solver::exitCodeFor(R);
 }

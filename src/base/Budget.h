@@ -115,8 +115,7 @@ public:
   StopReason reason() const { return Reason.load(std::memory_order_relaxed); }
 
   /// Milliseconds left until the deadline; ~0ull when no deadline is set,
-  /// 0 when it has passed. Used to distribute the remaining allowance to
-  /// engines that still take a plain TimeoutMs.
+  /// 0 when it has passed. childLimits() derives child deadlines from it.
   uint64_t remainingMs() const;
 
   /// Limits for a child budget derived from this one — the single place

@@ -64,10 +64,9 @@ public:
   }
 
   StabilizeResult run() {
-    // Legacy callers that only set TimeoutMs get a search-local budget;
-    // the shared one (when supplied) governs instead and also reaches the
-    // automata products inside explore().
-    Budget Local(Budget::Limits{Opts.TimeoutMs, 0, 0, nullptr});
+    // The caller's budget also reaches the automata products inside
+    // explore(); without one the search runs under an unlimited one.
+    Budget Local;
     Bud = Opts.Budget ? Opts.Budget : &Local;
     Work.push_back(std::move(Initial));
     while (!Work.empty()) {

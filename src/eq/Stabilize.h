@@ -62,13 +62,11 @@ struct StabilizeOptions {
   uint64_t Fuel = 20000;
   /// Max collected disjuncts.
   uint32_t MaxDisjuncts = 256;
-  /// Optional wall-clock deadline in milliseconds (0 = none). Branch
-  /// nodes vary wildly in cost (each does automata products), so callers
-  /// with latency budgets must bound time, not only fuel.
-  uint64_t TimeoutMs = 0;
-  /// Optional shared resource budget. When set it is probed at every
-  /// branch node and threaded into the automata products, and TimeoutMs
-  /// is ignored (the budget's own deadline governs).
+  /// Resource budget, probed at every branch node and threaded into the
+  /// automata products. Branch nodes vary wildly in cost (each does
+  /// automata products), so callers with latency budgets must bound time
+  /// through it, not only fuel. Null runs the call under a fresh
+  /// unlimited budget.
   postr::Budget *Budget = nullptr;
 };
 

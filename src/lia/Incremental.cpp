@@ -120,17 +120,11 @@ private:
   /// reasons map the extended var back to arena space, split reason
   /// codes become path-depth references.
   void stageConflictCert();
-  /// The per-solve stop probe, replacing the old inline deadline check:
-  /// all resource dimensions (deadline, memory, steps, cancellation) go
-  /// through the active budget — an externally shared one, or a local
-  /// per-solve wrapper built from the legacy TimeoutMs/Cancel knobs.
-  /// Records the first reason in Stop.
+  /// The per-solve stop probe: all resource dimensions (deadline,
+  /// memory, steps, cancellation) go through the active budget — the
+  /// caller's, or an unlimited per-solve one. Records the first reason in
+  /// Stop.
   bool stopped(const char *Site) {
-    if (Opts.Cancel && Opts.Cancel->load(std::memory_order_relaxed)) {
-      if (Stop == StopReason::None)
-        Stop = StopReason::Cancelled;
-      return true;
-    }
     if (Bud && !Bud->checkpoint(Site)) {
       if (Stop == StopReason::None)
         Stop = Bud->reason();
@@ -187,18 +181,21 @@ private:
   uint32_t TheoryConflicts = 0; ///< per-solve
   /// Active budget for the current solve (Opts.Budget or &*LocalBud).
   Budget *Bud = nullptr;
-  /// Legacy-knob wrapper rebuilt each solve when no shared budget is
-  /// supplied, so TimeoutMs keeps measuring from the call.
+  /// Unlimited budget rebuilt each solve when the caller supplies none,
+  /// so a trip (fault injection) never outlives the call.
   std::optional<Budget> LocalBud;
   StopReason Stop = StopReason::None; ///< per-solve first stop reason
   // Triage counters (printed under POSTR_QF_STATS).
+  /// POSTR_QF_STATS as read at the start of the current solve; the
+  /// per-assignment trace tests this instead of calling getenv.
+  bool StatsOn = false;
   uint64_t NumOnAssign = 0, NumRationalChecks = 0, NumFinalChecks = 0,
            NumSplits = 0;
   Clock::time_point Start = Clock::now();
   Clock::time_point LastTrace = Clock::now();
 
   void trace(const char *Where, size_t TrailSize) {
-    if (!std::getenv("POSTR_QF_STATS"))
+    if (!StatsOn)
       return;
     Clock::time_point Now = Clock::now();
     if (Now - LastTrace < std::chrono::seconds(1))
@@ -665,7 +662,7 @@ IncrementalContext::Impl::onFinalModel(std::vector<Lit> &ConflictOut) {
 QfResult
 IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
                                 const ModelRefiner &Refine) {
-  const bool Stats = std::getenv("POSTR_QF_STATS") != nullptr;
+  StatsOn = std::getenv("POSTR_QF_STATS") != nullptr;
   Start = Clock::now();
   LastTrace = Start;
   TheoryConflicts = 0;
@@ -673,19 +670,15 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
   ++Solves;
   QfResult Out;
 
-  // Resolve the active budget for this solve: the shared one when the
-  // caller provided it, otherwise a fresh local wrapper around the legacy
-  // TimeoutMs/Cancel knobs (its deadline measures from here, preserving
-  // the old per-call semantics). The context stays reusable after a trip:
-  // nothing below caches the tripped budget beyond this call.
+  // Resolve the active budget for this solve: the caller's when set,
+  // otherwise a fresh unlimited one. The context stays reusable after a
+  // trip: nothing below caches the tripped budget beyond this call.
   Stop = StopReason::None;
   if (Opts.Budget) {
     Bud = Opts.Budget;
     LocalBud.reset();
   } else {
-    LocalBud.emplace(
-        Budget::Limits{Opts.TimeoutMs, 0, 0, Opts.Cancel});
-    Bud = &*LocalBud;
+    Bud = &LocalBud.emplace();
   }
   Sat.setBudget(Bud);
 
@@ -808,7 +801,7 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
                  static_cast<int>(Theory->activeRule()),
                  static_cast<int>(Theory->family()),
                  (unsigned long long)TS.RuleSwitches);
-  if (Stats)
+  if (StatsOn)
     std::fprintf(
         stderr,
         "[qf] v=%d atoms=%zu satvars=%u scopes=%zu assume=%zu tconf=%u "

@@ -28,8 +28,7 @@ struct MbqiRun {
   const MbqiOptions &Opts;
   MbqiStats Dummy;
   MbqiStats &St;
-  /// Per-run budget when the caller did not supply a shared one: carries
-  /// the legacy MbqiOptions::TimeoutMs deadline and the Qf cancel flag.
+  /// Unlimited per-run budget when the caller did not supply one.
   Budget Local;
   Budget *Bud;
   // Fair length-bound schedule: propose small candidates first. The
@@ -43,7 +42,6 @@ struct MbqiRun {
 
   MbqiRun(Arena &A, const MbqiQuery &Q, const MbqiOptions &Opts)
       : A(A), Q(Q), Opts(Opts), St(Opts.Stats ? *Opts.Stats : Dummy),
-        Local(Budget::Limits{Opts.TimeoutMs, 0, 0, Opts.Qf.Cancel}),
         Bud(Opts.Qf.Budget ? Opts.Qf.Budget : &Local) {
     if (!Q.BlockTerms.empty())
       for (const LinTerm &T : Q.BlockTerms)

@@ -30,7 +30,6 @@
 #include "lia/Lia.h"
 #include "lia/Simplex.h"
 
-#include <atomic>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -51,12 +50,6 @@ struct QfOptions {
   /// Hard cap on theory conflicts before giving up (Unknown); a runaway
   /// backstop, not a tuning knob.
   uint32_t MaxTheoryConflicts = 2000000;
-  /// Optional deadline in milliseconds (0 = none) measured from the call.
-  uint64_t TimeoutMs = 0;
-  /// Optional cooperative cancellation: when the pointee becomes true the
-  /// solve aborts (Verdict::Unknown) at the next theory callback. The
-  /// parallel disjunct pool uses this for first-Sat cancellation.
-  const std::atomic<bool> *Cancel = nullptr;
   /// Simplex pivot-rule policy for this context's theory backend:
   /// adaptive per-family selection by default, with the instance family
   /// classified at encode time (solver/PositionSolver per stabilization
@@ -64,10 +57,11 @@ struct QfOptions {
   /// own contexts). POSTR_SIMPLEX_PIVOT_RULE overrides the rule
   /// process-wide for A/B runs.
   PivotPolicy Pivot;
-  /// Optional shared resource budget. When set it subsumes TimeoutMs and
-  /// Cancel (both are still honoured for legacy callers): the CDCL core,
-  /// Simplex, and the clause DB probe and charge against it, and its trip
-  /// reason surfaces as QfResult::Stop.
+  /// Resource budget (deadline / memory cap / step limit / cancel flag,
+  /// see base/Budget.h): the CDCL core, Simplex, and the clause DB probe
+  /// and charge against it, and its trip reason surfaces as
+  /// QfResult::Stop. Null runs each solve call under a fresh unlimited
+  /// budget.
   postr::Budget *Budget = nullptr;
   /// Optional proof trace sink. When set, every clause event of the CDCL
   /// core (inputs, learnt clauses, theory lemmas with Farkas
@@ -133,8 +127,8 @@ struct QfResult {
   std::vector<int64_t> Model;
   QfSearchStats Stats;
   /// Why V is Unknown (None for determinate verdicts): the budget's trip
-  /// reason, Timeout/Cancelled from the legacy knobs, or StepBudget when
-  /// an engine-internal cap (MaxTheoryConflicts) ran out.
+  /// reason, or StepBudget when an engine-internal cap
+  /// (MaxTheoryConflicts) ran out.
   StopReason Stop = StopReason::None;
 };
 

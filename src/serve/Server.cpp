@@ -111,10 +111,13 @@ Server::~Server() {
 }
 
 void Server::spawnWorker(WorkerSlot &S) {
+  // Close-on-exec from birth: a sibling worker forked from another
+  // thread before these fds were marked would carry our write end across
+  // its exec, and closing FdIn would then never deliver EOF.
   int ToChild[2], FromChild[2];
-  if (::pipe(ToChild) != 0)
+  if (::pipe2(ToChild, O_CLOEXEC) != 0)
     return;
-  if (::pipe(FromChild) != 0) {
+  if (::pipe2(FromChild, O_CLOEXEC) != 0) {
     ::close(ToChild[0]);
     ::close(ToChild[1]);
     return;
@@ -154,8 +157,6 @@ void Server::spawnWorker(WorkerSlot &S) {
   // Parent.
   ::close(ToChild[0]);
   ::close(FromChild[1]);
-  ::fcntl(ToChild[1], F_SETFD, FD_CLOEXEC);
-  ::fcntl(FromChild[0], F_SETFD, FD_CLOEXEC);
   S.Pid = Pid;
   S.FdIn = ToChild[1];
   S.FdOut = FromChild[0];

@@ -20,43 +20,6 @@
 namespace postr {
 namespace serve {
 
-namespace {
-
-/// smtlib_cli-compatible exit code for a solve result (examples/
-/// smtlib_cli.cpp documents the taxonomy); served and one-shot replies
-/// must agree byte for byte, codes included.
-int exitCodeFor(const solver::SolveResult &R) {
-  if (R.Validation.Failed)
-    return 7;
-  if (R.V != Verdict::Unknown)
-    return 0;
-  switch (R.Stop) {
-  case StopReason::None:
-    return 2;
-  case StopReason::Timeout:
-    return 3;
-  case StopReason::Cancelled:
-    return 4;
-  case StopReason::MemOut:
-    return 5;
-  case StopReason::StepBudget:
-    return 6;
-  }
-  return 2;
-}
-
-/// The degraded post-quarantine profile, mirroring the solver's own
-/// internal degraded retry (solver/PositionSolver.cpp): Bland pivoting
-/// (slow but convergence-guaranteed) and tightened MBQI bounds.
-void applyDegraded(solver::SolveOptions &O) {
-  O.Mp.Qf.Pivot.Rule = lia::PivotRule::Bland;
-  O.Mp.Mbqi.Qf.Pivot.Rule = lia::PivotRule::Bland;
-  O.Mp.Mbqi.MaxCandidates = std::min<uint32_t>(O.Mp.Mbqi.MaxCandidates, 16);
-  O.Mp.Mbqi.MaxOffsets = std::min<int64_t>(O.Mp.Mbqi.MaxOffsets, 512);
-}
-
-} // namespace
-
 uint64_t effectiveTimeoutMs(uint64_t HeaderMs, uint64_t ScriptMs,
                             const ServeOptions &Opts) {
   // The server cap always applies (a 0 cap falls back to the smtlib_cli
@@ -95,7 +58,7 @@ Response solveRequest(const Request &Req, const ServeOptions &Opts,
   solver::SolveOptions SOpts;
   SOpts.Budget = &Bud;
   if (Req.Degraded)
-    applyDegraded(SOpts);
+    solver::applyDegraded(SOpts.Mp);
   if (Opts.MutateSolveOptions)
     Opts.MutateSolveOptions(SOpts);
 
@@ -114,7 +77,7 @@ Response solveRequest(const Request &Req, const ServeOptions &Opts,
   bool FaultFired = FI && FI->fired() > FiredBefore;
 
   Resp.S = Response::Ok;
-  Resp.ExitCode = exitCodeFor(R);
+  Resp.ExitCode = solver::exitCodeFor(R);
   switch (R.V) {
   case Verdict::Sat: {
     Resp.Verdict = "sat";

@@ -81,15 +81,13 @@ private:
       StopOut = Root->reason();
     return true;
   }
-  /// Limits of one disjunct's child budget: the root's remaining time
-  /// (capped by \p CapMs when nonzero), the full memory/step allowance
-  /// (disjunct state is independent and freed when the disjunct
-  /// finishes), and a parent link so a root trip stops the disjunct
-  /// mid-solve. All the deadline math lives in Budget::childLimits.
-  Budget::Limits childLimits(const std::atomic<bool> *Cancel,
-                             uint64_t CapMs = 0) const {
-    return Root->childLimits(CapMs, Opts.MemLimitBytes, Opts.StepLimit,
-                             Cancel);
+  /// Limits of one disjunct's child budget: the root's remaining time,
+  /// the full memory/step allowance (disjunct state is independent and
+  /// freed when the disjunct finishes), the pool's \p Cancel flag, and a
+  /// parent link so a root trip stops the disjunct mid-solve. All the
+  /// deadline math lives in Budget::childLimits.
+  Budget::Limits childLimits(const std::atomic<bool> *Cancel) const {
+    return Root->childLimits(0, Opts.MemLimitBytes, Opts.StepLimit, Cancel);
   }
 
   /// Applies a decomposition's substitution to an occurrence sequence.
@@ -280,12 +278,10 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
         break;
       }
   }
-  if (!MpOpts.Cancel)
-    MpOpts.Cancel = Cancel;
 
   // Child budget: the root's remaining time plus the full memory/step
-  // allowance; a caller-set Mp deadline still caps the child.
-  Budget Child(childLimits(Cancel, MpOpts.TimeoutMs));
+  // allowance and the pool's cancel flag.
+  Budget Child(childLimits(Cancel));
   MpOpts.Budget = &Child;
   tagaut::MpResult R =
       tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, MpOpts);
@@ -302,13 +298,10 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       !(Cancel && Cancel->load(std::memory_order_relaxed))) {
     ++St.DegradedRetries;
     tagaut::MpOptions Deg = MpOpts;
-    Deg.Qf.Pivot.Rule = lia::PivotRule::Bland;
-    Deg.Mbqi.Qf.Pivot.Rule = lia::PivotRule::Bland;
-    Deg.Mbqi.MaxCandidates = std::min<uint32_t>(Deg.Mbqi.MaxCandidates, 16);
-    Deg.Mbqi.MaxOffsets = std::min<int64_t>(Deg.Mbqi.MaxOffsets, 512);
+    applyDegraded(Deg);
     // Fresh limits: the root's remaining time has shrunk by the first
     // attempt, so re-derive rather than reuse.
-    Budget RetryBud(childLimits(Cancel, MpOpts.TimeoutMs));
+    Budget RetryBud(childLimits(Cancel));
     Deg.Budget = &RetryBud;
     R = tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, Deg);
     Root->chargeMem(RetryBud.memCharged());
@@ -602,4 +595,31 @@ SolveResult postr::solver::solveProblem(const Problem &P,
                                         const SolveOptions &Opts) {
   Pipeline Pipe(P, Opts);
   return Pipe.run();
+}
+
+void postr::solver::applyDegraded(tagaut::MpOptions &O) {
+  O.Qf.Pivot.Rule = lia::PivotRule::Bland;
+  O.Mbqi.Qf.Pivot.Rule = lia::PivotRule::Bland;
+  O.Mbqi.MaxCandidates = std::min<uint32_t>(O.Mbqi.MaxCandidates, 16);
+  O.Mbqi.MaxOffsets = std::min<int64_t>(O.Mbqi.MaxOffsets, 512);
+}
+
+int postr::solver::exitCodeFor(const SolveResult &R) {
+  if (R.Validation.Failed)
+    return 7;
+  if (R.V != Verdict::Unknown)
+    return 0;
+  switch (R.Stop) {
+  case StopReason::None:
+    return 2;
+  case StopReason::Timeout:
+    return 3;
+  case StopReason::Cancelled:
+    return 4;
+  case StopReason::MemOut:
+    return 5;
+  case StopReason::StepBudget:
+    return 6;
+  }
+  return 2;
 }

@@ -177,6 +177,21 @@ struct SolveResult {
 SolveResult solveProblem(const strings::Problem &P,
                          const SolveOptions &Opts = {});
 
+/// Switches \p O to the degraded profile: Bland pivoting (slow but
+/// convergence-guaranteed) and tightened MBQI bounds (at most 16
+/// candidates and 512 offsets). The pipeline retries a disjunct that
+/// stopped on MemOut/StepBudget under it, and postr_serve re-runs a
+/// quarantined query under it.
+void applyDegraded(tagaut::MpOptions &O);
+
+/// Process exit code of a solve result, shared by smtlib_cli and
+/// postr_serve so one-shot and served replies agree: 0 sat/unsat,
+/// 2 unknown with no recorded reason, then one per resource stop
+/// (3 timeout, 4 cancelled, 5 memout, 6 stepbudget), and 7 when the
+/// self-check rejected the solver's own answer. Code 1 (parse error) is
+/// the front ends' own.
+int exitCodeFor(const SolveResult &R);
+
 } // namespace solver
 } // namespace postr
 

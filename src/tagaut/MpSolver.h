@@ -32,13 +32,6 @@ namespace tagaut {
 struct MpOptions {
   lia::QfOptions Qf;
   lia::MbqiOptions Mbqi;
-  /// Overall deadline in milliseconds (0 = none); distributed to the
-  /// underlying engines.
-  uint64_t TimeoutMs = 0;
-  /// Optional cooperative cancellation, forwarded into the QF and MBQI
-  /// engines; the parallel disjunct pool uses it to stop the losers once
-  /// one disjunct answers Sat.
-  const std::atomic<bool> *Cancel = nullptr;
   /// Cap on connectivity-CEGAR rounds under SpanMode::Lazy before the
   /// solver answers Unknown. Each round adds one cut; real workloads
   /// converge in a handful.
@@ -50,11 +43,11 @@ struct MpOptions {
   /// rebuild via the POSTR_MBQI_MAX_TA_TRANSITIONS environment variable
   /// (large-instance experiments).
   uint32_t MbqiMaxTaTransitions = 4000;
-  /// Optional shared resource budget (deadline / memory cap / step limit
-  /// / cancel, see base/Budget.h). When set it governs the whole solve —
-  /// the encoder, the automata shortcuts, and every QF/MBQI sub-solve —
-  /// and TimeoutMs is ignored. When null a per-call budget is built from
-  /// TimeoutMs + Cancel.
+  /// Resource budget (deadline / memory cap / step limit / cancel flag,
+  /// see base/Budget.h) governing the whole solve: the encoder, the
+  /// automata shortcuts, and every QF/MBQI sub-solve. The parallel
+  /// disjunct pool stops its losers through the budget's cancel flag.
+  /// Null runs the call under a fresh unlimited budget.
   postr::Budget *Budget = nullptr;
   EncoderOptions Encoder;
   /// Record an Unsat certificate into MpResult::Cert: the QF-LIA path

@@ -512,6 +512,65 @@ TEST(FaultSweepTest, TrippedSolveRetriesOnFreshBudget) {
   EXPECT_EQ(Again.Stop, StopReason::None);
 }
 
+//===----------------------------------------------------------------------===
+// Cancellation carried only by the Budget
+//===----------------------------------------------------------------------===
+
+enum class RaiseCancel { Never, BeforeCall, InBuilder };
+
+/// solveMP under a budget carrying a cancel flag, raised before the call
+/// or from the int-constraint builder. The builder runs after solveMP's
+/// last own probe, so then only the QF/MBQI engine's probes can see it.
+tagaut::MpResult mpWithCancel(const std::vector<tagaut::PosPredicate> &Preds,
+                              const std::map<VarId, std::string> &Regexes,
+                              RaiseCancel When) {
+  Alphabet Sigma;
+  std::map<VarId, Nfa> Langs;
+  for (const auto &[X, Re] : Regexes)
+    Langs[X] = regex::compileString(Re, Sigma);
+  std::atomic<bool> Cancel{When == RaiseCancel::BeforeCall};
+  Budget Bud(Budget::Limits{0, 0, 0, &Cancel});
+  tagaut::MpOptions O;
+  O.Budget = &Bud;
+  tagaut::IntConstraintBuilder Builder =
+      [&Cancel, When](lia::Arena &Ar, const std::map<VarId, lia::LinTerm> &) {
+        if (When == RaiseCancel::InBuilder)
+          Cancel.store(true);
+        return Ar.trueF();
+      };
+  lia::Arena A;
+  return solveMP(A, Langs, Preds, Sigma.size(), Builder, O);
+}
+
+TEST(BudgetTest, CancelFlagInBudgetStopsMpOnBothPaths) {
+  struct PathCase {
+    const char *Path;
+    std::vector<tagaut::PosPredicate> Preds;
+    std::map<VarId, std::string> Regexes;
+    Verdict Oracle;
+  };
+  const PathCase Cases[] = {
+      // x ≠ y over a{1,2} / b{1,2}: no short-circuit applies, QF decides.
+      {"QF", {{tagaut::PredKind::Diseq, {0}, {1}, {}}},
+       {{0, "a{1,2}"}, {1, "b{1,2}"}}, Verdict::Sat},
+      // ¬contains(x, y), x ∈ a, y ∈ aa: the MBQI loop refutes it.
+      {"MBQI", {{tagaut::PredKind::NotContains, {0}, {1}, {}}},
+       {{0, "a"}, {1, "aa"}}, Verdict::Unsat},
+  };
+  for (const PathCase &C : Cases) {
+    tagaut::MpResult Free = mpWithCancel(C.Preds, C.Regexes,
+                                         RaiseCancel::Never);
+    EXPECT_EQ(Free.V, C.Oracle) << C.Path;
+    for (RaiseCancel When : {RaiseCancel::BeforeCall, RaiseCancel::InBuilder}) {
+      tagaut::MpResult R = mpWithCancel(C.Preds, C.Regexes, When);
+      EXPECT_EQ(R.V, Verdict::Unknown)
+          << C.Path << ", raised " << static_cast<int>(When);
+      EXPECT_EQ(R.Stop, StopReason::Cancelled)
+          << C.Path << ", raised " << static_cast<int>(When);
+    }
+  }
+}
+
 TEST(BudgetTest, BruteForceTimeoutComposesWithSharedBudget) {
   // Regression: a caller-supplied Budget used to silently replace the
   // legacy TimeoutMs deadline in solveBruteForce — an unlimited shared

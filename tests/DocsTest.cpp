@@ -167,4 +167,26 @@ TEST(KnobCoverageTest, EveryOptionsStructFieldIsInKnobsDoc) {
   }
 }
 
+// Engines take only a Budget (docs/ARCHITECTURE.md, "Resource
+// governance"); a deadline or cancel knob beside it would be a second
+// resource mechanism.
+TEST(KnobCoverageTest, EngineOptionsTakeOnlyABudget) {
+  const std::pair<const char *, const char *> Engines[] = {
+      {"src/lia/Solver.h", "QfOptions"},
+      {"src/lia/Mbqi.h", "MbqiOptions"},
+      {"src/tagaut/MpSolver.h", "MpOptions"},
+      {"src/tagaut/Encoder.h", "EncoderOptions"},
+      {"src/eq/Stabilize.h", "StabilizeOptions"},
+  };
+  for (const auto &[Header, Name] : Engines) {
+    std::vector<std::string> Fields = structFields(Root / Header, Name);
+    EXPECT_FALSE(Fields.empty())
+        << Name << " parsed to zero fields — parser or header changed?";
+    for (const std::string &F : Fields)
+      EXPECT_TRUE(F != "TimeoutMs" && F != "Cancel")
+          << Name << "::" << F << " (" << Header
+          << ") is a resource knob beside the Budget";
+  }
+}
+
 } // namespace

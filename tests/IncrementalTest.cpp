@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <random>
 
@@ -190,6 +191,41 @@ TEST(IncrementalContextTest, RefinerRunsInsideContext) {
   QfResult R = Ctx.solve({}, Refine);
   ASSERT_EQ(R.V, Verdict::Sat);
   EXPECT_GE(R.Model[X], 7);
+}
+
+TEST(IncrementalContextTest, CancelFlagInBudgetStopsReusedContext) {
+  // Cancellation reaches a context only through its Budget. A warm
+  // context stopped that way answers Cancelled, and given a fresh budget
+  // it re-solves to the scratch oracle's verdict.
+  std::mt19937 Rng(977);
+  Arena A;
+  std::vector<Var> Vars;
+  for (int I = 0; I < 3; ++I)
+    Vars.push_back(A.freshVar("v" + std::to_string(I), -5, 5));
+  FormulaId F =
+      A.conj({randomFormula(Rng, A, Vars), randomFormula(Rng, A, Vars)});
+  QfResult Oracle = solveQF(A, F);
+  ASSERT_NE(Oracle.V, Verdict::Unknown);
+
+  IncrementalContext Ctx(A);
+  Ctx.assertFormula(F);
+  ASSERT_EQ(Ctx.solve().V, Oracle.V);
+
+  std::atomic<bool> Cancel{true};
+  Budget Raised(Budget::Limits{0, 0, 0, &Cancel});
+  QfOptions O;
+  O.Budget = &Raised;
+  Ctx.setOptions(O);
+  QfResult R = Ctx.solve();
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stop, StopReason::Cancelled);
+
+  Budget Fresh;
+  O.Budget = &Fresh;
+  Ctx.setOptions(O);
+  QfResult Again = Ctx.solve();
+  EXPECT_EQ(Again.V, Oracle.V);
+  EXPECT_EQ(Again.Stop, StopReason::None);
 }
 
 //===----------------------------------------------------------------------===

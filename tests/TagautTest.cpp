@@ -569,8 +569,9 @@ TEST_P(MpDifferentialTest, AgreesWithBruteForce) {
 
     M.finalize();
     lia::Arena A;
+    Budget Bud(Budget::Limits{30000, 0, 0, nullptr});
     MpOptions Opts;
-    Opts.TimeoutMs = 30000;
+    Opts.Budget = &Bud;
     MpResult R = solveMP(A, M.Langs, M.Preds, M.Sigma.size(), nullptr,
                          Opts);
     ASSERT_NE(R.V, Verdict::Unknown) << "seed " << Params.Seed << " iter "

@@ -126,7 +126,9 @@ int main(int Argc, char **Argv) {
   Opts.ForkWorkers = !NoFork;
   serve::Server Server(Opts);
 
-  GListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  // Close-on-exec sockets: forked workers re-exec and must hold no fd
+  // but their own pipes.
+  GListenFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (GListenFd < 0) {
     std::perror("socket");
     return 1;
@@ -147,7 +149,7 @@ int main(int Argc, char **Argv) {
 
   std::vector<std::thread> Conns;
   while (!GStop.load()) {
-    int Fd = ::accept(GListenFd, nullptr, nullptr);
+    int Fd = ::accept4(GListenFd, nullptr, nullptr, SOCK_CLOEXEC);
     if (Fd < 0) {
       if (errno == EINTR)
         continue;

@@ -11,6 +11,9 @@
 #   3. Faults    — with POSTR_FAULT_INJECT armed at several sites the
 #                  daemon still answers every corpus query structurally
 #                  (sat/unsat/unknown (reason)) and stays healthy.
+#   4. Spawn race — two concurrent first requests fork both workers at
+#                  once; neither may inherit a sibling's pipe or the
+#                  daemon's sockets, and SIGTERM shutdown stays prompt.
 #
 # Usage: tools/serve_ci.sh [build-dir]   (default: build)
 
@@ -116,6 +119,45 @@ for site in nfa.determinize lia.simplex solver.disjunct; do
   stop_daemon "$SOCK"
   rm -f "$SOCK"
 done
+
+# --- 4. Spawn race: no inherited fds, prompt SIGTERM shutdown ------------
+# A worker that inherits its sibling's request-pipe write end keeps that
+# pipe open after the daemon closes it, so the sibling never sees EOF and
+# shutdown hangs. Every fd the daemon opens must be close-on-exec.
+SOCK=$SOCK_DIR/spawn.sock
+GRACE_MS=4000
+start_daemon "$SOCK" POSTR_SERVE_WORKERS=2 POSTR_SERVE_KILL_GRACE_MS=$GRACE_MS
+F=$CORPUS_DIR/sat_position_mix.smt2
+"$CLIENT" --socket "$SOCK" --no-cache "$F" >/dev/null & C1=$!
+"$CLIENT" --socket "$SOCK" --no-cache "$F" >/dev/null & C2=$!
+wait "$C1" "$C2"
+WORKERS=$(pgrep -P "$SERVE_PID")
+[ "$(echo "$WORKERS" | grep -c .)" -eq 2 ] ||
+  fail "spawn race: expected 2 worker children, found '$WORKERS'"
+for w in $WORKERS; do
+  extra=$(ls /proc/"$w"/fd 2>/dev/null | grep -vx '[0-4]' | tr '\n' ' ')
+  [ -z "$extra" ] || fail "spawn race: worker $w holds fds beyond 0-4: $extra"
+done
+now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+running() { # a zombie has exited; only wait reaps it
+  local st; st=$(ps -o stat= -p "$1" 2>/dev/null)
+  [ -n "$st" ] && [ "${st#Z}" = "$st" ]
+}
+START=$(now_ms)
+kill -TERM "$SERVE_PID"
+while running "$SERVE_PID" && [ $(( $(now_ms) - START )) -lt "$GRACE_MS" ]; do
+  sleep 0.05
+done
+ELAPSED=$(( $(now_ms) - START ))
+if running "$SERVE_PID"; then
+  pkill -9 -P "$SERVE_PID"
+  kill -9 "$SERVE_PID"
+fi
+wait "$SERVE_PID" 2>/dev/null
+SERVE_PID=
+[ "$ELAPSED" -lt $(( GRACE_MS / 2 )) ] ||
+  fail "spawn race: SIGTERM shutdown took ${ELAPSED} ms" \
+       "(kill grace ${GRACE_MS} ms)"
 
 if [ "$FAILURES" -gt 0 ]; then
   echo "serve_ci: $FAILURES failure(s)" >&2
