@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <time.h>
 
 namespace postr {
 
@@ -39,15 +40,60 @@ std::atomic<FaultInjector *> ArmedInjector{nullptr};
 std::once_flag EnvInjectorOnce;
 std::unique_ptr<FaultInjector> EnvInjector;
 
+#ifdef CLOCK_MONOTONIC_COARSE
+constexpr clockid_t CoarseClock = CLOCK_MONOTONIC_COARSE;
+#else
+constexpr clockid_t CoarseClock = CLOCK_MONOTONIC;
+#endif
+
+int64_t readNs(clockid_t Id) {
+  timespec T;
+  clock_gettime(Id, &T);
+  return static_cast<int64_t>(T.tv_sec) * 1000000000 + T.tv_nsec;
+}
+
+/// How far the coarse clock may lag the precise one. In theory it is the
+/// precise reading at the last timer tick, so less than one resolution
+/// behind; on a 4-vCPU VM with a 4 ms tick it was measured 3.3-7.4 ms
+/// behind, so allow two resolutions.
+int64_t coarseLagNs() {
+  static const int64_t Lag = [] {
+    timespec R;
+    if (CoarseClock == CLOCK_MONOTONIC || clock_getres(CoarseClock, &R) != 0)
+      return int64_t(0);
+    return 2 * (static_cast<int64_t>(R.tv_sec) * 1000000000 + R.tv_nsec);
+  }();
+  return Lag;
+}
+
 } // namespace
 
 Budget::Budget(const Limits &L) : Lim(L) {
-  if (Lim.TimeoutMs)
-    Deadline = Clock::now() + std::chrono::milliseconds(Lim.TimeoutMs);
   // Budgets are created per solve, never on a hot path, so this is the
   // cheapest place to make the env-configured injector available before
   // the first probe (checkpoint itself stays a relaxed load).
   std::call_once(EnvInjectorOnce, [] { faultInjectorFromEnv(); });
+  // Born tripped: a child of a tripped ancestor starts with its reason.
+  for (const Budget *P = Lim.Parent; P; P = P->Lim.Parent)
+    if (P->exceeded()) {
+      trip(P->reason());
+      break;
+    }
+  if (!Lim.TimeoutMs)
+    return;
+  int64_t Now = readNs(CLOCK_MONOTONIC);
+  DeadlineNs = Now + static_cast<int64_t>(Lim.TimeoutMs) * 1000000;
+  // childLimits hands out whole ms and never 0, so clamp to the nearest
+  // timed ancestor's exact deadline: a child never outlives it, and one
+  // derived after it passed is born tripped.
+  for (const Budget *P = Lim.Parent; P; P = P->Lim.Parent)
+    if (P->Lim.TimeoutMs) {
+      DeadlineNs = std::min(DeadlineNs, P->DeadlineNs);
+      break;
+    }
+  CoarseGateNs = DeadlineNs - coarseLagNs();
+  if (Now >= DeadlineNs)
+    trip(StopReason::Timeout);
 }
 
 bool Budget::checkpoint(const char *Site) {
@@ -57,33 +103,38 @@ bool Budget::checkpoint(const char *Site) {
       trip(R);
   }
   if (exceeded())
-    return false;
+    return stopAt(Site);
   if (Lim.Cancel && Lim.Cancel->load(std::memory_order_relaxed)) {
     trip(StopReason::Cancelled);
-    return false;
+    return stopAt(Site);
   }
   // Walk the whole ancestor chain: a budget two levels down still stops
   // when the root trips, even if the intermediate budget never probes.
   for (const Budget *P = Lim.Parent; P; P = P->Lim.Parent)
     if (P->exceeded()) {
       trip(P->reason());
-      return false;
+      return stopAt(Site);
     }
   if (Lim.StepLimit && !chargeSteps(1))
-    return false;
-  if (Lim.TimeoutMs) {
-    // Amortize the clock read: callers already probe at loop heads (often
-    // themselves strided), so one deadline check per ~64 probes keeps the
-    // syscall entirely off the hot path.
-    uint32_t P = ProbeCount.fetch_add(1, std::memory_order_relaxed);
-    if ((P & 63u) == 63u && !checkDeadline())
-      return false;
-  }
+    return stopAt(Site);
+  if (Lim.TimeoutMs && !checkDeadline())
+    return stopAt(Site);
   return true;
 }
 
+bool Budget::stopAt(const char *Site) {
+  const char *Expected = nullptr;
+  TripSite.compare_exchange_strong(Expected, Site, std::memory_order_relaxed);
+  return false;
+}
+
 bool Budget::checkDeadline() {
-  if (Clock::now() >= Deadline) {
+  // The coarse clock is a vDSO read of the last tick's time (a few ns);
+  // only within its lag of the deadline can it be wrong about whether
+  // the deadline has passed, so only there pay for the precise clock.
+  if (readNs(CoarseClock) < CoarseGateNs)
+    return true;
+  if (readNs(CLOCK_MONOTONIC) >= DeadlineNs) {
     trip(StopReason::Timeout);
     return false;
   }
@@ -127,8 +178,9 @@ Budget::Limits Budget::childLimits(uint64_t CapMs, uint64_t MemBytes,
   if (Left == ~0ull)
     L.TimeoutMs = CapMs;
   else {
-    // Clamp to >= 1 so a nearly-expired parent still yields a deadline
-    // (TimeoutMs == 0 would mean "none" and unbound the child).
+    // TimeoutMs == 0 would mean "none"; a nearly-expired or expired
+    // parent still yields a deadline, and the constructor clamps the
+    // child to the parent's exact deadline (born tripped if it passed).
     Left = Left > 1 ? Left : 1;
     L.TimeoutMs = CapMs ? std::min(CapMs, Left) : Left;
   }
@@ -145,9 +197,7 @@ Budget::Limits Budget::childLimits(uint64_t CapMs, uint64_t MemBytes,
 uint64_t Budget::remainingMs() const {
   if (!Lim.TimeoutMs)
     return ~0ull;
-  auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                  Deadline - Clock::now())
-                  .count();
+  int64_t Left = (DeadlineNs - readNs(CLOCK_MONOTONIC)) / 1000000;
   return Left > 0 ? static_cast<uint64_t>(Left) : 0;
 }
 

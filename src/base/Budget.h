@@ -11,11 +11,16 @@
 /// memory-accounting cap (charged at the growth sites: NFA state and
 /// transition vectors, subset-construction maps, tableau rows, the learnt
 /// clause DB), a step budget, and a cooperative cancellation flag. Layers
-/// poll it through the amortized `checkpoint()` probe at loop heads; once
-/// any limit trips, the first reason wins and every later probe answers
-/// "stop". The trip reason surfaces as a structured `StopReason` on
-/// `Verdict::Unknown` results so callers can tell a timeout from a memory
-/// cap from an external cancellation.
+/// poll it through the cheap `checkpoint()` probe at loop heads; once any
+/// limit trips, the first reason wins and every later probe answers
+/// "stop". Every probe of a budget with a deadline reads the coarse
+/// monotonic clock (a few ns, no syscall), and only within two coarse ticks
+/// of the deadline the precise one, so a trip lands at the first probe
+/// after the deadline rather than after a fixed number of probes. The
+/// trip reason surfaces as a structured `StopReason` on `Verdict::Unknown`
+/// results so callers can tell a timeout from a memory cap from an
+/// external cancellation, and the budget remembers the probe site that
+/// first answered "stop", so callers can name the layer that noticed.
 ///
 /// Deterministic fault injection rides on the same probes: when
 /// `POSTR_FAULT_INJECT=<site>:<n>[:seed]` is set (or a `FaultInjector` is
@@ -31,7 +36,6 @@
 #include "base/Base.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 
 namespace postr {
@@ -63,11 +67,10 @@ const char *stopReasonName(StopReason R);
 /// workers are fine.
 class Budget {
 public:
-  using Clock = std::chrono::steady_clock;
-
   /// Construction-time limits; 0 / nullptr disables a dimension.
   struct Limits {
-    /// Wall-clock allowance measured from construction, in ms.
+    /// Wall-clock allowance measured from construction, in ms. With a
+    /// Parent, capped at the nearest ancestor deadline.
     uint64_t TimeoutMs = 0;
     /// Cap on bytes charged via chargeMem().
     uint64_t MemLimitBytes = 0;
@@ -84,6 +87,9 @@ public:
   };
 
   Budget() : Budget(Limits{}) {}
+  /// A budget whose Parent has already tripped, or whose deadline
+  /// (its own or an ancestor's) has already passed, is born tripped: with
+  /// the ancestor's reason, or Timeout.
   explicit Budget(const Limits &L);
 
   Budget(const Budget &) = delete;
@@ -92,8 +98,11 @@ public:
   /// The cheap probe. Returns true while work may continue, false once any
   /// limit has tripped. `Site` names the calling layer boundary (e.g.
   /// "nfa.determinize"); it keys fault injection and costs nothing when no
-  /// injector is armed. Amortized: the cancel flag and trip state are one
-  /// relaxed load each, the clock is consulted only every ~64th call.
+  /// injector is armed. The cancel flag and trip state are one relaxed
+  /// load each; with a deadline set, each call reads the coarse monotonic
+  /// clock, and the precise clock only once the coarse reading is within
+  /// two ticks of the deadline (the coarse clock's worst measured lag).
+  /// The first call that answers false records \p Site as tripSite().
   bool checkpoint(const char *Site);
 
   /// Charges \p Bytes against the memory cap; trips MemOut and returns
@@ -114,6 +123,12 @@ public:
   /// The first reason that tripped, or None.
   StopReason reason() const { return Reason.load(std::memory_order_relaxed); }
 
+  /// The site of the first checkpoint() that answered false, or nullptr
+  /// (not tripped, or tripped and not probed since — e.g. by chargeMem).
+  const char *tripSite() const {
+    return TripSite.load(std::memory_order_relaxed);
+  }
+
   /// Milliseconds left until the deadline; ~0ull when no deadline is set,
   /// 0 when it has passed. childLimits() derives child deadlines from it.
   uint64_t remainingMs() const;
@@ -128,7 +143,8 @@ public:
   /// / \p Steps override them (nonzero = tighter of the two). The child
   /// carries \p Cancel and a Parent link back to this budget, so a trip
   /// anywhere up the chain stops the child at its next probe with the
-  /// ancestor's reason.
+  /// ancestor's reason, and a child derived after the parent's deadline
+  /// has passed (or after the parent tripped) is born tripped.
   Limits childLimits(uint64_t CapMs = 0, uint64_t MemBytes = 0,
                      uint64_t Steps = 0,
                      const std::atomic<bool> *Cancel = nullptr) const;
@@ -140,13 +156,19 @@ public:
 
 private:
   bool checkDeadline();
+  /// checkpoint()'s false path: records \p Site if it is the first.
+  bool stopAt(const char *Site);
 
   Limits Lim;
-  Clock::time_point Deadline{}; // valid iff Lim.TimeoutMs != 0
+  /// Monotonic-clock deadline in ns; valid iff Lim.TimeoutMs != 0.
+  int64_t DeadlineNs = 0;
+  /// DeadlineNs minus the coarse clock's lag: below it, a coarse reading
+  /// proves the deadline has not passed.
+  int64_t CoarseGateNs = 0;
   std::atomic<StopReason> Reason{StopReason::None};
+  std::atomic<const char *> TripSite{nullptr};
   std::atomic<uint64_t> MemUsed{0};
   std::atomic<uint64_t> StepsUsed{0};
-  std::atomic<uint32_t> ProbeCount{0};
 };
 
 /// Deterministic fault injection: arms the n-th probe of one named site to

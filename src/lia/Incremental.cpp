@@ -90,7 +90,14 @@ private:
     uint32_t SimplexRow; ///< Simplex extended space; ~0u until registered
   };
 
+  /// Tseitin-encodes lowered \p F (memoized per node). While EncodeBud
+  /// is set, probes "lia.sat" every 64th node it has not encoded before;
+  /// a stop returns an unusable literal and memoizes only finished nodes.
   Lit encode(FormulaId F);
+  /// Encodes the queued assertions in order, each as a unit (or
+  /// selector-guarded) clause, probing \p Bud (may be null). A stop
+  /// leaves the rest queued: the next flush resumes at the first.
+  void flushAsserts(Budget *Bud);
   uint32_t atomVar(FormulaId F);
   uint32_t atomVarForTerm(const LinTerm &T);
   FormulaId lowered(FormulaId F);
@@ -101,6 +108,8 @@ private:
   /// Brings the theory side up to date with the arena and the atom set:
   /// bounds back to baseline, new problem variables and new atom rows
   /// appended, baseline re-marked, lattice lemmas for new atoms added.
+  /// Row registration probes "lia.simplex" every 16th atom; a stop leaves
+  /// the rest for the next call, and the caller's next probe sees it.
   void prepareTheory();
   void addLatticeLemmasIncremental();
   /// Negations of the reason literals Simplex reports — a theory lemma.
@@ -144,9 +153,17 @@ private:
   }
 
   SatSolver Sat;
-  /// Memoized Tseitin gates: lowered FormulaId -> encoded literal
-  /// (shared subformulas encode once, across solves and scopes).
-  std::unordered_map<FormulaId, Lit> GateOf;
+  /// Assertions not yet encoded, with the scope selector guarding each
+  /// (~0u at the top level). The encoding of a big Parikh formula runs
+  /// for tens of ms, so it probes and may stop part-way.
+  std::vector<std::pair<FormulaId, uint32_t>> PendingAsserts;
+  Budget *EncodeBud = nullptr; ///< probed by encode() during a flush
+  bool EncodeStopped = false;  ///< the flush in progress was stopped
+  uint64_t EncodedNodes = 0; ///< encode() memo misses, for its probe stride
+  /// Memoized Tseitin gates, indexed by lowered FormulaId (Lit() where
+  /// not encoded yet): shared subformulas encode once, across solves and
+  /// scopes. Dense, so a big encoding costs no per-node allocation.
+  std::vector<Lit> GateOf;
   /// Memoized lowering, so re-asserting or re-assuming the same formula
   /// id does not re-run `Arena::lower` (which allocates fresh nodes).
   std::unordered_map<FormulaId, FormulaId> LoweredMemo;
@@ -288,9 +305,19 @@ uint32_t IncrementalContext::Impl::atomVar(FormulaId F) {
 }
 
 Lit IncrementalContext::Impl::encode(FormulaId F) {
-  auto Memo = GateOf.find(F);
-  if (Memo != GateOf.end())
-    return Memo->second;
+  if (F < GateOf.size() && GateOf[F] != Lit())
+    return GateOf[F];
+  // Every probe charges a step, and step limits are sized for the search
+  // loops' probes; one probe per 64 fresh nodes (tens to hundreds of µs
+  // of encoding) keeps the deadline prompt without spending them here.
+  if (EncodeBud && (++EncodedNodes & 63) == 0 &&
+      !EncodeBud->checkpoint("lia.sat"))
+    EncodeStopped = true;
+  if (EncodeStopped)
+    return Lit();
+  // An interrupted gate keeps its fresh variable and the clauses added so
+  // far, but is not memoized: nothing asserts it, so they constrain
+  // nothing, and the resumed flush encodes the node afresh.
   Lit Encoded = [&] {
     switch (A.kind(F)) {
     case FKind::Atom:
@@ -299,6 +326,8 @@ Lit IncrementalContext::Impl::encode(FormulaId F) {
       uint32_t G = Sat.newVar();
       for (FormulaId C : A.children(F)) {
         Lit LC = encode(C);
+        if (EncodeStopped)
+          return Lit();
         Sat.addClause({Lit(G, true), LC});
       }
       return Lit(G, false);
@@ -306,8 +335,11 @@ Lit IncrementalContext::Impl::encode(FormulaId F) {
     case FKind::Or: {
       uint32_t G = Sat.newVar();
       std::vector<Lit> Clause{Lit(G, true)};
-      for (FormulaId C : A.children(F))
+      for (FormulaId C : A.children(F)) {
         Clause.push_back(encode(C));
+        if (EncodeStopped)
+          return Lit();
+      }
       Sat.addClause(std::move(Clause));
       return Lit(G, false);
     }
@@ -329,7 +361,11 @@ Lit IncrementalContext::Impl::encode(FormulaId F) {
     return Lit();
   }();
   AtomOfSatVar.resize(Sat.numVars(), ~0u);
-  GateOf[F] = Encoded;
+  if (!EncodeStopped) {
+    if (GateOf.size() <= F)
+      GateOf.resize(A.numNodes());
+    GateOf[F] = Encoded;
+  }
   return Encoded;
 }
 
@@ -343,14 +379,33 @@ FormulaId IncrementalContext::Impl::lowered(FormulaId F) {
 }
 
 void IncrementalContext::Impl::assertFormula(FormulaId F) {
-  Lit G = encode(lowered(F));
-  if (Selectors.empty())
-    Sat.addClause({G});
-  else
-    Sat.addClause({Lit(Selectors.back(), true), G});
+  PendingAsserts.push_back({F, Selectors.empty() ? ~0u : Selectors.back()});
 #ifndef NDEBUG
   DebugAsserts.back().push_back(F);
 #endif
+  // Encode now under the caller's budget; a stop leaves the rest queued
+  // for the next solve, whose own probe reports the trip.
+  flushAsserts(Opts.Budget);
+}
+
+void IncrementalContext::Impl::flushAsserts(Budget *Bud) {
+  EncodeBud = Bud;
+  EncodeStopped = false;
+  size_t Done = 0;
+  for (; Done < PendingAsserts.size(); ++Done) {
+    auto [F, Selector] = PendingAsserts[Done];
+    Lit G = encode(lowered(F));
+    if (EncodeStopped)
+      break;
+    if (Selector == ~0u)
+      Sat.addClause({G});
+    else
+      Sat.addClause({Lit(Selector, true), G});
+  }
+  PendingAsserts.erase(PendingAsserts.begin(),
+                       PendingAsserts.begin() + static_cast<ptrdiff_t>(Done));
+  EncodeBud = nullptr;
+  EncodeStopped = false; // the stop itself stays on the budget
 }
 
 void IncrementalContext::Impl::push() {
@@ -366,6 +421,10 @@ void IncrementalContext::Impl::pop() {
   assert(!Selectors.empty() && "pop without matching push");
   uint32_t S = Selectors.back();
   Selectors.pop_back();
+  // Queued assertions of the scope are moot once it is gone (they are
+  // the queue's tail: scopes nest).
+  while (!PendingAsserts.empty() && PendingAsserts.back().second == S)
+    PendingAsserts.pop_back();
   // Permanently disable the selector: every clause of the scope becomes
   // satisfied at level 0, so nothing has to be physically deleted and
   // every clause learned from the scope stays valid (it carries ¬s).
@@ -514,16 +573,30 @@ void IncrementalContext::Impl::prepareTheory() {
     }
     Grew = true;
   }
+  // Row registration is the long stretch here (a Simplex::rowFor per new
+  // atom, ~30 µs each over thousands on the first solve of a big Parikh
+  // formula), so probe every 16th atom, the stride checkRational polls
+  // pivots at (each probe charges a step). A stop leaves AtomsRegistered
+  // at the first unregistered atom and LatticeDone untouched; the next
+  // prepareTheory resumes both.
+  bool Interrupted = false;
   for (; AtomsRegistered < Atoms.size(); ++AtomsRegistered) {
+    if ((AtomsRegistered & 15) == 15 && stopped("lia.simplex")) {
+      Interrupted = true;
+      break;
+    }
     TheoryAtom &TA = Atoms[AtomsRegistered];
     if (TA.SimplexRow == ~0u) {
       TA.SimplexRow = Theory->rowFor(translate(TA.Term.coeffs()));
       Grew = true;
     }
   }
+  // Even when interrupted: the problem variables added above carry
+  // intrinsic bounds that the next resetToBaseline must restore.
   if (Grew)
     Theory->markBaseline(); // fold the new intrinsic bounds in
-  addLatticeLemmasIncremental();
+  if (!Interrupted)
+    addLatticeLemmasIncremental();
 }
 
 TheoryClient::TRes
@@ -682,6 +755,19 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
   }
   Sat.setBudget(Bud);
 
+  auto StoppedBeforeSearch = [&] {
+    Out.V = Verdict::Unknown;
+    Out.Stop = Stop;
+    Out.Stats.BudgetTrips = 1;
+    Cumulative += Out.Stats;
+    return Out;
+  };
+  // Finish any assertion an earlier stop left unencoded; a stop there is
+  // sticky, so the probe right after reports it.
+  flushAsserts(Bud);
+  if (stopped("lia.sat"))
+    return StoppedBeforeSearch();
+
   // Assumption literals: active scope selectors first, then the caller's
   // formulas flattened. Remember which input index each literal serves so
   // an Unsat core maps back to assumption formulas.
@@ -697,21 +783,9 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
       IndexOfLit.emplace(Assume[I].Code, AI);
   }
 
-  if (stopped("lia.sat")) {
-    Out.V = Verdict::Unknown;
-    Out.Stop = Stop;
-    Out.Stats.BudgetTrips = 1;
-    Cumulative += Out.Stats;
-    return Out;
-  }
   prepareTheory();
-  if (stopped("lia.sat")) {
-    Out.V = Verdict::Unknown;
-    Out.Stop = Stop;
-    Out.Stats.BudgetTrips = 1;
-    Cumulative += Out.Stats;
-    return Out;
-  }
+  if (stopped("lia.sat"))
+    return StoppedBeforeSearch();
 
   const SatStats SatBefore = Sat.stats();
   const SimplexStats TheoryBefore = Theory->stats();

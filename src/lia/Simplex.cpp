@@ -605,7 +605,11 @@ bool Simplex::checkRational() {
     // adversarial tableaus; poll the interrupt and bail out claiming
     // feasibility. The interrupt predicate is sticky (deadline/cancel),
     // and every caller that would trust a model re-checks it first, so
-    // the white lie only ever leads to an Abort/Unknown.
+    // the white lie only ever leads to an Abort/Unknown. Every 16th pivot,
+    // not every one: the clock read is cheap now, but each poll charges
+    // a budget step, and polling per pivot (and at every check's entry)
+    // cut FuzzDiffTest's step-limited smoke sweep from 207 determinate
+    // answers to 189, below its floor of 200.
     if (Interrupt && (PivotsThisCheck & 15) == 15 && Interrupt()) {
       noteCheckDone(PivotsThisCheck);
       return true;

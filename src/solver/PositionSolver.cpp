@@ -50,6 +50,25 @@ bool certifySelfCheckEnv() {
   return On;
 }
 
+/// The first resource stop of a solve and the Budget probe site that
+/// noticed it (null when no probe tripped, e.g. an engine-internal cap).
+struct StopNote {
+  StopReason Reason = StopReason::None;
+  const char *Site = nullptr;
+  void note(StopReason R, const char *S) {
+    if (Reason == StopReason::None) {
+      Reason = R;
+      Site = S;
+    }
+  }
+  /// Surfaces the stop on an Unknown result.
+  void surface(SolveResult &R) const {
+    R.Stop = Reason;
+    if (Reason != StopReason::None && Site)
+      R.StopSite = Site;
+  }
+};
+
 class Pipeline {
 public:
   Pipeline(const Problem &P, const SolveOptions &Opts)
@@ -73,12 +92,11 @@ private:
     return *Eval;
   }
   /// Root budget probe between disjuncts; \p StopOut records the first
-  /// trip reason.
-  bool stopped(StopReason &StopOut) const {
+  /// trip reason and site.
+  bool stopped(StopNote &StopOut) const {
     if (Root->checkpoint("solver.disjunct"))
       return false;
-    if (StopOut == StopReason::None)
-      StopOut = Root->reason();
+    StopOut.note(Root->reason(), Root->tripSite());
     return true;
   }
   /// Limits of one disjunct's child budget: the root's remaining time,
@@ -105,12 +123,14 @@ private:
   /// reached through \p Result and \p St, which each worker owns; \p
   /// Cancel (may be null) cooperatively aborts the underlying engines.
   /// On an Unknown caused by resource exhaustion, \p StopOut receives
-  /// the reason (first one wins). A disjunct stopping on MemOut or
-  /// StepBudget is retried once in degraded mode — Bland pivoting,
-  /// reduced MBQI bounds — on a fresh child budget before giving up.
+  /// the reason and site (first one wins). A disjunct whose child budget
+  /// is born tripped (the root's deadline passed) never reaches solveMP.
+  /// A disjunct stopping on MemOut or StepBudget is retried once in
+  /// degraded mode — Bland pivoting, reduced MBQI bounds — on a fresh
+  /// child budget before giving up.
   Verdict solveDisjunct(const eq::Decomposition &D, SolveResult &Result,
                         SolveStats &St, const std::atomic<bool> *Cancel,
-                        StopReason &StopOut,
+                        StopNote &StopOut,
                         proof::DisjunctCert *CertOut) const;
 
   const Problem &P;
@@ -135,7 +155,7 @@ private:
 Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
                                 SolveResult &Result, SolveStats &St,
                                 const std::atomic<bool> *Cancel,
-                                StopReason &StopOut,
+                                StopNote &StopOut,
                                 proof::DisjunctCert *CertOut) const {
   std::map<VarId, Nfa> Langs = D.Langs;
   VarId NextLocal = NF.NextFresh + 1000000; // disjunct-local fresh ids
@@ -221,6 +241,16 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     // produces the witness.
   }
 
+  // Child budget: the root's remaining time plus the full memory/step
+  // allowance and the pool's cancel flag. Born tripped once the root's
+  // deadline has passed: then no solveMP starts after the cap.
+  Budget Child(childLimits(Cancel));
+  if (Child.exceeded()) {
+    ++St.BudgetTrips;
+    StopOut.note(Child.reason(), "solver.disjunct");
+    return Verdict::Unknown;
+  }
+
   ++St.MpCalls;
   for (const PosPredicate &Pred : Preds)
     if (Pred.Kind == PredKind::NotContains)
@@ -279,12 +309,10 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       }
   }
 
-  // Child budget: the root's remaining time plus the full memory/step
-  // allowance and the pool's cancel flag.
-  Budget Child(childLimits(Cancel));
   MpOpts.Budget = &Child;
   tagaut::MpResult R =
       tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, MpOpts);
+  const char *StopSite = Child.tripSite();
   // Root-level accounting: the disjunct's cumulative charges count
   // against the root cap too (the run loop's probe notices the trip).
   Root->chargeMem(Child.memCharged());
@@ -300,16 +328,22 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     tagaut::MpOptions Deg = MpOpts;
     applyDegraded(Deg);
     // Fresh limits: the root's remaining time has shrunk by the first
-    // attempt, so re-derive rather than reuse.
+    // attempt, so re-derive rather than reuse. Born tripped once the
+    // root's deadline has passed: then the stop is that one.
     Budget RetryBud(childLimits(Cancel));
-    Deg.Budget = &RetryBud;
-    R = tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, Deg);
-    Root->chargeMem(RetryBud.memCharged());
+    if (RetryBud.exceeded()) {
+      R.Stop = RetryBud.reason();
+      StopSite = "solver.disjunct";
+    } else {
+      Deg.Budget = &RetryBud;
+      R = tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, Deg);
+      StopSite = RetryBud.tripSite();
+      Root->chargeMem(RetryBud.memCharged());
+    }
   }
   if (R.V == Verdict::Unknown && R.Stop != StopReason::None) {
     ++St.BudgetTrips;
-    if (StopOut == StopReason::None)
-      StopOut = R.Stop;
+    StopOut.note(R.Stop, StopSite);
   }
 
   if (R.V == Verdict::Sat) {
@@ -427,7 +461,7 @@ SolveResult Pipeline::run() {
 
 SolveResult Pipeline::runImpl() {
   SolveResult Result;
-  StopReason AggStop = StopReason::None;
+  StopNote AggStop;
 
   NF = normalize(P);
 
@@ -445,7 +479,7 @@ SolveResult Pipeline::runImpl() {
   if (CertifyOn)
     Certs.assign(Stab.Disjuncts.size(), proof::DisjunctCert());
   if (!Stab.Complete && Stab.Stop != StopReason::None)
-    AggStop = Stab.Stop;
+    AggStop.note(Stab.Stop, Root->tripSite());
 
   bool AnyUnknown = !Stab.Complete;
 
@@ -474,7 +508,7 @@ SolveResult Pipeline::runImpl() {
     }
     Result.V = AnyUnknown ? Verdict::Unknown : Verdict::Unsat;
     if (Result.V == Verdict::Unknown)
-      Result.Stop = AggStop;
+      AggStop.surface(Result);
     Result.Stats = Stats;
     return Result;
   }
@@ -488,7 +522,7 @@ SolveResult Pipeline::runImpl() {
   // only when disjunct 0 fails to answer Sat does the fan-out begin.
   if (stopped(AggStop)) {
     Result.V = Verdict::Unknown;
-    Result.Stop = AggStop;
+    AggStop.surface(Result);
     Result.Stats = Stats;
     return Result;
   }
@@ -524,11 +558,11 @@ SolveResult Pipeline::runImpl() {
   SolveResult Winner;
   SolveStats Merged = Stats;
 
-  StopReason PoolStop = AggStop;
+  StopNote PoolStop = AggStop;
 
   auto Worker = [&] {
     SolveStats Local;
-    StopReason LocalStop = StopReason::None;
+    StopNote LocalStop;
     for (;;) {
       size_t I = NextIdx.fetch_add(1, std::memory_order_relaxed);
       if (I >= Stab.Disjuncts.size())
@@ -565,8 +599,7 @@ SolveResult Pipeline::runImpl() {
     Merged.ModelsValidated += Local.ModelsValidated;
     Merged.ValidationFailures += Local.ValidationFailures;
     Merged.ParanoidChecks += Local.ParanoidChecks;
-    if (PoolStop == StopReason::None)
-      PoolStop = LocalStop;
+    PoolStop.note(LocalStop.Reason, LocalStop.Site);
   };
 
   std::vector<std::thread> Pool;
@@ -583,7 +616,7 @@ SolveResult Pipeline::runImpl() {
   } else {
     Result.V = PoolUnknown.load() ? Verdict::Unknown : Verdict::Unsat;
     if (Result.V == Verdict::Unknown)
-      Result.Stop = PoolStop;
+      PoolStop.surface(Result);
   }
   Result.Stats = Stats;
   return Result;

@@ -159,6 +159,11 @@ struct SolveResult {
   /// Cancelled / MemOut / StepBudget); None for determinate verdicts and
   /// for genuine incompleteness.
   StopReason Stop = StopReason::None;
+  /// With Stop set, the Budget probe site that first noticed the stop
+  /// (e.g. "lia.simplex", "solver.disjunct"; see faultSiteNames()), so an
+  /// Unknown names the layer that noticed the cap. Empty when no probe
+  /// tripped (an engine-internal cap, or a stop no probe saw).
+  std::string StopSite;
   /// On Sat (with BuildModel): words of the *original* problem variables.
   std::map<VarId, Word> Words;
   std::map<strings::IntVarId, int64_t> Ints;

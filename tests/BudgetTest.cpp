@@ -81,14 +81,47 @@ TEST(BudgetTest, CancelFlagTrips) {
 TEST(BudgetTest, DeadlineTrips) {
   Budget B(Budget::Limits{1, 0, 0, nullptr});
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  // The clock is only consulted every ~64th probe; 256 probes guarantee
-  // several deadline checks.
-  bool Tripped = false;
-  for (int I = 0; I < 256 && !Tripped; ++I)
-    Tripped = !B.checkpoint("lia.sat");
-  EXPECT_TRUE(Tripped);
+  // The first probe after expiry trips, and names its site.
+  EXPECT_FALSE(B.checkpoint("lia.sat"));
   EXPECT_EQ(B.reason(), StopReason::Timeout);
+  EXPECT_STREQ(B.tripSite(), "lia.sat");
   EXPECT_EQ(B.remainingMs(), 0u);
+}
+
+TEST(BudgetTest, TripSiteIsTheFirstProbeThatStopped) {
+  Budget B;
+  EXPECT_TRUE(B.checkpoint("lia.sat"));
+  EXPECT_EQ(B.tripSite(), nullptr);
+  // A trip outside a probe (a growth site's chargeMem) is named by the
+  // first probe that notices it; later probes keep the first name.
+  B.trip(StopReason::MemOut);
+  EXPECT_EQ(B.tripSite(), nullptr);
+  EXPECT_FALSE(B.checkpoint("lia.simplex"));
+  EXPECT_FALSE(B.checkpoint("lia.sat"));
+  EXPECT_STREQ(B.tripSite(), "lia.simplex");
+}
+
+TEST(BudgetTest, ChildOfExpiredOrTrippedParentIsBornTripped) {
+  // A parent whose deadline has passed hands its child no fresh
+  // allowance: the child starts tripped, on Timeout.
+  Budget Expired(Budget::Limits{1, 0, 0, nullptr});
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  Budget Late(Expired.childLimits());
+  EXPECT_TRUE(Late.exceeded());
+  EXPECT_EQ(Late.reason(), StopReason::Timeout);
+  EXPECT_FALSE(Late.checkpoint("solver.disjunct"));
+
+  // A tripped parent passes its own reason on, deadline or not.
+  Budget Root(Budget::Limits{60000, 0, 0, nullptr});
+  Root.trip(StopReason::MemOut);
+  Budget Child(Root.childLimits());
+  EXPECT_EQ(Child.reason(), StopReason::MemOut);
+
+  // A live parent's child is live.
+  Budget Live(Budget::Limits{60000, 0, 0, nullptr});
+  Budget Kid(Live.childLimits());
+  EXPECT_FALSE(Kid.exceeded());
+  EXPECT_TRUE(Kid.checkpoint("solver.disjunct"));
 }
 
 TEST(BudgetTest, FirstReasonWins) {
@@ -510,6 +543,36 @@ TEST(FaultSweepTest, TrippedSolveRetriesOnFreshBudget) {
   solver::SolveResult Again = solver::solveProblem(P, Full);
   EXPECT_EQ(Again.V, Oracle.V);
   EXPECT_EQ(Again.Stop, StopReason::None);
+}
+
+TEST(BudgetTest, ExpiredCallerBudgetStartsNoDisjunct) {
+  // A caller budget whose deadline passed before the call: the pipeline
+  // answers Unknown on Timeout without starting a single solveMP, on a
+  // problem that stabilizes into several disjuncts.
+  strings::Problem P;
+  VarId U = P.strVar("u"), V = P.strVar("v");
+  P.assertInRe(U, "a*");
+  P.assertInRe(V, "a*");
+  P.assertWordEq({strings::StrElem::var(U), strings::StrElem::var(V)},
+                 {strings::StrElem::var(V), strings::StrElem::var(U)});
+  P.assertDiseq({strings::StrElem::var(U)}, {strings::StrElem::var(V)});
+  solver::SolveResult Free = solver::solveProblem(P);
+  ASSERT_GT(Free.Stats.Disjuncts, 1u);
+  ASSERT_GT(Free.Stats.MpCalls, 0u);
+
+  for (uint32_t Threads : {1u, 4u}) {
+    Budget Expired(Budget::Limits{1, 0, 0, nullptr});
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    solver::SolveOptions O;
+    O.Budget = &Expired;
+    O.Threads = Threads;
+    solver::SolveResult R = solver::solveProblem(P, O);
+    EXPECT_EQ(R.V, Verdict::Unknown);
+    EXPECT_EQ(R.Stop, StopReason::Timeout);
+    EXPECT_EQ(R.Stats.MpCalls, 0u);
+    EXPECT_FALSE(R.StopSite.empty());
+    EXPECT_EQ(solver::exitCodeFor(R), 3);
+  }
 }
 
 //===----------------------------------------------------------------------===

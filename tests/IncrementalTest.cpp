@@ -228,6 +228,79 @@ TEST(IncrementalContextTest, CancelFlagInBudgetStopsReusedContext) {
   EXPECT_EQ(Again.Stop, StopReason::None);
 }
 
+TEST(IncrementalContextTest, StopMidRegistrationResumesOnNextSolve) {
+  // A context whose first solve is stopped while prepareTheory registers
+  // atom rows must finish the registration on its next solve. The
+  // verdict rests on the variables' intrinsic bounds (every atom is
+  // satisfiable without them), so it also catches a stop that loses the
+  // bounds of variables added before it.
+  Arena A;
+  Var X = A.freshVar("x", 0, 10), Y = A.freshVar("y", 0, 10);
+  std::vector<FormulaId> Parts;
+  for (int64_t K = 1; K <= 40; ++K) // x + k·y >= 11(k+1): false in the box
+    Parts.push_back(A.atom(
+        LinTerm::variable(X) + LinTerm::variable(Y, K) - LinTerm(11 * (K + 1)),
+        Cmp::Ge));
+  FormulaId F = A.disj(std::move(Parts));
+  QfResult Oracle = solveQF(A, F);
+  ASSERT_EQ(Oracle.V, Verdict::Unsat);
+
+  IncrementalContext Ctx(A);
+  Ctx.assertFormula(F); // no budget yet: encoded in full, no probes
+  // One step for solve's own first probe, one for registration's probe
+  // at atom 16; its probe at atom 32 trips, 8 atoms short of the end.
+  Budget Tight(Budget::Limits{0, 0, /*StepLimit=*/2, nullptr});
+  QfOptions O;
+  O.Budget = &Tight;
+  Ctx.setOptions(O);
+  QfResult R = Ctx.solve();
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stop, StopReason::StepBudget);
+  ASSERT_NE(Tight.tripSite(), nullptr);
+  EXPECT_STREQ(Tight.tripSite(), "lia.simplex");
+
+  Budget Fresh;
+  O.Budget = &Fresh;
+  Ctx.setOptions(O);
+  QfResult Again = Ctx.solve();
+  EXPECT_EQ(Again.V, Oracle.V);
+  EXPECT_EQ(Again.Stop, StopReason::None);
+}
+
+TEST(IncrementalContextTest, StopMidEncodingResumesOnNextSolve) {
+  // The same for the Tseitin encoding: assertFormula under a budget that
+  // trips part-way leaves the rest of the formula queued, the next solve
+  // under a fresh budget encodes it, and the verdict is the oracle's.
+  Arena A;
+  Var X = A.freshVar("x", 0, 10), Y = A.freshVar("y", 0, 10);
+  std::vector<FormulaId> Parts;
+  for (int64_t K = 1; K <= 200; ++K)
+    Parts.push_back(A.atom(
+        LinTerm::variable(X) + LinTerm::variable(Y, K) - LinTerm(11 * (K + 1)),
+        Cmp::Ge));
+  FormulaId F = A.disj(std::move(Parts));
+  QfResult Oracle = solveQF(A, F);
+  ASSERT_EQ(Oracle.V, Verdict::Unsat);
+
+  Budget Tight(Budget::Limits{0, 0, /*StepLimit=*/1, nullptr});
+  QfOptions O;
+  O.Budget = &Tight;
+  IncrementalContext Ctx(A, O);
+  Ctx.assertFormula(F);
+  ASSERT_NE(Tight.tripSite(), nullptr);
+  EXPECT_STREQ(Tight.tripSite(), "lia.sat");
+  QfResult R = Ctx.solve();
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stop, StopReason::StepBudget);
+
+  Budget Fresh;
+  O.Budget = &Fresh;
+  Ctx.setOptions(O);
+  QfResult Again = Ctx.solve();
+  EXPECT_EQ(Again.V, Oracle.V);
+  EXPECT_EQ(Again.Stop, StopReason::None);
+}
+
 //===----------------------------------------------------------------------===
 // MBQI: incremental vs scratch vs brute-force expansion
 //===----------------------------------------------------------------------===
