@@ -209,7 +209,8 @@ const std::vector<const char *> &faultSiteNames() {
   static const std::vector<const char *> Sites = {
       "nfa.intersect",  "nfa.determinize",  "nfa.epsilon",
       "eq.stabilize",   "tagaut.encode",    "tagaut.parikh",
-      "lia.sat",        "lia.simplex",      "lia.mbqi",
+      "counter.walk",   "lia.sat",          "lia.simplex",
+      "lia.mbqi",
       "solver.disjunct", "solver.enum",     "solver.bruteforce",
   };
   return Sites;

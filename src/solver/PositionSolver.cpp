@@ -124,7 +124,8 @@ private:
   /// Cancel (may be null) cooperatively aborts the underlying engines.
   /// On an Unknown caused by resource exhaustion, \p StopOut receives
   /// the reason and site (first one wins). A disjunct whose child budget
-  /// is born tripped (the root's deadline passed) never reaches solveMP.
+  /// is born tripped (the root's deadline passed) reaches neither the
+  /// one-counter fast path nor solveMP.
   /// A disjunct stopping on MemOut or StepBudget is retried once in
   /// degraded mode — Bland pivoting, reduced MBQI bounds — on a fresh
   /// child budget before giving up.
@@ -132,6 +133,14 @@ private:
                         SolveStats &St, const std::atomic<bool> *Cancel,
                         StopNote &StopOut,
                         proof::DisjunctCert *CertOut) const;
+  /// A disjunct's Sat: projects \p Assignment (words of the disjunct's
+  /// variables) through D.Subst onto the original variables, installs
+  /// \p Ints, and runs the model self-check. Sat, or Unknown when the
+  /// model falsifies an assertion.
+  Verdict acceptSat(const eq::Decomposition &D,
+                    const std::map<VarId, Word> &Assignment,
+                    std::map<IntVarId, int64_t> Ints, SolveResult &Result,
+                    SolveStats &St) const;
 
   const Problem &P;
   SolveOptions Opts;
@@ -151,6 +160,46 @@ private:
   mutable std::mutex FailMu;
   mutable ValidationFailure FirstFail;
 };
+
+Verdict Pipeline::acceptSat(const eq::Decomposition &D,
+                            const std::map<VarId, Word> &Assignment,
+                            std::map<IntVarId, int64_t> Ints,
+                            SolveResult &Result, SolveStats &St) const {
+  // Project onto the original variables through the substitution map.
+  Result.Words.clear();
+  for (VarId X = 0; X < NF.NumOriginalVars; ++X) {
+    Word W;
+    for (VarId T : D.Subst.at(X)) {
+      const Word &Part = Assignment.at(T);
+      W.insert(W.end(), Part.begin(), Part.end());
+    }
+    Result.Words[X] = std::move(W);
+  }
+  Result.Ints = std::move(Ints);
+  if (Opts.TamperModel)
+    Opts.TamperModel(Result.Words, Result.Ints);
+  // Always-on self-check: every Sat model is re-validated against the
+  // concrete semantics before it leaves the pipeline. An invalid model
+  // is demoted to a structured Unknown (never a silent wrong answer).
+  if (Opts.ValidateModels) {
+    ++St.ModelsValidated;
+    const ConcreteEvaluator &E = evaluator();
+    for (size_t I = 0; I < P.assertions().size(); ++I) {
+      if (E.evalOne(I, Result.Words, Result.Ints))
+        continue;
+      ++St.ValidationFailures;
+      std::lock_guard<std::mutex> Lock(FailMu);
+      if (!FirstFail.Failed) {
+        FirstFail.Failed = true;
+        FirstFail.AssertionIndex = static_cast<uint32_t>(I);
+        FirstFail.Detail = "Sat model falsifies assertion #" +
+                           std::to_string(I);
+      }
+      return Verdict::Unknown;
+    }
+  }
+  return Verdict::Sat;
+}
 
 Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
                                 SolveResult &Result, SolveStats &St,
@@ -219,11 +268,32 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   if (Cancel && Cancel->load(std::memory_order_relaxed))
     return Verdict::Unknown; // a sibling disjunct already answered Sat
 
+  // Child budget: the root's remaining time plus the full memory/step
+  // allowance and the pool's cancel flag. Born tripped once the root's
+  // deadline has passed: then neither the fast path nor solveMP starts
+  // after the cap.
+  Budget Child(childLimits(Cancel));
+  if (Child.exceeded()) {
+    ++St.BudgetTrips;
+    StopOut.note(Child.reason(), "solver.disjunct");
+    return Verdict::Unknown;
+  }
+
   // PTime fast path (Thm. 7.1): a single eligible predicate, no I part.
+  // Its Sat carries the walk it found as the model; only a Sat without
+  // one (an over-long pumped cycle) or a NodeBudget Unknown falls through
+  // to the LIA path.
   if (Opts.UseOcaFastPath && !HasIntSide && counter::isEligible(Preds)) {
-    Verdict V = counter::decideSinglePredicate(Langs, Preds.front(),
-                                               NF.Sigma.size());
-    if (V == Verdict::Unsat) {
+    counter::OneCounterOptions OcOpts;
+    OcOpts.Budget = &Child;
+    counter::OneCounterResult Oc = counter::decideSinglePredicate(
+        Langs, Preds.front(), NF.Sigma.size(), OcOpts);
+    if (Oc.Stop != StopReason::None) {
+      ++St.BudgetTrips;
+      StopOut.note(Oc.Stop, Child.tripSite());
+      return Verdict::Unknown;
+    }
+    if (Oc.V == Verdict::Unsat) {
       ++St.FastPathDecisions;
       if (CertOut) {
         // The PTime one-counter decision (Thm. 7.1) is a trusted engine;
@@ -233,22 +303,14 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       }
       return Verdict::Unsat;
     }
-    if (V == Verdict::Sat && !Opts.BuildModel) {
+    if (Oc.V == Verdict::Sat && Oc.Model) {
       ++St.FastPathDecisions;
-      return Verdict::Sat;
+      // No integer side: any declared integer variable is unconstrained.
+      std::map<IntVarId, int64_t> Ints;
+      for (IntVarId V = 0; V < NF.NumIntVars; ++V)
+        Ints[V] = 0;
+      return acceptSat(D, *Oc.Model, std::move(Ints), Result, St);
     }
-    // Sat with a model requested, or Unknown: the LIA path below also
-    // produces the witness.
-  }
-
-  // Child budget: the root's remaining time plus the full memory/step
-  // allowance and the pool's cancel flag. Born tripped once the root's
-  // deadline has passed: then no solveMP starts after the cap.
-  Budget Child(childLimits(Cancel));
-  if (Child.exceeded()) {
-    ++St.BudgetTrips;
-    StopOut.note(Child.reason(), "solver.disjunct");
-    return Verdict::Unknown;
   }
 
   ++St.MpCalls;
@@ -347,42 +409,10 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   }
 
   if (R.V == Verdict::Sat) {
-    // Project onto the original variables through the substitution map.
-    Result.Words.clear();
-    for (VarId X = 0; X < NF.NumOriginalVars; ++X) {
-      Word W;
-      for (VarId T : D.Subst.at(X)) {
-        const Word &Part = R.Assignment.at(T);
-        W.insert(W.end(), Part.begin(), Part.end());
-      }
-      Result.Words[X] = std::move(W);
-    }
-    Result.Ints.clear();
+    std::map<IntVarId, int64_t> Ints;
     for (IntVarId V = 0; V < NF.NumIntVars; ++V)
-      Result.Ints[V] = R.Model[IntHandles[V]];
-    if (Opts.TamperModel)
-      Opts.TamperModel(Result.Words, Result.Ints);
-    // Always-on self-check: every Sat model is re-validated against the
-    // concrete semantics before it leaves the pipeline. An invalid model
-    // is demoted to a structured Unknown (never a silent wrong answer).
-    if (Opts.ValidateModels) {
-      ++St.ModelsValidated;
-      const ConcreteEvaluator &E = evaluator();
-      for (size_t I = 0; I < P.assertions().size(); ++I) {
-        if (E.evalOne(I, Result.Words, Result.Ints))
-          continue;
-        ++St.ValidationFailures;
-        std::lock_guard<std::mutex> Lock(FailMu);
-        if (!FirstFail.Failed) {
-          FirstFail.Failed = true;
-          FirstFail.AssertionIndex = static_cast<uint32_t>(I);
-          FirstFail.Detail = "Sat model falsifies assertion #" +
-                             std::to_string(I);
-        }
-        return Verdict::Unknown;
-      }
-    }
-    return Verdict::Sat;
+      Ints[V] = R.Model[IntHandles[V]];
+    return acceptSat(D, R.Assignment, std::move(Ints), Result, St);
   }
   if (R.V == Verdict::Unsat && Approximated)
     return Verdict::Unknown; // an under-approximation cannot prove Unsat

@@ -74,17 +74,14 @@ struct SolveOptions {
   uint32_t Threads = 1;
   eq::StabilizeOptions Stabilize;
   tagaut::MpOptions Mp;
-  /// Use the PTime one-counter path when eligible (Thm. 7.1).
+  /// Use the PTime one-counter path when eligible (Thm. 7.1). Its Sat
+  /// answers carry the walk they found as the model.
   bool UseOcaFastPath = true;
-  /// Construct witness assignments on Sat (forces the LIA path even when
-  /// the one-counter path answered, since the latter yields no model).
-  bool BuildModel = true;
   /// Re-validate every Sat model against the concrete semantics before
   /// returning it (always on, all build types). An invalid model is
   /// demoted to Unknown with SolveResult::Validation filled in — the
-  /// solver never silently returns a wrong Sat. Only the fast path
-  /// (UseOcaFastPath with BuildModel=false) is exempt, since it produces
-  /// no model to check.
+  /// solver never silently returns a wrong Sat. Every Sat path, the
+  /// one-counter fast path included, produces a model to check.
   bool ValidateModels = true;
   /// Cross-check every Unsat against the bounded enumeration oracle
   /// (solver::solveEnum). If the oracle finds a certified model, the
@@ -164,7 +161,7 @@ struct SolveResult {
   /// Unknown names the layer that noticed the cap. Empty when no probe
   /// tripped (an engine-internal cap, or a stop no probe saw).
   std::string StopSite;
-  /// On Sat (with BuildModel): words of the *original* problem variables.
+  /// On Sat: words of the *original* problem variables.
   std::map<VarId, Word> Words;
   std::map<strings::IntVarId, int64_t> Ints;
   SolveStats Stats;

@@ -395,6 +395,26 @@ std::vector<SiteCase> siteCases() {
     return Bud.exceeded() ? Verdict::Unknown : Verdict::Sat;
   }});
 
+  Cases.push_back({"counter.walk", [] {
+    // xy ≠ yx over (ab)*: commuting powers, Unsat, decided by the
+    // one-counter fast path after ~40k walk-search expansions.
+    strings::Problem P;
+    VarId X = P.strVar("x"), Y = P.strVar("y");
+    P.assertInRe(X, "(ab)*");
+    P.assertInRe(Y, "(ab)*");
+    P.assertDiseq({strings::StrElem::var(X), strings::StrElem::var(Y)},
+                  {strings::StrElem::var(Y), strings::StrElem::var(X)});
+    solver::SolveResult R = solver::solveProblem(P);
+    if (R.V == Verdict::Unknown) {
+      EXPECT_NE(R.Stop, StopReason::None);
+      EXPECT_EQ(R.StopSite, "counter.walk");
+      EXPECT_EQ(R.Stats.MpCalls, 0u);
+    } else {
+      EXPECT_EQ(R.Stats.FastPathDecisions, 1u);
+    }
+    return R.V;
+  }});
+
   Cases.push_back({"lia.sat", liaDriver});
   Cases.push_back({"lia.simplex", liaDriver});
 
@@ -558,7 +578,8 @@ TEST(BudgetTest, ExpiredCallerBudgetStartsNoDisjunct) {
   P.assertDiseq({strings::StrElem::var(U)}, {strings::StrElem::var(V)});
   solver::SolveResult Free = solver::solveProblem(P);
   ASSERT_GT(Free.Stats.Disjuncts, 1u);
-  ASSERT_GT(Free.Stats.MpCalls, 0u);
+  // Unexpired, a disjunct is decided (by the one-counter fast path).
+  ASSERT_GT(Free.Stats.MpCalls + Free.Stats.FastPathDecisions, 0u);
 
   for (uint32_t Threads : {1u, 4u}) {
     Budget Expired(Budget::Limits{1, 0, 0, nullptr});
@@ -570,9 +591,33 @@ TEST(BudgetTest, ExpiredCallerBudgetStartsNoDisjunct) {
     EXPECT_EQ(R.V, Verdict::Unknown);
     EXPECT_EQ(R.Stop, StopReason::Timeout);
     EXPECT_EQ(R.Stats.MpCalls, 0u);
+    EXPECT_EQ(R.Stats.FastPathDecisions, 0u);
     EXPECT_FALSE(R.StopSite.empty());
     EXPECT_EQ(solver::exitCodeFor(R), 3);
   }
+}
+
+TEST(BudgetTest, DeadlineStopsTheOneCounterWalk) {
+  // x1x2x3x4 ≠ x4x3x2x1 over (abcbb)*: the fast path's walk search runs
+  // for seconds before exhausting its node budget. Under a 10 ms cap its
+  // own probe notices the deadline, and no solveMP starts.
+  strings::Problem P;
+  strings::StrSeq L, R;
+  for (int I = 1; I <= 4; ++I) {
+    VarId X = P.strVar("x" + std::to_string(I));
+    P.assertInRe(X, "(abcbb)*");
+    L.push_back(strings::StrElem::var(X));
+  }
+  R.assign(L.rbegin(), L.rend());
+  P.assertDiseq(L, R);
+  solver::SolveOptions O;
+  O.TimeoutMs = 10;
+  solver::SolveResult Res = solver::solveProblem(P, O);
+  EXPECT_EQ(Res.V, Verdict::Unknown);
+  EXPECT_EQ(Res.Stop, StopReason::Timeout);
+  EXPECT_EQ(Res.StopSite, "counter.walk");
+  EXPECT_EQ(Res.Stats.MpCalls, 0u);
+  EXPECT_EQ(Res.Stats.FastPathDecisions, 0u);
 }
 
 //===----------------------------------------------------------------------===

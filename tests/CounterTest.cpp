@@ -11,6 +11,7 @@
 #include "counter/OneCounter.h"
 #include "regex/Regex.h"
 #include "solver/BruteForce.h"
+#include "strings/Eval.h"
 #include "tagaut/MpSolver.h"
 
 #include <gtest/gtest.h>
@@ -29,6 +30,8 @@ struct Fixture {
   std::map<VarId, Nfa> Langs;
   VarId NextVar = 0;
   std::vector<std::pair<VarId, regex::NodePtr>> Pending;
+  /// The same instance as a strings::Problem, for the witness check.
+  strings::Problem P;
 
   Fixture() {
     Sigma.intern('a');
@@ -40,6 +43,9 @@ struct Fixture {
     assert(R && "bad regex in test");
     regex::collectAlphabet(**R, Sigma);
     Pending.emplace_back(X, std::move(*R));
+    VarId PX = P.strVar("x" + std::to_string(X));
+    assert(PX == X && "fixture and problem variables diverged");
+    P.assertInRe(PX, Regex);
     return X;
   }
   void finalize() {
@@ -47,9 +53,35 @@ struct Fixture {
       Langs[X] = regex::compile(*Node, Sigma);
     Pending.clear();
   }
-  Verdict decide(const PosPredicate &Pred) {
+  /// Decides \p Pred; every Sat must carry a witness the concrete
+  /// evaluator accepts on the languages plus the predicate.
+  Verdict decide(const PosPredicate &Pred, const OneCounterOptions &Opts = {}) {
     finalize();
-    return decideSinglePredicate(Langs, Pred, Sigma.size());
+    OneCounterResult R = decideSinglePredicate(Langs, Pred, Sigma.size(), Opts);
+    EXPECT_EQ(R.Stop, StopReason::None);
+    if (R.V == Verdict::Sat) {
+      EXPECT_TRUE(R.Model.has_value()) << "Sat without a witness";
+      if (R.Model)
+        EXPECT_TRUE(witnessHolds(Pred, *R.Model)) << "witness rejected";
+    }
+    return R.V;
+  }
+  bool witnessHolds(const PosPredicate &Pred,
+                    const std::map<VarId, Word> &Model) const {
+    auto Seq = [](const std::vector<VarId> &Occs) {
+      strings::StrSeq Out;
+      for (VarId X : Occs)
+        Out.push_back(strings::StrElem::var(X));
+      return Out;
+    };
+    strings::Problem Q = P;
+    strings::AssertKind K = Pred.Kind == PredKind::Diseq
+                                ? strings::AssertKind::Diseq
+                            : Pred.Kind == PredKind::NotPrefix
+                                ? strings::AssertKind::NotPrefixof
+                                : strings::AssertKind::NotSuffixof;
+    Q.assertPred(K, Seq(Pred.Lhs), Seq(Pred.Rhs));
+    return strings::ConcreteEvaluator(Q, Sigma).evalAll(Model, {});
   }
 };
 
@@ -155,6 +187,62 @@ TEST(OneCounterTest, DifferentialAgainstLiaPathAndOracle) {
     if (Bf.V == Verdict::Sat)
       EXPECT_EQ(Fast, Verdict::Sat) << "iteration " << Iter;
   }
+}
+
+/// Pins the walk search's expansion order: each instance needs exactly
+/// its recorded number of expansions (NodeBudget) to reach its verdict,
+/// and one fewer answers Unknown. A change to the discovery order or to
+/// the budget accounting moves these counts.
+TEST(OneCounterTest, NodeBudgetPinsExpansionCount) {
+  struct PinCase {
+    const char *X, *Y;
+    Verdict V;
+    uint64_t Expansions;
+  };
+  // xy ≠ yx: commuting powers of ab (Unsat, the whole mismatch branch
+  // searched) and x ∈ (ab)*, y ∈ a(ba)* (Sat, found mid-search).
+  const PinCase Cases[] = {{"(ab)*", "(ab)*", Verdict::Unsat, 39974},
+                           {"(ab)*", "a(ba)*", Verdict::Sat, 16648}};
+  for (const PinCase &C : Cases) {
+    for (uint64_t Budget : {C.Expansions - 1, C.Expansions}) {
+      Fixture F;
+      VarId X = F.var(C.X), Y = F.var(C.Y);
+      OneCounterOptions O;
+      O.NodeBudget = Budget;
+      Verdict V = F.decide({PredKind::Diseq, {X, Y}, {Y, X}, {}}, O);
+      EXPECT_EQ(V, Budget == C.Expansions ? C.V : Verdict::Unknown)
+          << C.X << ", " << C.Y << " at NodeBudget " << Budget;
+    }
+  }
+}
+
+/// A tripped budget stops the walk search at its `counter.walk` probe
+/// with the budget's reason, and names the site.
+TEST(OneCounterTest, BudgetTripStopsTheWalkSearch) {
+  Fixture F;
+  VarId X = F.var("(ab)*"), Y = F.var("(ab)*");
+  F.finalize();
+  std::atomic<bool> Cancel{true};
+  Budget Bud(Budget::Limits{0, 0, 0, &Cancel});
+  OneCounterOptions O;
+  O.Budget = &Bud;
+  OneCounterResult R = decideSinglePredicate(
+      F.Langs, {PredKind::Diseq, {X, Y}, {Y, X}, {}}, F.Sigma.size(), O);
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stop, StopReason::Cancelled);
+  ASSERT_NE(Bud.tripSite(), nullptr);
+  EXPECT_STREQ(Bud.tripSite(), "counter.walk");
+}
+
+/// The length branch's signed-cycle shortcut pumps its cycle into a
+/// witness: x ∈ (ab)* must outgrow the 5-letter y.
+TEST(OneCounterTest, PumpedCycleWitness) {
+  Fixture F;
+  VarId X = F.var("(ab)*"), Y = F.var("aabab");
+  EXPECT_EQ(F.decide({PredKind::NotPrefix, {X}, {Y}, {}}), Verdict::Sat);
+  Fixture F2;
+  VarId X2 = F2.var("(ab)*"), Y2 = F2.var("abab(ab)*");
+  EXPECT_EQ(F2.decide({PredKind::NotSuffix, {Y2}, {X2}, {}}), Verdict::Sat);
 }
 
 } // namespace

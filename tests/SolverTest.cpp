@@ -321,6 +321,52 @@ TEST(SelfCheckTest, CleanSatModelIsCountedValidated) {
   EXPECT_EQ(R.Stats.ValidationFailures, 0u);
 }
 
+/// xy ≠ yx with x ∈ (ab)*, y ∈ a(ba)*: equal lengths always, so only the
+/// one-counter mismatch search finds the Sat (x = ab, y = a).
+Problem fastPathSatProblem() {
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y");
+  P.intVar("n"); // declared, unconstrained
+  P.assertInRe(X, "(ab)*");
+  P.assertInRe(Y, "a(ba)*");
+  P.assertDiseq({StrElem::var(X), StrElem::var(Y)},
+                {StrElem::var(Y), StrElem::var(X)});
+  return P;
+}
+
+TEST(SelfCheckTest, FastPathSatCarriesItsWalkAsTheModel) {
+  // The fast path's Sat is the answer: no solveMP re-solve for a model,
+  // and the walk it found is validated like every other Sat model.
+  Problem P = fastPathSatProblem();
+  SolveResult R = solve(P);
+  ASSERT_EQ(R.V, Verdict::Sat);
+  EXPECT_EQ(R.Stats.MpCalls, 0u);
+  EXPECT_EQ(R.Stats.FastPathDecisions, 1u);
+  EXPECT_EQ(R.Stats.ModelsValidated, 1u);
+  EXPECT_EQ(R.Stats.ValidationFailures, 0u);
+  EXPECT_EQ(R.Ints.at(0), 0);
+  strings::NormalForm N = strings::normalize(P);
+  strings::ConcreteEvaluator Eval(P, N.Sigma);
+  EXPECT_TRUE(Eval.evalAll(R.Words, R.Ints));
+}
+
+TEST(SelfCheckTest, TamperedFastPathWitnessIsDemotedToUnknown) {
+  // A fast-path witness goes through the same self-check: a corrupted
+  // one is demoted, never returned as Sat.
+  Problem P = fastPathSatProblem();
+  SolveOptions Opts;
+  Opts.TimeoutMs = 20000;
+  Opts.TamperModel = [](std::map<VarId, Word> &Words,
+                        std::map<strings::IntVarId, int64_t> &) {
+    Words.at(1) = Words.at(0); // y = x: xy = yx
+  };
+  SolveResult R = solver::solveProblem(P, Opts);
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_TRUE(R.Validation.Failed);
+  EXPECT_EQ(R.Stats.MpCalls, 0u);
+  EXPECT_EQ(R.Stats.ValidationFailures, 1u);
+}
+
 TEST(SelfCheckTest, TamperedModelIsDemotedToUnknown) {
   // Corrupt every produced model through the test-only hook: the
   // always-on self-check must catch it and never let the Sat escape.
