@@ -249,10 +249,7 @@ int main() {
       "\"budget_trips\": %llu, \"degraded_retries\": %llu},\n"
       "  \"simplex_counters\": {\"pivots\": %llu, \"checks\": %llu, "
       "\"row_fill_in\": %llu, \"max_row_nnz\": %llu, "
-      "\"den_normalizations\": %llu, \"rule_switches\": %llu, "
-      "\"pivots_bland\": %llu, \"pivots_markowitz\": %llu, "
-      "\"pivots_sparsest\": %llu, \"pivots_violated\": %llu, "
-      "\"fence_recoveries\": %llu},\n"
+      "\"den_normalizations\": %llu},\n"
       "  \"mbqi_counters\": {\"candidates\": %llu, \"outer_solves\": %llu, "
       "\"inner_queries\": %llu, \"inst_lemmas\": %llu, \"blockers\": %llu, "
       "\"context_reuses\": %llu},\n"
@@ -276,16 +273,6 @@ int main() {
       (unsigned long long)SolveCounters.RowFillIn,
       (unsigned long long)SolveCounters.MaxRowNnz,
       (unsigned long long)SolveCounters.DenNormalizations,
-      (unsigned long long)SolveCounters.RuleSwitches,
-      (unsigned long long)SolveCounters
-          .PivotsByRule[static_cast<size_t>(lia::PivotRule::Bland)],
-      (unsigned long long)SolveCounters
-          .PivotsByRule[static_cast<size_t>(lia::PivotRule::Markowitz)],
-      (unsigned long long)SolveCounters
-          .PivotsByRule[static_cast<size_t>(lia::PivotRule::SparsestRow)],
-      (unsigned long long)SolveCounters
-          .PivotsByRule[static_cast<size_t>(lia::PivotRule::MostViolated)],
-      (unsigned long long)SolveCounters.FenceRecoveries,
       (unsigned long long)MbqiCounters.Candidates,
       (unsigned long long)MbqiCounters.OuterSolves,
       (unsigned long long)MbqiCounters.InnerQueries,

@@ -170,20 +170,15 @@ StopReason Budget::trip(StopReason R) {
   return Reason.load(std::memory_order_relaxed);
 }
 
-Budget::Limits Budget::childLimits(uint64_t CapMs, uint64_t MemBytes,
-                                   uint64_t Steps,
+Budget::Limits Budget::childLimits(uint64_t MemBytes, uint64_t Steps,
                                    const std::atomic<bool> *Cancel) const {
   Limits L;
   uint64_t Left = remainingMs();
-  if (Left == ~0ull)
-    L.TimeoutMs = CapMs;
-  else {
-    // TimeoutMs == 0 would mean "none"; a nearly-expired or expired
-    // parent still yields a deadline, and the constructor clamps the
-    // child to the parent's exact deadline (born tripped if it passed).
-    Left = Left > 1 ? Left : 1;
-    L.TimeoutMs = CapMs ? std::min(CapMs, Left) : Left;
-  }
+  // TimeoutMs == 0 would mean "none"; a nearly-expired or expired parent
+  // still yields a deadline, and the constructor clamps the child to the
+  // parent's exact deadline (born tripped if it passed).
+  if (Left != ~0ull)
+    L.TimeoutMs = Left > 1 ? Left : 1;
   uint64_t PMem = Lim.MemLimitBytes, PSteps = Lim.StepLimit;
   L.MemLimitBytes =
       MemBytes && PMem ? std::min(MemBytes, PMem) : (MemBytes ? MemBytes : PMem);

@@ -134,19 +134,17 @@ public:
   uint64_t remainingMs() const;
 
   /// Limits for a child budget derived from this one — the single place
-  /// deadline-propagation math lives (serve request admission, the
-  /// disjunct pool, degraded retries all call this instead of open-coding
-  /// min/remaining juggling). The child's wall-clock allowance is the
-  /// parent's remaining time intersected with \p CapMs (0 = no extra
-  /// cap; a parent without a deadline contributes nothing, so the result
-  /// is just CapMs). Memory/step limits are inherited unless \p MemBytes
-  /// / \p Steps override them (nonzero = tighter of the two). The child
-  /// carries \p Cancel and a Parent link back to this budget, so a trip
-  /// anywhere up the chain stops the child at its next probe with the
-  /// ancestor's reason, and a child derived after the parent's deadline
-  /// has passed (or after the parent tripped) is born tripped.
-  Limits childLimits(uint64_t CapMs = 0, uint64_t MemBytes = 0,
-                     uint64_t Steps = 0,
+  /// deadline-propagation math lives (the disjunct pool and degraded
+  /// retries call this instead of open-coding min/remaining juggling).
+  /// The child's wall-clock allowance is the parent's remaining time
+  /// (none when the parent has no deadline). Memory/step limits are
+  /// inherited unless \p MemBytes / \p Steps override them (nonzero =
+  /// tighter of the two). The child carries \p Cancel and a Parent link
+  /// back to this budget, so a trip anywhere up the chain stops the child
+  /// at its next probe with the ancestor's reason, and a child derived
+  /// after the parent's deadline has passed (or after the parent tripped)
+  /// is born tripped.
+  Limits childLimits(uint64_t MemBytes = 0, uint64_t Steps = 0,
                      const std::atomic<bool> *Cancel = nullptr) const;
 
   /// Bytes charged so far (testing / stats).

@@ -310,9 +310,11 @@ enum class WalkMode { ExactZero, AtLeastOne, AtMostMinusOne };
 
 /// Exact decision for the monotone modes; for ExactZero a clamped BFS
 /// with a quadratic excursion bound (see file header). Returns Unknown
-/// only on NodeBudget exhaustion in the clamped BFS or on a budget trip
-/// (S.Tripped). On Sat, \p Witness receives the walk found, or stays
-/// empty when no signed cycle could be pumped into one.
+/// on NodeBudget exhaustion in the clamped BFS, on a budget trip
+/// (S.Tripped), and when an ExactZero search whose bound had to be capped
+/// below the excursion bound runs dry: that search proves nothing. On
+/// Sat, \p Witness receives the walk found, or stays empty when no
+/// signed cycle could be pumped into one.
 Verdict existsWalk(const WeightedGraph &G, WalkMode Mode, WalkSearch &S,
                    std::optional<Walk> &Witness) {
   Witness.reset();
@@ -349,11 +351,15 @@ Verdict existsWalk(const WeightedGraph &G, WalkMode Mode, WalkSearch &S,
   // Clamped BFS over (node, value). For the monotone modes, cycles of the
   // right sign are gone, so values toward the target are bounded by
   // |Q|·MaxW and the search is exact. For ExactZero we use the quadratic
-  // small-excursion bound.
+  // small-excursion bound, capped at MaxBound; a capped search that finds
+  // no walk answers Unknown, not Unsat.
+  constexpr int64_t MaxBound = 1 << 21;
   int64_t Bound;
+  bool Capped = false;
   if (Mode == WalkMode::ExactZero) {
     int64_t Expanded = static_cast<int64_t>(RelCount) * (MaxW + 1) + 2;
-    Bound = std::min<int64_t>(Expanded * Expanded, 1 << 21);
+    Capped = Expanded > MaxBound / Expanded; // Expanded² > MaxBound
+    Bound = Capped ? MaxBound : Expanded * Expanded;
   } else {
     Bound = static_cast<int64_t>(RelCount) * MaxW + 1;
   }
@@ -425,7 +431,7 @@ Verdict existsWalk(const WeightedGraph &G, WalkMode Mode, WalkSearch &S,
       }
     }
   }
-  return Verdict::Unsat;
+  return Capped ? Verdict::Unknown : Verdict::Unsat;
 }
 
 /// Reads a complete walk back as one word per variable of \p Langs.

@@ -35,7 +35,9 @@
 ///
 /// **The walk search** runs a FIFO breadth-first search over (state,
 /// counter), with the counter clamped to a Valiant–Paterson-style
-/// quadratic excursion bound for the 0-weight mode. Discovered states
+/// quadratic excursion bound for the 0-weight mode. That bound is capped
+/// at 2^21; a capped 0-weight search that finds no walk answers Unknown,
+/// since the cap may have cut off the only walk. Discovered states
 /// live in one index-addressed FIFO vector of (node, value, parent, edge)
 /// records; the visited set is an open-addressing table of 64-value bit
 /// pages keyed by (node, page), so its memory grows with the states the

@@ -538,10 +538,9 @@ void IncrementalContext::Impl::addLatticeLemmasIncremental() {
 
 void IncrementalContext::Impl::prepareTheory() {
   if (!Theory) {
-    // The per-context pivot policy (rule + instance family, classified
-    // by the encoding layers) is latched at first use; setOptions after
-    // that changes budgets/deadlines but not the rule of a live tableau.
-    Theory = std::make_unique<Simplex>(0, Opts.Pivot);
+    // The pivot selection is latched at first use; setOptions after that
+    // changes budgets/deadlines but not the order of a live tableau.
+    Theory = std::make_unique<Simplex>(0, Opts.BlandPivots);
     Theory->setInterrupt([this] { return stopped("lia.simplex"); });
     Theory->setCertRecording(Proof != nullptr);
   }
@@ -853,12 +852,6 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
   Out.Stats.MaxRowNnz = TS.MaxRowNnz; // high-water mark, not a delta
   Out.Stats.DenNormalizations =
       TS.DenNormalizations - TheoryBefore.DenNormalizations;
-  Out.Stats.RuleSwitches = TS.RuleSwitches - TheoryBefore.RuleSwitches;
-  Out.Stats.FenceRecoveries =
-      TS.FenceRecoveries - TheoryBefore.FenceRecoveries;
-  for (size_t R = 0; R < NumConcretePivotRules; ++R)
-    Out.Stats.PivotsByRule[R] =
-        TS.PivotsByRule[R] - TheoryBefore.PivotsByRule[R];
   Out.Stats.TheoryConflicts = TheoryConflicts;
   if (Out.V == Verdict::Unknown && Out.Stop != StopReason::None)
     Out.Stats.BudgetTrips = 1;
@@ -867,14 +860,12 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
   if (std::getenv("POSTR_SIMPLEX_STATS"))
     std::fprintf(stderr,
                  "[simplex] pivots=%llu checks=%llu fill=%llu maxnnz=%llu "
-                 "dennorm=%llu rule=%d family=%d switches=%llu\n",
+                 "dennorm=%llu bland=%d\n",
                  (unsigned long long)TS.Pivots, (unsigned long long)TS.Checks,
                  (unsigned long long)TS.RowFillIn,
                  (unsigned long long)TS.MaxRowNnz,
                  (unsigned long long)TS.DenNormalizations,
-                 static_cast<int>(Theory->activeRule()),
-                 static_cast<int>(Theory->family()),
-                 (unsigned long long)TS.RuleSwitches);
+                 static_cast<int>(Theory->blandPivots()));
   if (StatsOn)
     std::fprintf(
         stderr,

@@ -336,14 +336,8 @@ Verdict postr::lia::solveMbqi(Arena &A, const MbqiQuery &Q,
                               const MbqiOptions &Opts) {
   // Every query this loop issues — the outer Parikh formula under
   // blockers/lemmas and the pinned per-offset inner instances — is
-  // Parikh/length-pin shaped no matter what the surrounding problem
-  // looked like, and the pivot-rule A/B measured SparsestRow as the
-  // clear mbqi-stage winner at identical verdicts. Pin the family unless
-  // the caller already classified (POSTR_SIMPLEX_PIVOT_RULE still
-  // forces a fixed rule over this).
-  MbqiOptions Pinned = Opts;
-  if (Pinned.Qf.Pivot.Family == InstanceFamily::Unknown)
-    Pinned.Qf.Pivot.Family = InstanceFamily::ParikhHeavy;
-  return Pinned.Incremental ? solveMbqiIncremental(A, Q, ModelOut, Pinned)
-                            : solveMbqiScratch(A, Q, ModelOut, Pinned);
+  // Parikh/length-pin shaped, so it keeps SparsestRow pivots; only the
+  // degraded profile sets Opts.Qf.BlandPivots.
+  return Opts.Incremental ? solveMbqiIncremental(A, Q, ModelOut, Opts)
+                          : solveMbqiScratch(A, Q, ModelOut, Opts);
 }

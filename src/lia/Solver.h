@@ -50,13 +50,11 @@ struct QfOptions {
   /// Hard cap on theory conflicts before giving up (Unknown); a runaway
   /// backstop, not a tuning knob.
   uint32_t MaxTheoryConflicts = 2000000;
-  /// Simplex pivot-rule policy for this context's theory backend:
-  /// adaptive per-family selection by default, with the instance family
-  /// classified at encode time (solver/PositionSolver per stabilization
-  /// disjunct, tagaut/MpSolver from the predicate mix, lia/Mbqi for its
-  /// own contexts). POSTR_SIMPLEX_PIVOT_RULE overrides the rule
-  /// process-wide for A/B runs.
-  PivotPolicy Pivot;
+  /// Runs this context's Simplex on Bland's leaving order instead of
+  /// SparsestRow (lia/Simplex.h). Set by tagaut/MpSolver for formulas
+  /// with position predicates, by solver/PositionSolver for word-equation
+  /// splits, and by the degraded profile; docs/BENCH.md has the A/B.
+  bool BlandPivots = false;
   /// Resource budget (deadline / memory cap / step limit / cancel flag,
   /// see base/Budget.h): the CDCL core, Simplex, and the clause DB probe
   /// and charge against it, and its trip reason surfaces as
@@ -88,14 +86,8 @@ struct QfSearchStats {
   uint64_t MaxRowNnz = 0;      ///< widest tableau row ever produced
   uint64_t DenNormalizations = 0; ///< row gcd passes that reduced
   uint64_t TheoryConflicts = 0;
-  uint64_t RuleSwitches = 0; ///< adaptive pivot-rule fallbacks to Bland
-  uint64_t FenceRecoveries = 0; ///< degraded contexts re-earning their rule
   uint64_t BudgetTrips = 0;     ///< solves stopped by a resource budget
   uint64_t DegradedRetries = 0; ///< disjuncts re-run in degraded config
-  /// Simplex pivots attributed to each concrete rule (indexed by
-  /// PivotRule; sums to Pivots) — the per-rule pivot shares in the bench
-  /// JSON.
-  uint64_t PivotsByRule[NumConcretePivotRules] = {0, 0, 0, 0};
 
   QfSearchStats &operator+=(const QfSearchStats &O) {
     Conflicts += O.Conflicts;
@@ -110,12 +102,8 @@ struct QfSearchStats {
     MaxRowNnz = MaxRowNnz > O.MaxRowNnz ? MaxRowNnz : O.MaxRowNnz;
     DenNormalizations += O.DenNormalizations;
     TheoryConflicts += O.TheoryConflicts;
-    RuleSwitches += O.RuleSwitches;
-    FenceRecoveries += O.FenceRecoveries;
     BudgetTrips += O.BudgetTrips;
     DegradedRetries += O.DegradedRetries;
-    for (size_t R = 0; R < NumConcretePivotRules; ++R)
-      PivotsByRule[R] += O.PivotsByRule[R];
     return *this;
   }
 };

@@ -105,7 +105,7 @@ private:
   /// parent link so a root trip stops the disjunct mid-solve. All the
   /// deadline math lives in Budget::childLimits.
   Budget::Limits childLimits(const std::atomic<bool> *Cancel) const {
-    return Root->childLimits(0, Opts.MemLimitBytes, Opts.StepLimit, Cancel);
+    return Root->childLimits(Opts.MemLimitBytes, Opts.StepLimit, Cancel);
   }
 
   /// Applies a decomposition's substitution to an occurrence sequence.
@@ -348,28 +348,15 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
 
   tagaut::MpOptions MpOpts = Opts.Mp;
   MpOpts.Certify = CertOut != nullptr;
-  // Adaptive pivot-rule family, decided where the disjunct is created: a
-  // decomposition whose substitution actually split or renamed a
-  // variable came out of word-equation solving (the thefuck/django
-  // shapes — equality tests, positive prefix/suffix dispatch — whose
-  // pipelines the A/B measured as Bland territory), with the subfamily
-  // picked from the substituted predicate mix: any
-  // prefix/suffix/at/contains predicate means the wide per-position tag
-  // blocks (WordEqPosition), otherwise — disequalities only, or no
-  // predicates left after substitution — the narrow diseq shape
-  // (WordEqDiseq). Identity decompositions stay Unknown and
-  // tagaut/MpSolver refines from the predicate mix; MBQI contexts
-  // classify themselves (lia/Mbqi).
-  if (MpOpts.Qf.Pivot.Family == lia::InstanceFamily::Unknown) {
-    for (const auto &[X, Rep] : D.Subst)
-      if (Rep.size() != 1 || Rep.front() != X) {
-        lia::InstanceFamily F = tagaut::classifyFamily(Preds);
-        MpOpts.Qf.Pivot.Family = F == lia::InstanceFamily::WordEqPosition
-                                     ? F
-                                     : lia::InstanceFamily::WordEqDiseq;
-        break;
-      }
-  }
+  // A decomposition whose substitution split or renamed a variable came
+  // out of word-equation solving (the thefuck/django shapes), whose
+  // tableaus run on Bland's order (docs/BENCH.md); identity
+  // decompositions leave the choice to tagaut/MpSolver.
+  for (const auto &[X, Rep] : D.Subst)
+    if (Rep.size() != 1 || Rep.front() != X) {
+      MpOpts.Qf.BlandPivots = true;
+      break;
+    }
 
   MpOpts.Budget = &Child;
   tagaut::MpResult R =
@@ -661,8 +648,8 @@ SolveResult postr::solver::solveProblem(const Problem &P,
 }
 
 void postr::solver::applyDegraded(tagaut::MpOptions &O) {
-  O.Qf.Pivot.Rule = lia::PivotRule::Bland;
-  O.Mbqi.Qf.Pivot.Rule = lia::PivotRule::Bland;
+  O.Qf.BlandPivots = true;
+  O.Mbqi.Qf.BlandPivots = true;
   O.Mbqi.MaxCandidates = std::min<uint32_t>(O.Mbqi.MaxCandidates, 16);
   O.Mbqi.MaxOffsets = std::min<int64_t>(O.Mbqi.MaxOffsets, 512);
 }

@@ -88,16 +88,6 @@ bool sidesForcedEqual(const std::map<VarId, automata::Nfa> &Langs,
 
 } // namespace
 
-lia::InstanceFamily
-postr::tagaut::classifyFamily(const std::vector<PosPredicate> &Preds) {
-  if (Preds.empty())
-    return lia::InstanceFamily::ParikhHeavy;
-  for (const PosPredicate &P : Preds)
-    if (P.Kind != PredKind::Diseq)
-      return lia::InstanceFamily::WordEqPosition;
-  return lia::InstanceFamily::WordEqDiseq;
-}
-
 MpResult postr::tagaut::solveMP(lia::Arena &A,
                                 const std::map<VarId, automata::Nfa> &Langs,
                                 const std::vector<PosPredicate> &Preds,
@@ -218,22 +208,11 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     proof::QfTraceBuilder Trace;
     if (Opts.Certify)
       Qf.Proof = &Trace;
-    // Family classification for the adaptive pivot rule, from the
-    // predicate mix the encoder was handed (unless the caller — the
-    // position pipeline, which also sees the word-equation split — has
-    // classified already): a system with mismatch-style predicates
-    // encodes the 2K+1-copy position structure whose tableaus the
-    // pipeline A/B measured as Bland territory, while a bare
-    // membership + length system is exactly the Parikh-formula load
-    // where SparsestRow halves the fill-in. The word-equation side
-    // splits further on the predicate mix: disequalities alone build
-    // the narrow single-mismatch blocks (WordEqDiseq), while
-    // prefix/suffix/at/contains predicates build the wide per-position
-    // ones (WordEqPosition) — both currently start on Bland, but the
-    // subfamilies are tracked separately so ab_pivot_rules.sh can
-    // measure them apart.
-    if (Qf.Pivot.Family == lia::InstanceFamily::Unknown)
-      Qf.Pivot.Family = classifyFamily(Preds);
+    // Position predicates encode the 2K+1-copy mismatch structure, whose
+    // tableaus run on Bland's order; a bare membership + length system is
+    // the Parikh load where SparsestRow halves the fill-in (docs/BENCH.md).
+    if (!Preds.empty())
+      Qf.BlandPivots = true;
     if (!Qf.Budget)
       Qf.Budget = Bud;
     // Connectivity CEGAR: under SpanMode::Lazy every Sat model is only

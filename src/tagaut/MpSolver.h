@@ -82,16 +82,6 @@ struct MpResult {
 using IntConstraintBuilder = std::function<lia::FormulaId(
     lia::Arena &A, const std::map<VarId, lia::LinTerm> &LenTerms)>;
 
-/// Encode-time instance-family classification for the adaptive Simplex
-/// pivot rule, from the position-predicate mix: no predicates is the
-/// pure Parikh/length load, disequalities alone build the narrow
-/// single-mismatch tag blocks (WordEqDiseq), and any
-/// prefix/suffix/at/contains predicate brings in the wide per-position
-/// blocks (WordEqPosition). Used by solveMP for unclassified contexts
-/// and by solver/PositionSolver when a word-equation split already
-/// marked the disjunct.
-lia::InstanceFamily classifyFamily(const std::vector<PosPredicate> &Preds);
-
 /// Decides R′ ∧ I′ ∧ P′. The caller owns \p A and may have minted integer
 /// variables in it (e.g. for str.at position terms) before the call.
 /// Returns Unknown when a ¬contains predicate ranges over a non-flat

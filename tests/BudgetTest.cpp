@@ -131,28 +131,25 @@ TEST(BudgetTest, FirstReasonWins) {
   EXPECT_EQ(B.reason(), StopReason::MemOut);
 }
 
-TEST(BudgetTest, ChildLimitsIntersectDeadlinesAndCaps) {
-  // Parent with a deadline: the child gets min(cap, remaining), never 0
+TEST(BudgetTest, ChildLimitsInheritDeadlineAndLimits) {
+  // Parent with a deadline: the child gets the remaining time, never 0
   // (0 would mean "no deadline" and unbound the child).
   Budget P(Budget::Limits{10000, 100, 1000, nullptr});
-  Budget::Limits Tight = P.childLimits(/*CapMs=*/5000);
-  EXPECT_GT(Tight.TimeoutMs, 0u);
-  EXPECT_LE(Tight.TimeoutMs, 5000u);
-  Budget::Limits Loose = P.childLimits(/*CapMs=*/50000);
-  EXPECT_LE(Loose.TimeoutMs, 10000u);
-  EXPECT_EQ(Tight.Parent, &P);
+  Budget::Limits Child = P.childLimits();
+  EXPECT_GT(Child.TimeoutMs, 0u);
+  EXPECT_LE(Child.TimeoutMs, 10000u);
+  EXPECT_EQ(Child.Parent, &P);
   // Mem/step limits: inherited by default, tighter-of-the-two when
   // overridden.
-  EXPECT_EQ(Tight.MemLimitBytes, 100u);
-  EXPECT_EQ(Tight.StepLimit, 1000u);
-  EXPECT_EQ(P.childLimits(0, 50, 2000).MemLimitBytes, 50u);
-  EXPECT_EQ(P.childLimits(0, 500, 2000).MemLimitBytes, 100u);
-  EXPECT_EQ(P.childLimits(0, 0, 10).StepLimit, 10u);
-  EXPECT_EQ(P.childLimits(0, 0, 5000).StepLimit, 1000u);
-  // Parent without a deadline: only the explicit cap applies.
+  EXPECT_EQ(Child.MemLimitBytes, 100u);
+  EXPECT_EQ(Child.StepLimit, 1000u);
+  EXPECT_EQ(P.childLimits(50, 2000).MemLimitBytes, 50u);
+  EXPECT_EQ(P.childLimits(500, 2000).MemLimitBytes, 100u);
+  EXPECT_EQ(P.childLimits(0, 10).StepLimit, 10u);
+  EXPECT_EQ(P.childLimits(0, 5000).StepLimit, 1000u);
+  // Parent without a deadline: neither has the child.
   Budget Free;
   EXPECT_EQ(Free.childLimits().TimeoutMs, 0u);
-  EXPECT_EQ(Free.childLimits(7).TimeoutMs, 7u);
 }
 
 TEST(BudgetTest, NestedChildrenFirstReasonWins) {

@@ -216,6 +216,22 @@ TEST(OneCounterTest, NodeBudgetPinsExpansionCount) {
   }
 }
 
+/// The 0-weight search caps its quadratic excursion bound at 2^21. Once
+/// the cap fires, a search that finds no walk may have been cut off, so it
+/// must answer Unknown (the caller falls back to the LIA path), never
+/// Unsat. x = y = a^n·b makes x ≠ y Unsat, with mismatch walks that
+/// exist but never weigh 0. At n = 100 the bound stays under the cap and
+/// the search proves Unsat; at n = 800 the cap fires.
+TEST(OneCounterTest, CappedExcursionBoundAnswersUnknown) {
+  for (auto [N, Want] : {std::pair{100, Verdict::Unsat},
+                         std::pair{800, Verdict::Unknown}}) {
+    Fixture F;
+    std::string Word = std::string(N, 'a') + "b";
+    VarId X = F.var(Word), Y = F.var(Word);
+    EXPECT_EQ(F.decide({PredKind::Diseq, {X}, {Y}, {}}), Want) << "n = " << N;
+  }
+}
+
 /// A tripped budget stops the walk search at its `counter.walk` probe
 /// with the budget's reason, and names the site.
 TEST(OneCounterTest, BudgetTripStopsTheWalkSearch) {

@@ -26,19 +26,25 @@ struct Fixture {
   Alphabet Sigma;
   std::map<VarId, Nfa> Langs;
   std::vector<WordEquation> Eqs;
-  VarId Next = 0;
+  /// Each variable's regex, indexed by VarId.
+  std::vector<regex::NodePtr> Regexes;
 
+  /// Declares a variable constrained to \p Re. Every language is
+  /// recompiled over the alphabet of all regexes declared so far, so the
+  /// languages always share one closed alphabet, as automata operations
+  /// require.
   VarId var(const std::string &Re) {
-    VarId X = Next++;
-    Langs[X] = regex::compileString(Re, Sigma);
-    return X;
+    Result<regex::NodePtr> N = regex::parse(Re);
+    EXPECT_TRUE(static_cast<bool>(N)) << "regex " << Re << " failed to parse";
+    regex::collectAlphabet(**N, Sigma);
+    Regexes.push_back(N.take());
+    for (VarId X = 0; X < Regexes.size(); ++X)
+      Langs[X] = regex::compile(*Regexes[X], Sigma);
+    return static_cast<VarId>(Regexes.size() - 1);
   }
 
   StabilizeResult run(const StabilizeOptions &Opts = {}) {
-    // Close the alphabet for every language: recompiling is not needed
-    // because compileString interns eagerly in declaration order and the
-    // tests only compare words, not complements.
-    VarId Fresh = Next + 100;
+    VarId Fresh = static_cast<VarId>(Regexes.size()) + 100;
     return stabilize(Langs, Eqs, Fresh, Opts);
   }
 };

@@ -502,76 +502,66 @@ TEST_P(MbqiWorkloadSweep, IncrementalMatchesScratch) {
 }
 
 //===----------------------------------------------------------------------===
-// Adaptive pivot-rule regression pins over the workload generators
+// Pivot-selection regression pins over the workload generators
 // (workload-level solves — registered under the Sweep/* label like the
 // other generator-driven tests, so the default ctest set stays fast and
 // CI's unoptimized build can't flake on the deadlines; CI runs them in
 // its slow pass)
 //===----------------------------------------------------------------------===
 
-struct AdaptivePinParams {
+struct PivotPinParams {
   bench::Family F;
   uint32_t Seed;
   uint32_t Index;
   /// Require a decided (non-Unknown) verdict: set on instances measured
-  /// to decide well inside the deadline under Bland, so an
-  /// adaptive-rule stall can't hide behind "both timed out".
+  /// to decide well inside the deadline under Bland, so a SparsestRow
+  /// stall can't hide behind "both timed out".
   bool RequireDecided;
 };
 
-class AdaptivePivotRuleSweep
-    : public ::testing::TestWithParam<AdaptivePinParams> {};
+class PivotSelectionSweep : public ::testing::TestWithParam<PivotPinParams> {
+};
 
-/// The per-family fence pins: the pivot-rule A/B measured SparsestRow
-/// losing 37% end-to-end on the django prefix/suffix-dispatch shapes
-/// (and Markowitz stalling the thefuck word equations), which is why
-/// word-equation-heavy disjuncts start on Bland and the adaptive
-/// machine degrades to Bland on a bad signal. Pin the default
-/// (adaptive) configuration to the forced-Bland verdicts — if the
-/// classification or the fence regresses, the verdicts (or a blown
+/// The selection pins: forcing SparsestRow everywhere turns django/97/2
+/// from a 3.7 s Sat into a timeout (docs/BENCH.md), which is why
+/// word-equation and position contexts run on Bland. Pin the default
+/// selection to the verdicts of the all-Bland pivots of the degraded
+/// profile — if the selection regresses, the verdicts (or a blown
 /// deadline) catch it.
-TEST_P(AdaptivePivotRuleSweep, AdaptiveMatchesBland) {
-  // The env override is applied process-wide in the Simplex constructor,
-  // so under POSTR_SIMPLEX_PIVOT_RULE both legs below would run the same
-  // forced rule: the pin compares a rule against itself and the
-  // RequireDecided deadlines may spuriously blow under a slow rule.
-  if (std::getenv("POSTR_SIMPLEX_PIVOT_RULE"))
-    GTEST_SKIP() << "POSTR_SIMPLEX_PIVOT_RULE forces both legs to one rule";
-  AdaptivePinParams P = GetParam();
+TEST_P(PivotSelectionSweep, DefaultMatchesAllBland) {
+  PivotPinParams P = GetParam();
   strings::Problem Prob = bench::generate(P.F, P.Seed, P.Index);
 
   solver::SolveOptions O;
   O.TimeoutMs = 30000;
   O.ValidateModels = false;
-  // Default: PivotRule::Adaptive with per-disjunct classification.
-  solver::SolveResult Adaptive = solver::solveProblem(Prob, O);
+  solver::SolveResult Default = solver::solveProblem(Prob, O);
 
-  O.Mp.Qf.Pivot.Rule = lia::PivotRule::Bland;
-  O.Mp.Mbqi.Qf.Pivot.Rule = lia::PivotRule::Bland;
+  O.Mp.Qf.BlandPivots = true;
+  O.Mp.Mbqi.Qf.BlandPivots = true;
   solver::SolveResult Bland = solver::solveProblem(Prob, O);
 
-  EXPECT_EQ(Adaptive.V, Bland.V)
+  EXPECT_EQ(Default.V, Bland.V)
       << bench::familyName(P.F) << " seed " << P.Seed << " index "
-      << P.Index << ": adaptive rule flipped a verdict vs Bland";
+      << P.Index << ": default selection flipped a verdict vs Bland";
   if (P.RequireDecided)
-    EXPECT_NE(Adaptive.V, Verdict::Unknown)
+    EXPECT_NE(Default.V, Verdict::Unknown)
         << bench::familyName(P.F) << " seed " << P.Seed << " index "
-        << P.Index << ": adaptive rule resource-out where Bland decides";
+        << P.Index << ": default selection resource-out where Bland decides";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     // Django indices chosen to decide well inside the deadline under
-    // Bland (0–2 Sat in ~1–2 s, 5 Unsat; 3/4/6/7 are ≥10 s-hard under
+    // Bland (0–2 Sat in ~1–4 s, 5 Unsat; 3/4/6/7 are ≥10 s-hard under
     // *every* rule and only ever time out).
-    Sweep, AdaptivePivotRuleSweep,
-    ::testing::Values(
-        AdaptivePinParams{bench::Family::Django, 97, 0, true},
-        AdaptivePinParams{bench::Family::Django, 97, 1, true},
-        AdaptivePinParams{bench::Family::Django, 97, 2, true},
-        AdaptivePinParams{bench::Family::Django, 97, 5, true},
-        AdaptivePinParams{bench::Family::Thefuck, 131, 0, false},
-        AdaptivePinParams{bench::Family::Thefuck, 131, 1, false}),
-    [](const ::testing::TestParamInfo<AdaptivePinParams> &Info) {
+    Sweep, PivotSelectionSweep,
+    ::testing::Values(PivotPinParams{bench::Family::Django, 97, 0, true},
+                      PivotPinParams{bench::Family::Django, 97, 1, true},
+                      PivotPinParams{bench::Family::Django, 97, 2, true},
+                      PivotPinParams{bench::Family::Django, 97, 5, true},
+                      PivotPinParams{bench::Family::Thefuck, 131, 0, false},
+                      PivotPinParams{bench::Family::Thefuck, 131, 1, false}),
+    [](const ::testing::TestParamInfo<PivotPinParams> &Info) {
       std::string Name = bench::familyName(Info.param.F);
       for (char &C : Name)
         if (C == '-')

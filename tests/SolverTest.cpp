@@ -107,6 +107,47 @@ TEST(PipelineTest, StrAtThroughPipeline) {
   EXPECT_EQ(R.Words.at(X).size(), 3u);
 }
 
+TEST(PipelineTest, StrAtAfterWordEquationSplitMatchesEnum) {
+  // Each word equation makes stabilization substitute the str.at
+  // variable x by a concatenation x1·x2, so when |x| = 1 its letter may
+  // sit in x2. The encoding must sample it from whichever part carries
+  // it. Every language is finite, so the enumeration baseline decides
+  // each case and serves as the oracle.
+  const std::vector<std::pair<const char *, const char *>> Equations = {
+      {"xxx", "xby"}, {"xx", "yab"}, {"xx", "yb"}, {"xx", "by"}};
+  uint32_t Sat = 0, Unsat = 0;
+  for (const auto &[L, R] : Equations)
+    for (bool Positive : {true, false}) {
+      Problem P;
+      VarId X = P.strVar("x"), Y = P.strVar("y"), H = P.strVar("h");
+      P.assertInRe(X, "(a|b){0,3}");
+      P.assertInRe(Y, "(a|b){0,3}");
+      P.assertInRe(H, "ab");
+      auto Seq = [&](const char *Text) {
+        strings::StrSeq Out;
+        for (const char *C = Text; *C; ++C)
+          Out.push_back(*C == 'x'   ? StrElem::var(X)
+                        : *C == 'y' ? StrElem::var(Y)
+                                    : StrElem::lit(std::string(1, *C)));
+        return Out;
+      };
+      P.assertWordEq(Seq(L), Seq(R));
+      P.assertStrAt(Positive, StrElem::var(X), {StrElem::var(H)},
+                    IntTerm::constant(1));
+      solver::EnumOptions EO;
+      EO.TimeoutMs = 10000;
+      EO.MaxWordLen = 4;
+      Verdict Oracle = solver::solveEnum(P, EO).V;
+      ASSERT_NE(Oracle, Verdict::Unknown) << L << " = " << R;
+      EXPECT_EQ(solve(P).V, Oracle)
+          << L << " = " << R << (Positive ? ", x = " : ", x != ")
+          << "str.at(h, 1)";
+      (Oracle == Verdict::Sat ? Sat : Unsat) += 1;
+    }
+  EXPECT_GT(Sat, 0u);
+  EXPECT_GT(Unsat, 0u);
+}
+
 TEST(PipelineTest, ModelValidatesAgainstConcreteSemantics) {
   Problem P;
   VarId X = P.strVar("x"), Y = P.strVar("y");
