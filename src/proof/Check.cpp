@@ -535,6 +535,11 @@ CheckOutcome proof::checkCertificate(const Certificate &C) {
                 "whole-problem unsatisfiability";
     return Out;
   }
+  // Zero disjuncts: the front-end refuted the problem before any
+  // disjunct existed (an empty normal-form language, or every
+  // word-equation branch closed). That is one trusted step.
+  if (C.Disjuncts.empty())
+    ++Out.Stats.TrustedRules;
   for (size_t I = 0; I < C.Disjuncts.size(); ++I) {
     const DisjunctCert &D = C.Disjuncts[I];
     if (D.IsRule) {

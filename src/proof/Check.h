@@ -32,7 +32,9 @@ namespace proof {
 /// Kernel activity counters, reported by `postr_check -v`.
 struct CheckStats {
   uint32_t CheckedRefutations = 0; ///< disjuncts closed by a clause trace
-  uint32_t TrustedRules = 0;       ///< disjuncts closed by a front-end rule
+  /// Disjuncts closed by a front-end rule; a complete certificate with
+  /// zero disjuncts counts as one.
+  uint32_t TrustedRules = 0;
   uint64_t RupChecks = 0;          ///< clauses verified by propagation
   uint64_t FarkasLeaves = 0;       ///< Farkas combinations re-evaluated
 };

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 
 using namespace postr;
@@ -216,29 +217,44 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     Seq.push_back(E);
   };
 
+  // The integer handles of one solveMP arena: the problem's integer
+  // variables, minted up front, and one |x| handle per string variable,
+  // minted on first use. Length handles are tied to the Parikh image
+  // later, inside the IntConstraintBuilder callback.
+  struct Handles {
+    lia::Arena &Ar;
+    std::vector<lia::Var> Ints;
+    std::map<VarId, lia::Var> Lens;
+    lia::LinTerm term(const IntTerm &T) {
+      lia::LinTerm Out(T.Const);
+      for (auto [V, C] : T.IntVars)
+        Out += lia::LinTerm::variable(Ints[V], C);
+      for (auto [X, C] : T.LenVars) {
+        auto [It, Inserted] = Lens.try_emplace(X, 0);
+        if (Inserted)
+          It->second = Ar.freshVar("len.x" + std::to_string(X), 0);
+        Out += lia::LinTerm::variable(It->second, C);
+      }
+      return Out;
+    }
+  };
+  auto MintHandles = [&](lia::Arena &Ar) {
+    Handles H{Ar, {}, {}};
+    for (IntVarId V = 0; V < NF.NumIntVars; ++V)
+      H.Ints.push_back(Ar.freshVar("int." + P.intVarName(V)));
+    return H;
+  };
+  auto IntsOf = [&](const Handles &Hs, const std::vector<int64_t> &Model) {
+    std::map<IntVarId, int64_t> Ints;
+    for (IntVarId V = 0; V < NF.NumIntVars; ++V)
+      Ints[V] = Model[Hs.Ints[V]];
+    return Ints;
+  };
   // The per-disjunct LIA arena exists up-front so that str.at position
   // terms (which may mention integer variables) can be lowered while the
-  // predicates are substituted. Length handles are tied to the Parikh
-  // image later, inside the IntConstraintBuilder callback.
+  // predicates are substituted.
   lia::Arena A;
-  std::vector<lia::Var> IntHandles;
-  for (IntVarId V = 0; V < NF.NumIntVars; ++V)
-    IntHandles.push_back(A.freshVar("int." + P.intVarName(V)));
-  std::map<VarId, lia::Var> LenHandles;
-  auto LenHandle = [&](VarId X) {
-    auto [It, Inserted] = LenHandles.try_emplace(X, 0);
-    if (Inserted)
-      It->second = A.freshVar("len.x" + std::to_string(X), 0);
-    return It->second;
-  };
-  auto ToLinTerm = [&](const IntTerm &T) {
-    lia::LinTerm Out(T.Const);
-    for (auto [V, C] : T.IntVars)
-      Out += lia::LinTerm::variable(IntHandles[V], C);
-    for (auto [X, C] : T.LenVars)
-      Out += lia::LinTerm::variable(LenHandle(X), C);
-    return Out;
-  };
+  Handles H = MintHandles(A);
 
   // Substitute the decomposition into P; divert non-flat ¬contains into
   // the |u| > |v| under-approximation (Sec. 8 heuristic).
@@ -251,7 +267,7 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     Pred.Rhs = substSeq(D, NP.Rhs);
     if (Pred.Kind == PredKind::StrAtEq || Pred.Kind == PredKind::StrAtNe) {
       EnsureNonEmptySeq(Pred.Lhs);
-      Pred.AtPos = ToLinTerm(NP.AtPos);
+      Pred.AtPos = H.term(NP.AtPos);
     }
     if (Pred.Kind == PredKind::NotContains &&
         !tagaut::notContainsVarsFlat(Langs, {Pred})) {
@@ -264,6 +280,64 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   if (Approximated)
     St.UsedApproximation = true;
   bool HasIntSide = !NF.IntAtoms.empty() || Approximated;
+
+  // Projection: a variable that no predicate, ¬contains approximation,
+  // or length or position term reads is constrained by its language
+  // alone, so it takes a shortest word of it and stays out of A_◦ (which
+  // the tag automaton copies 2K+1 times). Its word rejoins the model
+  // before the self-check.
+  std::set<VarId> Read;
+  auto ReadLens = [&](const IntTerm &T) {
+    for (const auto &Mono : T.LenVars) {
+      const std::vector<VarId> &Rep = D.Subst.at(Mono.first);
+      Read.insert(Rep.begin(), Rep.end());
+    }
+  };
+  for (const PosPredicate &Pred : Preds) {
+    Read.insert(Pred.Lhs.begin(), Pred.Lhs.end());
+    Read.insert(Pred.Rhs.begin(), Pred.Rhs.end());
+  }
+  for (const auto &[U, V] : ApproxLenGt) {
+    Read.insert(U.begin(), U.end());
+    Read.insert(V.begin(), V.end());
+  }
+  for (const NormIntAtom &Atom : NF.IntAtoms) {
+    ReadLens(Atom.Lhs);
+    ReadLens(Atom.Rhs);
+  }
+  for (const NormPred &NP : NF.Preds)
+    ReadLens(NP.AtPos);
+  std::map<VarId, Word> Projected;
+  for (auto It = Langs.begin(); It != Langs.end();) {
+    if (Read.count(It->first)) {
+      ++It;
+      continue;
+    }
+    std::optional<Word> W = It->second.someWord();
+    if (!W) {
+      if (CertOut) {
+        CertOut->IsRule = true;
+        CertOut->Rule = "empty-language";
+      }
+      return Verdict::Unsat;
+    }
+    Projected.emplace(It->first, std::move(*W));
+    It = Langs.erase(It);
+  }
+  auto Accept = [&](std::map<VarId, Word> Assignment,
+                    std::map<IntVarId, int64_t> Ints) {
+    Assignment.insert(Projected.begin(), Projected.end());
+    return acceptSat(D, Assignment, std::move(Ints), Result, St);
+  };
+  // No integer side: any declared integer variable is unconstrained.
+  auto ZeroInts = [&] {
+    std::map<IntVarId, int64_t> Ints;
+    for (IntVarId V = 0; V < NF.NumIntVars; ++V)
+      Ints[V] = 0;
+    return Ints;
+  };
+  if (Langs.empty() && Preds.empty() && !HasIntSide)
+    return Accept({}, ZeroInts());
 
   if (Cancel && Cancel->load(std::memory_order_relaxed))
     return Verdict::Unknown; // a sibling disjunct already answered Sat
@@ -305,45 +379,41 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     }
     if (Oc.V == Verdict::Sat && Oc.Model) {
       ++St.FastPathDecisions;
-      // No integer side: any declared integer variable is unconstrained.
-      std::map<IntVarId, int64_t> Ints;
-      for (IntVarId V = 0; V < NF.NumIntVars; ++V)
-        Ints[V] = 0;
-      return acceptSat(D, *Oc.Model, std::move(Ints), Result, St);
+      return Accept(std::move(*Oc.Model), ZeroInts());
     }
   }
 
-  ++St.MpCalls;
-  for (const PosPredicate &Pred : Preds)
-    if (Pred.Kind == PredKind::NotContains)
-      St.UsedMbqi = true;
-
-  tagaut::IntConstraintBuilder IntBuilder =
-      [&](lia::Arena &Ar,
-          const std::map<VarId, lia::LinTerm> &LenTerms) -> lia::FormulaId {
-    std::vector<lia::FormulaId> Parts;
-    // Convert the atoms first: ToLinTerm lazily mints length handles, and
-    // every handle minted anywhere must be tied to the Parikh image below.
-    for (const NormIntAtom &Atom : NF.IntAtoms)
-      Parts.push_back(
-          Ar.cmp(ToLinTerm(Atom.Lhs), Atom.Op, ToLinTerm(Atom.Rhs)));
-    for (const auto &[U, V] : ApproxLenGt) {
-      lia::LinTerm SumU, SumV;
-      for (VarId T : U)
-        SumU += LenTerms.at(T);
-      for (VarId T : V)
-        SumV += LenTerms.at(T);
-      Parts.push_back(Ar.cmp(SumU, lia::Cmp::Gt, SumV));
-    }
-    // Tie every length handle to the Parikh length of its substitution.
-    for (const auto &[X, Handle] : LenHandles) {
-      lia::LinTerm Sum;
-      for (VarId T : D.Subst.at(X))
-        Sum += LenTerms.at(T);
-      Parts.push_back(
-          Ar.cmp(lia::LinTerm::variable(Handle), lia::Cmp::Eq, Sum));
-    }
-    return Ar.conj(std::move(Parts));
+  // The I′ part over the handles \p Hs of the arena solveMP is given:
+  // the integer atoms, the ¬contains under-approximation, |u| ≠ |v| for
+  // each ≠ of \p LenNe, and the ties of every length handle.
+  auto IntBuilderFor = [&](Handles &Hs, const std::vector<PosPredicate> &LenNe)
+      -> tagaut::IntConstraintBuilder {
+    return [&, &Hs = Hs, &LenNe = LenNe](
+               lia::Arena &Ar,
+               const std::map<VarId, lia::LinTerm> &LenTerms) {
+      auto Len = [&](const std::vector<VarId> &Seq) {
+        lia::LinTerm Sum;
+        for (VarId T : Seq)
+          Sum += LenTerms.at(T);
+        return Sum;
+      };
+      std::vector<lia::FormulaId> Parts;
+      // Convert the atoms first: term() lazily mints length handles, and
+      // every handle minted anywhere must be tied to the Parikh image
+      // below.
+      for (const NormIntAtom &Atom : NF.IntAtoms)
+        Parts.push_back(
+            Ar.cmp(Hs.term(Atom.Lhs), Atom.Op, Hs.term(Atom.Rhs)));
+      for (const auto &[U, V] : ApproxLenGt)
+        Parts.push_back(Ar.cmp(Len(U), lia::Cmp::Gt, Len(V)));
+      for (const PosPredicate &Pred : LenNe)
+        Parts.push_back(Ar.cmp(Len(Pred.Lhs), lia::Cmp::Ne, Len(Pred.Rhs)));
+      // Tie every length handle to the Parikh length of its substitution.
+      for (const auto &[X, Handle] : Hs.Lens)
+        Parts.push_back(Ar.cmp(lia::LinTerm::variable(Handle), lia::Cmp::Eq,
+                               Len(D.Subst.at(X))));
+      return Ar.conj(std::move(Parts));
+    };
   };
 
   tagaut::MpOptions MpOpts = Opts.Mp;
@@ -358,6 +428,43 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       break;
     }
 
+  // Length-first ≠. Integer atoms keep the one-counter fast path out,
+  // and solveMP encodes each ≠ through 2K+1 tag copies; yet a ≠ whose
+  // sides may differ in length mostly holds by length alone. So when
+  // every predicate left is a ≠, first solve with each one strengthened
+  // to |u| ≠ |v| and nothing left to encode. That under-approximates, so
+  // only its (validated) Sat is taken; anything else falls through to the
+  // full encoding, on an arena and a budget the attempt never touched.
+  if (HasIntSide && !Preds.empty() &&
+      std::all_of(Preds.begin(), Preds.end(), [](const PosPredicate &Pred) {
+        return Pred.Kind == PredKind::Diseq;
+      })) {
+    ++St.MpCalls;
+    lia::Arena LenArena;
+    Handles LenH = MintHandles(LenArena);
+    Budget LenBud(childLimits(Cancel));
+    tagaut::MpOptions LenOpts = MpOpts;
+    LenOpts.Certify = false;
+    LenOpts.Budget = &LenBud;
+    tagaut::MpResult R = tagaut::solveMP(LenArena, Langs, {}, NF.Sigma.size(),
+                                         IntBuilderFor(LenH, Preds), LenOpts);
+    Root->chargeMem(LenBud.memCharged());
+    if (R.V == Verdict::Sat)
+      return Accept(std::move(R.Assignment), IntsOf(LenH, R.Model));
+    if (R.Stop == StopReason::Timeout || R.Stop == StopReason::Cancelled) {
+      ++St.BudgetTrips;
+      StopOut.note(R.Stop, LenBud.tripSite());
+      return Verdict::Unknown;
+    }
+  }
+
+  ++St.MpCalls;
+  for (const PosPredicate &Pred : Preds)
+    if (Pred.Kind == PredKind::NotContains)
+      St.UsedMbqi = true;
+
+  const std::vector<PosPredicate> NoLenNe;
+  tagaut::IntConstraintBuilder IntBuilder = IntBuilderFor(H, NoLenNe);
   MpOpts.Budget = &Child;
   tagaut::MpResult R =
       tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, MpOpts);
@@ -395,12 +502,8 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     StopOut.note(R.Stop, StopSite);
   }
 
-  if (R.V == Verdict::Sat) {
-    std::map<IntVarId, int64_t> Ints;
-    for (IntVarId V = 0; V < NF.NumIntVars; ++V)
-      Ints[V] = R.Model[IntHandles[V]];
-    return acceptSat(D, R.Assignment, std::move(Ints), Result, St);
-  }
+  if (R.V == Verdict::Sat)
+    return Accept(std::move(R.Assignment), IntsOf(H, R.Model));
   if (R.V == Verdict::Unsat && Approximated)
     return Verdict::Unknown; // an under-approximation cannot prove Unsat
   if (R.V == Verdict::Unsat && CertOut)

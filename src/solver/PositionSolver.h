@@ -12,7 +12,9 @@
 /// decomposition decide the substituted position constraints with the
 /// tag-automaton/LIA procedure — with the PTime one-counter fast path
 /// for a lone ≠/¬prefixof/¬suffixof (Thm. 7.1) and the Sec. 8 heuristics
-/// in front of non-flat ¬contains.
+/// in front of non-flat ¬contains. Variables of a decomposition that no
+/// predicate or integer term reads are projected out first: each takes
+/// a shortest word of its language.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,6 +116,7 @@ struct SolveOptions {
 struct SolveStats {
   uint32_t Disjuncts = 0;
   uint32_t FastPathDecisions = 0;
+  /// solveMP calls, a length-first ≠ attempt included.
   uint32_t MpCalls = 0;
   /// Disjuncts whose final answer was a budget-tripped Unknown (after
   /// any degraded retry).

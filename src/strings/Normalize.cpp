@@ -7,12 +7,82 @@
 
 #include "strings/Normalize.h"
 
+#include <optional>
+
 using namespace postr;
 using namespace postr::strings;
 using automata::Nfa;
 using tagaut::PredKind;
 
 namespace {
+
+/// str.at positions past this bound stay predicates: Σ^i·c·Σ* has i + 2
+/// states, and the index is a numeral of the input.
+constexpr int64_t MaxLoweredIndex = 1024;
+
+/// A letter slot of `chain` that reads any symbol.
+constexpr Symbol AnySymbol = Nfa::Epsilon - 1;
+
+/// Where a `chain` automaton may start, stop and loop.
+struct ChainShape {
+  bool LoopFront = false;  ///< Σ self-loop on the first state
+  bool LoopBack = false;   ///< Σ self-loop on the last state
+  bool AllInitial = false; ///< every state initial (else only the first)
+  bool AllFinal = false;   ///< every state final (else only the last)
+};
+
+/// The ε-free chain automaton over \p Slots: states 0..n, where slot k
+/// leads from state k to k + 1 on its symbol (on every symbol for
+/// AnySymbol). {w}, wΣ*, Σ*w, Σ*wΣ*, Pref(w), Suf(w), Fact(w), Σ^{≤i}
+/// and Σ^i·c·Σ* are all chains.
+Nfa chain(uint32_t SigmaSize, const Word &Slots, ChainShape Shape) {
+  Nfa A(SigmaSize);
+  uint32_t Last = static_cast<uint32_t>(Slots.size());
+  A.addStates(Last + 1);
+  for (uint32_t K = 0; K <= Last; ++K) {
+    if (Shape.AllInitial || K == 0)
+      A.markInitial(K);
+    if (Shape.AllFinal || K == Last)
+      A.markFinal(K);
+  }
+  auto Step = [&](uint32_t From, Symbol Sym, uint32_t To) {
+    for (Symbol S = 0; S < SigmaSize; ++S)
+      if (Sym == AnySymbol || Sym == S)
+        A.addTransition(From, S, To);
+  };
+  for (uint32_t K = 0; K < Last; ++K)
+    Step(K, Slots[K], K + 1);
+  if (Shape.LoopFront)
+    Step(0, AnySymbol, 0);
+  if (Shape.LoopBack)
+    Step(Last, AnySymbol, Last);
+  return A;
+}
+
+/// The variable of a term that is exactly one variable (empty literals
+/// aside).
+std::optional<VarId> soleVar(const StrSeq &Seq) {
+  std::optional<VarId> X;
+  for (const StrElem &E : Seq) {
+    if (!E.IsVar && E.Lit.empty())
+      continue;
+    if (!E.IsVar || X)
+      return std::nullopt;
+    X = E.Var;
+  }
+  return X;
+}
+
+/// The word of a term made of literals only.
+std::optional<std::string> wordOf(const StrSeq &Seq) {
+  std::string W;
+  for (const StrElem &E : Seq) {
+    if (E.IsVar)
+      return std::nullopt;
+    W += E.Lit;
+  }
+  return W;
+}
 
 /// Collects alphabet symbols from every literal and regex in the problem.
 void collectProblemAlphabet(const Problem &P, Alphabet &Sigma) {
@@ -96,7 +166,95 @@ private:
     Memberships[X].push_back(std::move(A));
   }
 
+  /// Step (v): an assertion between one variable and a word is a regular
+  /// constraint on that variable. Adds it as a membership and returns
+  /// true, or returns false when \p A has another shape.
+  bool lowerToMembership(const Assertion &A) {
+    std::optional<VarId> LVar = soleVar(A.Lhs), RVar = soleVar(A.Rhs);
+    std::optional<std::string> LWord = wordOf(A.Lhs), RWord = wordOf(A.Rhs);
+    uint32_t N = Out.Sigma.size();
+    auto Lit = [&](const std::string &W) { return Out.Sigma.internWord(W); };
+    // Orients a two-sided kind: Pattern when the variable is the right
+    // side (the word is the prefix/suffix/needle), Closure when it is the
+    // left side (the variable is the prefix/suffix/needle of the word).
+    VarId X = InvalidVar;
+    std::optional<Nfa> L;
+    auto Orient = [&](ChainShape Pattern, ChainShape Closure) {
+      if (RVar && LWord) {
+        X = *RVar;
+        L = chain(N, Lit(*LWord), Pattern);
+      } else if (LVar && RWord) {
+        X = *LVar;
+        L = chain(N, Lit(*RWord), Closure);
+      }
+    };
+    bool Negated = false;
+    switch (A.Kind) {
+    case AssertKind::Diseq:
+      Negated = true;
+      [[fallthrough]];
+    case AssertKind::WordEq:
+      Orient({}, {}); // {w}
+      break;
+    case AssertKind::NotPrefixof:
+      Negated = true;
+      [[fallthrough]];
+    case AssertKind::Prefixof:
+      Orient({.LoopBack = true}, {.AllFinal = true}); // wΣ*, Pref(w)
+      break;
+    case AssertKind::NotSuffixof:
+      Negated = true;
+      [[fallthrough]];
+    case AssertKind::Suffixof:
+      Orient({.LoopFront = true}, {.AllInitial = true}); // Σ*w, Suf(w)
+      break;
+    case AssertKind::NotContains:
+      Negated = true;
+      [[fallthrough]];
+    case AssertKind::Contains: // Lhs is the needle
+      Orient({.LoopFront = true, .LoopBack = true},
+             {.AllInitial = true, .AllFinal = true}); // Σ*wΣ*, Fact(w)
+      break;
+    case AssertKind::StrAtNe:
+      Negated = true;
+      [[fallthrough]];
+    case AssertKind::StrAtEq: {
+      if (!A.Pos.isConstant())
+        return false;
+      int64_t I = A.Pos.Const;
+      if (LVar && RWord) { // y = str.at(w, i): y ∈ {w[i]} or {ε}
+        X = *LVar;
+        bool InRange = I >= 0 && I < static_cast<int64_t>(RWord->size());
+        L = chain(N, InRange ? Lit(RWord->substr(I, 1)) : Word{}, {});
+      } else if (RVar && LWord && I < 0) { // str.at(x, i) = ε
+        X = *RVar;
+        L = LWord->empty() ? Nfa::universal(N) : Nfa::emptyLanguage(N);
+      } else if (RVar && LWord && I <= MaxLoweredIndex) {
+        X = *RVar;
+        Word Skip(static_cast<size_t>(I), AnySymbol);
+        if (LWord->empty()) { // |x| ≤ i
+          L = chain(N, Skip, {.AllFinal = true});
+        } else if (LWord->size() == 1) { // Σ^i·c·Σ*
+          Skip.push_back(Lit(*LWord).front());
+          L = chain(N, Skip, {.LoopBack = true});
+        } else {
+          L = Nfa::emptyLanguage(N);
+        }
+      }
+      break;
+    }
+    default:
+      break;
+    }
+    if (!L)
+      return false;
+    addMembership(X, Negated ? automata::complement(*L) : std::move(*L));
+    return true;
+  }
+
   void normalizeAssertion(const Assertion &A) {
+    if (lowerToMembership(A))
+      return;
     switch (A.Kind) {
     case AssertKind::InRe: {
       assert(A.Lhs.size() == 1 && A.Lhs[0].IsVar && "InRe needs a variable");

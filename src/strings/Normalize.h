@@ -9,13 +9,31 @@
 /// Brings a `Problem` to the paper's normal form (Sec. 2):
 ///  (i)  positive prefixof/suffixof/contains become word equations with
 ///       fresh variables (v = u·z_p, v = z_s·u, v = z_c·u·z_c′);
-///  (ii) string literals become fresh variables with singleton languages
-///       (footnote 3);
+///  (ii) string literals step (v) leaves become fresh variables with
+///       singleton languages (footnote 3);
 ///  (iii) per-variable regular memberships are merged by product
 ///       intersection into a single NFA per variable (unconstrained
 ///       variables get the universal language);
 ///  (iv) the effective alphabet is closed with one fresh sentinel symbol
-///       so that "any other character" witnesses exist.
+///       so that "any other character" witnesses exist;
+///  (v)  an assertion whose one side is a single variable x and whose
+///       other side is literals only (the word w, possibly ε) becomes a
+///       membership of x, merged in step (iii) and emitting no
+///       equation, predicate or literal variable:
+///
+///         x = w                        {w}
+///         prefixof(w, x) / (x, w)      wΣ*  / Pref(w)
+///         suffixof(w, x) / (x, w)      Σ*w  / Suf(w)
+///         contains(x, w) / (w, x)      Σ*wΣ* / Fact(w)   (x ∋ w / w ∋ x)
+///         c = str.at(x, i), i ≥ 0      Σ^i·c·Σ* for one letter c,
+///                                      Σ^{≤i} for c = ε, ∅ for |c| ≥ 2
+///         c = str.at(x, i), i < 0      Σ* for c = ε, ∅ otherwise
+///         y = str.at(w, i)             {w[i]}, or {ε} out of range
+///
+///       Every negation (≠ included) takes the complement. The automata
+///       are ε-free and built over the closed alphabet of (iv). A str.at
+///       index must be a numeral of at most 1024, since Σ^i takes i + 1
+///       states; larger ones stay predicates.
 ///
 //===----------------------------------------------------------------------===//
 

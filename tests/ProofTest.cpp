@@ -83,6 +83,16 @@ TEST(ProofCheckTest, TrustedRuleDisjunctsAreCountedNotDerived) {
   EXPECT_EQ(Out.Stats.CheckedRefutations, 1u);
 }
 
+TEST(ProofCheckTest, ZeroDisjunctCertificateIsOneTrustedStep) {
+  // A complete stabilization that left no disjunct refuted the problem
+  // in the front-end (for instance an empty normal-form language): the
+  // kernel accepts it and counts that step as trusted.
+  proof::CheckOutcome Out = proof::checkCertificate(proof::Certificate{});
+  EXPECT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_EQ(Out.Stats.TrustedRules, 1u);
+  EXPECT_EQ(Out.Stats.CheckedRefutations, 0u);
+}
+
 TEST(ProofCheckTest, IncompleteStabilizationCertifiesNothing) {
   proof::Certificate C = wrap(tinyFarkasProof());
   C.Complete = false;

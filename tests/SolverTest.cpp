@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "proof/Check.h"
 #include "smtlib/Reader.h"
 #include "solver/Baselines.h"
 #include "solver/PositionSolver.h"
@@ -25,6 +26,7 @@ using strings::AssertKind;
 using strings::IntTerm;
 using strings::Problem;
 using strings::StrElem;
+using strings::StrSeq;
 
 namespace {
 
@@ -105,6 +107,172 @@ TEST(PipelineTest, StrAtThroughPipeline) {
   SolveResult R = solve(P);
   ASSERT_EQ(R.V, Verdict::Sat);
   EXPECT_EQ(R.Words.at(X).size(), 3u);
+}
+
+TEST(PipelineTest, StrAtOverConcatenationReachesEncoder) {
+  // The twin of StrAtThroughPipeline whose haystack is x·y: no side is a
+  // single variable, so nothing is lowered and the str.at predicates go
+  // through the tag encoding. One-letter languages keep it well inside
+  // the 20 s cap under Debug+ASan+UBSan.
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y");
+  P.assertInRe(X, "a|b");
+  P.assertInRe(Y, "a|b");
+  StrSeq XY = {StrElem::var(X), StrElem::var(Y)};
+  P.assertStrAt(true, StrElem::lit("b"), XY, IntTerm::constant(1));
+  P.assertStrAt(false, StrElem::lit("b"), XY, IntTerm::constant(0));
+  SolveResult R = solve(P);
+  ASSERT_EQ(R.V, Verdict::Sat);
+  EXPECT_GT(R.Stats.MpCalls, 0u);
+  Word XYWord = R.Words.at(X);
+  XYWord.insert(XYWord.end(), R.Words.at(Y).begin(), R.Words.at(Y).end());
+  ASSERT_EQ(XYWord.size(), 2u);
+  EXPECT_NE(XYWord[0], XYWord[1]);
+}
+
+TEST(PipelineTest, ProjectedVariableJoinsTheModel) {
+  // x is only constrained by its language once suffixof("s", x) becomes
+  // a membership, so it stays out of the solveMP call that decides y's
+  // disequality; its word still rejoins the validated model. z is read
+  // by a length term, so it stays encoded.
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y"), Z = P.strVar("z");
+  P.assertInRe(X, "(g|i|s){0,6}");
+  P.assertInRe(Y, "(g|i|s){0,2}");
+  P.assertInRe(Z, "g*");
+  P.assertPred(AssertKind::Suffixof, {StrElem::lit("s")}, {StrElem::var(X)});
+  StrSeq YY = {StrElem::var(Y), StrElem::var(Y)};
+  P.assertDiseq(YY, {StrElem::lit("gp")});
+  P.assertIntAtom(IntTerm::lenOf(Z), lia::Cmp::Eq, IntTerm::constant(2));
+  SolveResult R = solve(P);
+  ASSERT_EQ(R.V, Verdict::Sat);
+  EXPECT_EQ(R.Stats.MpCalls, 1u);
+  EXPECT_EQ(R.Stats.ModelsValidated, 1u);
+  ASSERT_FALSE(R.Words.at(X).empty());
+  strings::NormalForm N = strings::normalize(P);
+  EXPECT_EQ(R.Words.at(X).back(), N.Sigma.lookup('s').value());
+  EXPECT_EQ(R.Words.at(Z).size(), 2u);
+}
+
+TEST(PipelineTest, UnreadEmptyLanguageIsCertifiedUnsat) {
+  // y is read by nothing, and its lowered language (a) ∩ ¬{a} is empty.
+  // Stabilization refutes that before any disjunct exists, so the
+  // certificate has zero disjuncts: one trusted front-end step.
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y");
+  P.assertInRe(X, "(a|b)*");
+  P.assertInRe(Y, "a");
+  P.assertDiseq({StrElem::var(Y)}, {StrElem::lit("a")});
+  P.assertDiseq({StrElem::var(X), StrElem::var(X)}, {StrElem::lit("ab")});
+  SolveOptions Opts;
+  Opts.TimeoutMs = 20000;
+  Opts.CertifyUnsat = true;
+  SolveResult R = solver::solveProblem(P, Opts);
+  ASSERT_EQ(R.V, Verdict::Unsat);
+  EXPECT_EQ(R.Stats.Disjuncts, 0u);
+  EXPECT_EQ(R.Stats.MpCalls, 0u);
+  EXPECT_EQ(R.Stats.UnsatsCertified, 1u);
+  Result<proof::Certificate> Parsed = proof::parse(R.CertText);
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.error();
+  proof::CheckOutcome Out = proof::checkCertificate(*Parsed);
+  EXPECT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_EQ(Out.Stats.TrustedRules, 1u);
+  EXPECT_EQ(Out.Stats.CheckedRefutations, 0u);
+}
+
+TEST(PipelineTest, LengthFirstDisequalityHoldsByLength) {
+  // |x| ≥ 3 keeps the one-counter fast path out, and both ≠ hold by
+  // length alone, so the length-first attempt answers with one solveMP
+  // call. The full tag encoding of the two ≠ does not finish in 60 s.
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y"), Z = P.strVar("z");
+  for (VarId V : {X, Y, Z})
+    P.assertInRe(V, "(a|b|c){0,8}");
+  StrSeq XYZ = {StrElem::var(X), StrElem::var(Y), StrElem::var(Z)};
+  StrSeq ZYX = {StrElem::var(Z), StrElem::var(Y), StrElem::var(X)};
+  P.assertDiseq(XYZ, {StrElem::lit("abcab")});
+  P.assertDiseq(ZYX, {StrElem::lit("cabba")});
+  P.assertIntAtom(IntTerm::lenOf(X), lia::Cmp::Ge, IntTerm::constant(3));
+  SolveResult R = solve(P, 5000);
+  ASSERT_EQ(R.V, Verdict::Sat);
+  EXPECT_EQ(R.Stats.MpCalls, 1u);
+  EXPECT_EQ(R.Stats.ModelsValidated, 1u);
+  EXPECT_GE(R.Words.at(X).size(), 3u);
+}
+
+TEST(PipelineTest, LengthFirstDisequalityFallsThroughOnEqualLengths) {
+  // |x| = |y| = 1 forces |x·y| = |"ab"|, so the attempt finds nothing and
+  // the full encoding decides the mismatch: a second solveMP call.
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y");
+  P.assertInRe(X, "a|b");
+  P.assertInRe(Y, "a|b");
+  StrSeq XY = {StrElem::var(X), StrElem::var(Y)};
+  P.assertDiseq(XY, {StrElem::lit("ab")});
+  P.assertIntAtom(IntTerm::lenOf(X), lia::Cmp::Eq, IntTerm::constant(1));
+  SolveResult R = solve(P);
+  ASSERT_EQ(R.V, Verdict::Sat);
+  EXPECT_EQ(R.Stats.MpCalls, 2u);
+  ASSERT_EQ(R.Words.at(X).size(), 1u);
+  ASSERT_EQ(R.Words.at(Y).size(), 1u);
+  strings::NormalForm N = strings::normalize(P);
+  EXPECT_FALSE(R.Words.at(X)[0] == N.Sigma.lookup('a').value() &&
+               R.Words.at(Y)[0] == N.Sigma.lookup('b').value());
+}
+
+TEST(PipelineTest, LengthFirstDisequalityNeverRefutes) {
+  // x·y can only spell "ab": the attempt's Unsat proves nothing, and the
+  // Unsat with its certificate comes from the full encoding.
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y");
+  P.assertInRe(X, "a");
+  P.assertInRe(Y, "b");
+  P.assertDiseq({StrElem::var(X), StrElem::var(Y)}, {StrElem::lit("ab")});
+  P.assertIntAtom(IntTerm::lenOf(X), lia::Cmp::Eq, IntTerm::constant(1));
+  SolveOptions Opts;
+  Opts.TimeoutMs = 20000;
+  Opts.CertifyUnsat = true;
+  SolveResult R = solver::solveProblem(P, Opts);
+  ASSERT_EQ(R.V, Verdict::Unsat);
+  EXPECT_EQ(R.Stats.MpCalls, 2u);
+  EXPECT_EQ(R.Stats.UnsatsCertified, 1u);
+  Result<proof::Certificate> Parsed = proof::parse(R.CertText);
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.error();
+  EXPECT_TRUE(proof::checkCertificate(*Parsed).Ok);
+}
+
+TEST(PipelineTest, LengthFirstDisequalityMatchesEnum) {
+  // Seeded draws of one or two ≠ over concatenations of x, y against
+  // words, under a length atom, all languages finite so that solveEnum
+  // is complete. Both outcomes of the attempt must occur: a Sat by
+  // length alone (one solveMP call) and a fall-through (two).
+  const char *Words[] = {"", "a", "ab", "ba", "abb"};
+  const lia::Cmp Ops[] = {lia::Cmp::Eq, lia::Cmp::Ge, lia::Cmp::Le};
+  std::mt19937 Rng(7);
+  int ByLength = 0, FellThrough = 0;
+  for (int Draw = 0; Draw < 40; ++Draw) {
+    Problem P;
+    VarId X = P.strVar("x"), Y = P.strVar("y");
+    P.assertInRe(X, Draw % 2 ? "(a|b){0,2}" : "a{0,2}");
+    P.assertInRe(Y, "(a|b){0,2}");
+    for (int K = 0; K < 1 + Draw % 2; ++K) {
+      StrSeq Lhs = {StrElem::var(Rng() % 2 ? X : Y), StrElem::var(Y)};
+      P.assertDiseq(Lhs, {StrElem::lit(Words[Rng() % 5])});
+    }
+    P.assertIntAtom(IntTerm::lenOf(Rng() % 2 ? X : Y), Ops[Rng() % 3],
+                    IntTerm::constant(Rng() % 3));
+    SolveResult R = solve(P);
+    solver::EnumOptions EO;
+    EO.TimeoutMs = 5000;
+    ASSERT_NE(R.V, Verdict::Unknown) << Draw;
+    EXPECT_EQ(R.V, solver::solveEnum(P, EO).V) << Draw;
+    if (R.V == Verdict::Sat)
+      EXPECT_EQ(R.Stats.ModelsValidated, 1u) << Draw;
+    ByLength += R.V == Verdict::Sat && R.Stats.MpCalls == 1;
+    FellThrough += R.Stats.MpCalls == 2;
+  }
+  EXPECT_GT(ByLength, 0);
+  EXPECT_GT(FellThrough, 0);
 }
 
 TEST(PipelineTest, StrAtAfterWordEquationSplitMatchesEnum) {
