@@ -73,12 +73,15 @@ Budget::Budget(const Limits &L) : Lim(L) {
   // cheapest place to make the env-configured injector available before
   // the first probe (checkpoint itself stays a relaxed load).
   std::call_once(EnvInjectorOnce, [] { faultInjectorFromEnv(); });
-  // Born tripped: a child of a tripped ancestor starts with its reason.
-  for (const Budget *P = Lim.Parent; P; P = P->Lim.Parent)
-    if (P->exceeded()) {
-      trip(P->reason());
+  // Born tripped: a child of a tripped or cancelled ancestor starts with
+  // its reason.
+  for (const Budget *P = Lim.Parent; P; P = P->Lim.Parent) {
+    StopReason R = P->pendingStop();
+    if (R != StopReason::None) {
+      trip(R);
       break;
     }
+  }
   if (!Lim.TimeoutMs)
     return;
   int64_t Now = readNs(CLOCK_MONOTONIC);
@@ -102,24 +105,29 @@ bool Budget::checkpoint(const char *Site) {
     if (R != StopReason::None)
       trip(R);
   }
-  if (exceeded())
-    return stopAt(Site);
-  if (Lim.Cancel && Lim.Cancel->load(std::memory_order_relaxed)) {
-    trip(StopReason::Cancelled);
-    return stopAt(Site);
-  }
-  // Walk the whole ancestor chain: a budget two levels down still stops
-  // when the root trips, even if the intermediate budget never probes.
-  for (const Budget *P = Lim.Parent; P; P = P->Lim.Parent)
-    if (P->exceeded()) {
-      trip(P->reason());
+  // This budget, then the whole ancestor chain: a budget two levels down
+  // still stops when the root trips or its cancel flag is raised, even if
+  // the intermediate budgets never probe.
+  for (const Budget *B = this; B; B = B->Lim.Parent) {
+    StopReason R = B->pendingStop();
+    if (R != StopReason::None) {
+      trip(R);
       return stopAt(Site);
     }
+  }
   if (Lim.StepLimit && !chargeSteps(1))
     return stopAt(Site);
   if (Lim.TimeoutMs && !checkDeadline())
     return stopAt(Site);
   return true;
+}
+
+StopReason Budget::pendingStop() const {
+  if (exceeded())
+    return reason();
+  if (Lim.Cancel && Lim.Cancel->load(std::memory_order_relaxed))
+    return StopReason::Cancelled;
+  return StopReason::None;
 }
 
 bool Budget::stopAt(const char *Site) {
@@ -170,8 +178,7 @@ StopReason Budget::trip(StopReason R) {
   return Reason.load(std::memory_order_relaxed);
 }
 
-Budget::Limits Budget::childLimits(uint64_t MemBytes, uint64_t Steps,
-                                   const std::atomic<bool> *Cancel) const {
+Budget::Limits Budget::childLimits(uint64_t MemBytes, uint64_t Steps) const {
   Limits L;
   uint64_t Left = remainingMs();
   // TimeoutMs == 0 would mean "none"; a nearly-expired or expired parent
@@ -184,7 +191,6 @@ Budget::Limits Budget::childLimits(uint64_t MemBytes, uint64_t Steps,
       MemBytes && PMem ? std::min(MemBytes, PMem) : (MemBytes ? MemBytes : PMem);
   L.StepLimit =
       Steps && PSteps ? std::min(Steps, PSteps) : (Steps ? Steps : PSteps);
-  L.Cancel = Cancel;
   L.Parent = this;
   return L;
 }

@@ -47,7 +47,8 @@ enum class StopReason : uint8_t {
   None = 0,
   /// The wall-clock deadline expired.
   Timeout,
-  /// The external cancel flag was raised (pool loser, user interrupt).
+  /// The external cancel flag was raised (user interrupt, daemon
+  /// shutdown) on this budget or an ancestor.
   Cancelled,
   /// The memory-accounting cap was exceeded at a growth site.
   MemOut,
@@ -60,11 +61,11 @@ const char *stopReasonName(StopReason R);
 
 /// Shared cooperative budget token. One `Budget` is typically created per
 /// top-level solve and threaded (as a non-owning pointer) through every
-/// layer; the parallel disjunct pool derives one child budget per disjunct
-/// so a single disjunct's MemOut does not kill its siblings.
+/// layer; the pipeline derives one child budget per disjunct so a single
+/// disjunct's MemOut does not kill its siblings.
 ///
-/// Thread-safe: all mutation is on atomics; concurrent probes from pool
-/// workers are fine.
+/// Thread-safe: all mutation is on atomics, so another thread may raise
+/// the cancel flag or trip() while the solving thread probes.
 class Budget {
 public:
   /// Construction-time limits; 0 / nullptr disables a dimension.
@@ -76,20 +77,22 @@ public:
     uint64_t MemLimitBytes = 0;
     /// Cap on abstract steps charged via checkpoint()/chargeSteps().
     uint64_t StepLimit = 0;
-    /// Optional external cancel flag, polled on every checkpoint.
+    /// Optional external cancel flag, polled on every checkpoint of this
+    /// budget and of every descendant.
     const std::atomic<bool> *Cancel = nullptr;
-    /// Optional parent budget, polled on every checkpoint: once the
-    /// parent trips (for any reason), this budget trips with the same
-    /// reason, so a stop propagates down arbitrarily nested children
+    /// Optional parent budget, polled on every checkpoint: once an
+    /// ancestor trips (for any reason), this budget trips with the same
+    /// reason, and once an ancestor's cancel flag is raised, with
+    /// Cancelled. A stop thus propagates down arbitrarily nested children
     /// while first-reason-wins still holds at every level. The parent
     /// must outlive the child.
     const Budget *Parent = nullptr;
   };
 
   Budget() : Budget(Limits{}) {}
-  /// A budget whose Parent has already tripped, or whose deadline
-  /// (its own or an ancestor's) has already passed, is born tripped: with
-  /// the ancestor's reason, or Timeout.
+  /// A budget whose Parent has already tripped or been cancelled, or whose
+  /// deadline (its own or an ancestor's) has already passed, is born
+  /// tripped: with the ancestor's reason, Cancelled, or Timeout.
   explicit Budget(const Limits &L);
 
   Budget(const Budget &) = delete;
@@ -134,18 +137,16 @@ public:
   uint64_t remainingMs() const;
 
   /// Limits for a child budget derived from this one — the single place
-  /// deadline-propagation math lives (the disjunct pool and degraded
+  /// deadline-propagation math lives (per-disjunct budgets and degraded
   /// retries call this instead of open-coding min/remaining juggling).
   /// The child's wall-clock allowance is the parent's remaining time
   /// (none when the parent has no deadline). Memory/step limits are
   /// inherited unless \p MemBytes / \p Steps override them (nonzero =
-  /// tighter of the two). The child carries \p Cancel and a Parent link
-  /// back to this budget, so a trip anywhere up the chain stops the child
-  /// at its next probe with the ancestor's reason, and a child derived
-  /// after the parent's deadline has passed (or after the parent tripped)
-  /// is born tripped.
-  Limits childLimits(uint64_t MemBytes = 0, uint64_t Steps = 0,
-                     const std::atomic<bool> *Cancel = nullptr) const;
+  /// tighter of the two). The child carries a Parent link back to this
+  /// budget, so a trip or a raised cancel flag anywhere up the chain stops
+  /// the child at its next probe, and a child derived after the parent's
+  /// deadline has passed (or after the parent tripped) is born tripped.
+  Limits childLimits(uint64_t MemBytes = 0, uint64_t Steps = 0) const;
 
   /// Bytes charged so far (testing / stats).
   uint64_t memCharged() const { return MemUsed.load(std::memory_order_relaxed); }
@@ -154,6 +155,9 @@ public:
 
 private:
   bool checkDeadline();
+  /// The stop a probe of this budget or a descendant must take: the trip
+  /// reason, else Cancelled when the cancel flag is raised, else None.
+  StopReason pendingStop() const;
   /// checkpoint()'s false path: records \p Site if it is the first.
   bool stopAt(const char *Site);
 

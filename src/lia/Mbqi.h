@@ -48,8 +48,8 @@ struct ForallBlock {
   std::vector<Var> InnerVars;
 };
 
-/// Counters of one solveMbqi run, for benchmarks (`mbqi_counters` in
-/// BENCH_hotpath.json) and triage. Accumulates when reused across calls.
+/// Counters of one solveMbqi run, for the gate (tests/GateTest.cpp) and
+/// triage. Accumulates when reused across calls.
 struct MbqiStats {
   uint64_t Candidates = 0;    ///< outer models proposed
   uint64_t OuterSolves = 0;   ///< outer-context queries (incl. re-solves)
@@ -73,8 +73,7 @@ struct MbqiOptions {
   /// between offsets. false = re-encode every query from scratch — kept
   /// as the oracle for the incremental-vs-scratch property tests.
   bool Incremental = true;
-  /// Optional counter sink (not synchronized — share only across
-  /// single-threaded solves).
+  /// Optional counter sink, incremented without synchronization.
   MbqiStats *Stats = nullptr;
 };
 

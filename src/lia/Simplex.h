@@ -48,8 +48,8 @@ namespace lia {
 /// produced only when the branch-and-bound node budget is exhausted.
 enum class TheoryResult { Sat, Unsat, Unknown };
 
-/// Cumulative tableau counters (perf triage; emitted by bench_hotpath as
-/// `simplex_counters`).
+/// Cumulative tableau counters (perf triage; tests/GateTest.cpp pins them
+/// on a fixed workload).
 struct SimplexStats {
   uint64_t Pivots = 0;   ///< basis changes
   uint64_t Checks = 0;   ///< feasibility scans (checkRational calls)
@@ -217,9 +217,9 @@ public:
   /// checkInteger() gives up at the next branch node (returning Unknown,
   /// the same resource-out its budget produces). The QF engine installs
   /// its deadline-or-cancelled predicate here, so neither a timeout nor
-  /// the parallel disjunct pool's first-Sat cancellation has to sit out
-  /// a full branch-and-bound tree (nodes cost whole Simplex re-checks;
-  /// budgets alone overran deadlines by many seconds).
+  /// a raised cancel flag has to sit out a full branch-and-bound tree
+  /// (nodes cost whole Simplex re-checks; budgets alone overran deadlines
+  /// by many seconds).
   void setInterrupt(std::function<bool()> F) { Interrupt = std::move(F); }
 
   /// Attaches a shared resource budget: tableau-row growth (rowFor) is

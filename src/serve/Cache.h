@@ -29,7 +29,8 @@
 /// operands, a verified hit is bit-identical to recomputation. Consulted
 /// from `automata::intersect`/`automata::determinize` through a
 /// thread-local installation scope: zero overhead (one relaxed TLS read)
-/// for every non-serve caller, so bench_hotpath checksums are untouched.
+/// for every non-serve caller, so the gate's construction checksums
+/// (tests/GateTest.cpp) are untouched.
 ///
 /// Both tiers insert through a *validated* path: results computed during
 /// a query are staged, and published only after the whole query

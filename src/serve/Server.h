@@ -15,7 +15,7 @@
 ///
 ///  - **In-process** (`ForkWorkers = false`): requests solve on the
 ///    calling thread against a pool-managed per-worker state. Used by
-///    the in-process soak tests and bench_serve, where ASan must see
+///    the in-process soak tests, where ASan must see
 ///    every allocation and a "crash" is simulated (`x-test-abort`).
 ///  - **Forked** (`ForkWorkers = true`): each worker is a child process
 ///    (`<exe> --worker-child <fdIn> <fdOut>`, frames over pipes), so a

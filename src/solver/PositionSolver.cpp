@@ -12,13 +12,10 @@
 #include "strings/Eval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <thread>
 
 using namespace postr;
 using namespace postr::solver;
@@ -83,30 +80,28 @@ public:
 private:
   SolveResult runImpl();
 
-  /// The shared model-validation evaluator, built once on first use
-  /// (regex compilation is the expensive part; disjunct workers share
-  /// the compiled automata, which are immutable after construction).
-  const ConcreteEvaluator &evaluator() const {
-    std::call_once(EvalOnce,
-                   [&] { Eval = std::make_unique<ConcreteEvaluator>(
-                             P, NF.Sigma); });
+  /// The model-validation evaluator, built on first use (regex
+  /// compilation is the expensive part) and shared by every disjunct.
+  const ConcreteEvaluator &evaluator() {
+    if (!Eval)
+      Eval = std::make_unique<ConcreteEvaluator>(P, NF.Sigma);
     return *Eval;
   }
-  /// Root budget probe between disjuncts; \p StopOut records the first
-  /// trip reason and site.
-  bool stopped(StopNote &StopOut) const {
+  /// Root budget probe between disjuncts; notes the first trip reason
+  /// and site.
+  bool stopped() {
     if (Root->checkpoint("solver.disjunct"))
       return false;
-    StopOut.note(Root->reason(), Root->tripSite());
+    Stop.note(Root->reason(), Root->tripSite());
     return true;
   }
   /// Limits of one disjunct's child budget: the root's remaining time,
   /// the full memory/step allowance (disjunct state is independent and
-  /// freed when the disjunct finishes), the pool's \p Cancel flag, and a
-  /// parent link so a root trip stops the disjunct mid-solve. All the
-  /// deadline math lives in Budget::childLimits.
-  Budget::Limits childLimits(const std::atomic<bool> *Cancel) const {
-    return Root->childLimits(Opts.MemLimitBytes, Opts.StepLimit, Cancel);
+  /// freed when the disjunct finishes), and a parent link so a root trip
+  /// or cancel stops the disjunct mid-solve. All the deadline math lives
+  /// in Budget::childLimits.
+  Budget::Limits childLimits() const {
+    return Root->childLimits(Opts.MemLimitBytes, Opts.StepLimit);
   }
 
   /// Applies a decomposition's substitution to an occurrence sequence.
@@ -120,28 +115,23 @@ private:
     return Out;
   }
 
-  /// Solves one decomposition. Thread-safe: all mutable state is local or
-  /// reached through \p Result and \p St, which each worker owns; \p
-  /// Cancel (may be null) cooperatively aborts the underlying engines.
-  /// On an Unknown caused by resource exhaustion, \p StopOut receives
-  /// the reason and site (first one wins). A disjunct whose child budget
-  /// is born tripped (the root's deadline passed) reaches neither the
+  /// Solves one decomposition. On an Unknown caused by resource
+  /// exhaustion, Stop receives the reason and site (first one wins). A
+  /// disjunct whose child budget is born tripped (the root's deadline
+  /// passed, or its cancel flag was raised) reaches neither the
   /// one-counter fast path nor solveMP.
   /// A disjunct stopping on MemOut or StepBudget is retried once in
   /// degraded mode — Bland pivoting, reduced MBQI bounds — on a fresh
   /// child budget before giving up.
   Verdict solveDisjunct(const eq::Decomposition &D, SolveResult &Result,
-                        SolveStats &St, const std::atomic<bool> *Cancel,
-                        StopNote &StopOut,
-                        proof::DisjunctCert *CertOut) const;
+                        proof::DisjunctCert *CertOut);
   /// A disjunct's Sat: projects \p Assignment (words of the disjunct's
   /// variables) through D.Subst onto the original variables, installs
   /// \p Ints, and runs the model self-check. Sat, or Unknown when the
   /// model falsifies an assertion.
   Verdict acceptSat(const eq::Decomposition &D,
                     const std::map<VarId, Word> &Assignment,
-                    std::map<IntVarId, int64_t> Ints, SolveResult &Result,
-                    SolveStats &St) const;
+                    std::map<IntVarId, int64_t> Ints, SolveResult &Result);
 
   const Problem &P;
   SolveOptions Opts;
@@ -149,23 +139,23 @@ private:
   Budget *Root;
   NormalForm NF;
   SolveStats Stats;
+  /// The first resource stop across stabilization and all disjuncts.
+  StopNote Stop;
   /// Certification state: on, the per-disjunct refutations (slot per
-  /// stabilization disjunct, written by whichever worker solves it), and
-  /// whether stabilization covered the whole problem.
+  /// stabilization disjunct), and whether stabilization covered the
+  /// whole problem.
   bool CertifyOn = false;
   std::vector<proof::DisjunctCert> Certs;
   bool CertComplete = false;
-  mutable std::once_flag EvalOnce;
-  mutable std::unique_ptr<ConcreteEvaluator> Eval;
-  /// First self-check rejection across all disjuncts/workers.
-  mutable std::mutex FailMu;
-  mutable ValidationFailure FirstFail;
+  std::unique_ptr<ConcreteEvaluator> Eval;
+  /// First self-check rejection across all disjuncts.
+  ValidationFailure FirstFail;
 };
 
 Verdict Pipeline::acceptSat(const eq::Decomposition &D,
                             const std::map<VarId, Word> &Assignment,
                             std::map<IntVarId, int64_t> Ints,
-                            SolveResult &Result, SolveStats &St) const {
+                            SolveResult &Result) {
   // Project onto the original variables through the substitution map.
   Result.Words.clear();
   for (VarId X = 0; X < NF.NumOriginalVars; ++X) {
@@ -183,13 +173,12 @@ Verdict Pipeline::acceptSat(const eq::Decomposition &D,
   // concrete semantics before it leaves the pipeline. An invalid model
   // is demoted to a structured Unknown (never a silent wrong answer).
   if (Opts.ValidateModels) {
-    ++St.ModelsValidated;
+    ++Stats.ModelsValidated;
     const ConcreteEvaluator &E = evaluator();
     for (size_t I = 0; I < P.assertions().size(); ++I) {
       if (E.evalOne(I, Result.Words, Result.Ints))
         continue;
-      ++St.ValidationFailures;
-      std::lock_guard<std::mutex> Lock(FailMu);
+      ++Stats.ValidationFailures;
       if (!FirstFail.Failed) {
         FirstFail.Failed = true;
         FirstFail.AssertionIndex = static_cast<uint32_t>(I);
@@ -203,10 +192,8 @@ Verdict Pipeline::acceptSat(const eq::Decomposition &D,
 }
 
 Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
-                                SolveResult &Result, SolveStats &St,
-                                const std::atomic<bool> *Cancel,
-                                StopNote &StopOut,
-                                proof::DisjunctCert *CertOut) const {
+                                SolveResult &Result,
+                                proof::DisjunctCert *CertOut) {
   std::map<VarId, Nfa> Langs = D.Langs;
   VarId NextLocal = NF.NextFresh + 1000000; // disjunct-local fresh ids
   auto EnsureNonEmptySeq = [&](std::vector<VarId> &Seq) {
@@ -278,7 +265,7 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   }
   bool Approximated = !ApproxLenGt.empty();
   if (Approximated)
-    St.UsedApproximation = true;
+    Stats.UsedApproximation = true;
   bool HasIntSide = !NF.IntAtoms.empty() || Approximated;
 
   // Projection: a variable that no predicate, ¬contains approximation,
@@ -327,7 +314,7 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   auto Accept = [&](std::map<VarId, Word> Assignment,
                     std::map<IntVarId, int64_t> Ints) {
     Assignment.insert(Projected.begin(), Projected.end());
-    return acceptSat(D, Assignment, std::move(Ints), Result, St);
+    return acceptSat(D, Assignment, std::move(Ints), Result);
   };
   // No integer side: any declared integer variable is unconstrained.
   auto ZeroInts = [&] {
@@ -339,17 +326,14 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   if (Langs.empty() && Preds.empty() && !HasIntSide)
     return Accept({}, ZeroInts());
 
-  if (Cancel && Cancel->load(std::memory_order_relaxed))
-    return Verdict::Unknown; // a sibling disjunct already answered Sat
-
   // Child budget: the root's remaining time plus the full memory/step
-  // allowance and the pool's cancel flag. Born tripped once the root's
-  // deadline has passed: then neither the fast path nor solveMP starts
-  // after the cap.
-  Budget Child(childLimits(Cancel));
+  // allowance. Born tripped once the root's deadline has passed or its
+  // cancel flag was raised: then neither the fast path nor solveMP starts
+  // after the stop.
+  Budget Child(childLimits());
   if (Child.exceeded()) {
-    ++St.BudgetTrips;
-    StopOut.note(Child.reason(), "solver.disjunct");
+    ++Stats.BudgetTrips;
+    Stop.note(Child.reason(), "solver.disjunct");
     return Verdict::Unknown;
   }
 
@@ -363,12 +347,12 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     counter::OneCounterResult Oc = counter::decideSinglePredicate(
         Langs, Preds.front(), NF.Sigma.size(), OcOpts);
     if (Oc.Stop != StopReason::None) {
-      ++St.BudgetTrips;
-      StopOut.note(Oc.Stop, Child.tripSite());
+      ++Stats.BudgetTrips;
+      Stop.note(Oc.Stop, Child.tripSite());
       return Verdict::Unknown;
     }
     if (Oc.V == Verdict::Unsat) {
-      ++St.FastPathDecisions;
+      ++Stats.FastPathDecisions;
       if (CertOut) {
         // The PTime one-counter decision (Thm. 7.1) is a trusted engine;
         // its refutation is recorded by name (proof/Proof.h).
@@ -378,7 +362,7 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       return Verdict::Unsat;
     }
     if (Oc.V == Verdict::Sat && Oc.Model) {
-      ++St.FastPathDecisions;
+      ++Stats.FastPathDecisions;
       return Accept(std::move(*Oc.Model), ZeroInts());
     }
   }
@@ -439,10 +423,10 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       std::all_of(Preds.begin(), Preds.end(), [](const PosPredicate &Pred) {
         return Pred.Kind == PredKind::Diseq;
       })) {
-    ++St.MpCalls;
+    ++Stats.MpCalls;
     lia::Arena LenArena;
     Handles LenH = MintHandles(LenArena);
-    Budget LenBud(childLimits(Cancel));
+    Budget LenBud(childLimits());
     tagaut::MpOptions LenOpts = MpOpts;
     LenOpts.Certify = false;
     LenOpts.Budget = &LenBud;
@@ -452,16 +436,16 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     if (R.V == Verdict::Sat)
       return Accept(std::move(R.Assignment), IntsOf(LenH, R.Model));
     if (R.Stop == StopReason::Timeout || R.Stop == StopReason::Cancelled) {
-      ++St.BudgetTrips;
-      StopOut.note(R.Stop, LenBud.tripSite());
+      ++Stats.BudgetTrips;
+      Stop.note(R.Stop, LenBud.tripSite());
       return Verdict::Unknown;
     }
   }
 
-  ++St.MpCalls;
+  ++Stats.MpCalls;
   for (const PosPredicate &Pred : Preds)
     if (Pred.Kind == PredKind::NotContains)
-      St.UsedMbqi = true;
+      Stats.UsedMbqi = true;
 
   const std::vector<PosPredicate> NoLenNe;
   tagaut::IntConstraintBuilder IntBuilder = IntBuilderFor(H, NoLenNe);
@@ -476,17 +460,16 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   // Graceful degradation: a disjunct stopping on MemOut/StepBudget gets
   // one cheaper shot — Bland pivoting (bounded fill-in) and reduced MBQI
   // bounds — on a fresh child budget. Timeout/Cancelled are not retried:
-  // there is no time left to spend.
+  // there is no time left to spend, or no caller left to answer.
   if (R.V == Verdict::Unknown &&
-      (R.Stop == StopReason::MemOut || R.Stop == StopReason::StepBudget) &&
-      !(Cancel && Cancel->load(std::memory_order_relaxed))) {
-    ++St.DegradedRetries;
+      (R.Stop == StopReason::MemOut || R.Stop == StopReason::StepBudget)) {
+    ++Stats.DegradedRetries;
     tagaut::MpOptions Deg = MpOpts;
     applyDegraded(Deg);
     // Fresh limits: the root's remaining time has shrunk by the first
     // attempt, so re-derive rather than reuse. Born tripped once the
     // root's deadline has passed: then the stop is that one.
-    Budget RetryBud(childLimits(Cancel));
+    Budget RetryBud(childLimits());
     if (RetryBud.exceeded()) {
       R.Stop = RetryBud.reason();
       StopSite = "solver.disjunct";
@@ -498,8 +481,8 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     }
   }
   if (R.V == Verdict::Unknown && R.Stop != StopReason::None) {
-    ++St.BudgetTrips;
-    StopOut.note(R.Stop, StopSite);
+    ++Stats.BudgetTrips;
+    Stop.note(R.Stop, StopSite);
   }
 
   if (R.V == Verdict::Sat)
@@ -517,11 +500,8 @@ SolveResult Pipeline::run() {
   // Attach the first self-check rejection, if any. The demoted disjunct
   // already reported Unknown, so R.V reflects it; the diagnostic makes
   // the demotion visible to callers (CLI exit code 7, fuzz triage).
-  {
-    std::lock_guard<std::mutex> Lock(FailMu);
-    if (FirstFail.Failed)
-      R.Validation = FirstFail;
-  }
+  if (FirstFail.Failed)
+    R.Validation = FirstFail;
 
   // Paranoid mode: cross-check Unsat against the bounded enumeration
   // oracle. Its Sat is evaluator-certified, so a hit is a proven wrong
@@ -581,7 +561,6 @@ SolveResult Pipeline::run() {
 
 SolveResult Pipeline::runImpl() {
   SolveResult Result;
-  StopNote AggStop;
 
   NF = normalize(P);
 
@@ -599,56 +578,18 @@ SolveResult Pipeline::runImpl() {
   if (CertifyOn)
     Certs.assign(Stab.Disjuncts.size(), proof::DisjunctCert());
   if (!Stab.Complete && Stab.Stop != StopReason::None)
-    AggStop.note(Stab.Stop, Root->tripSite());
+    Stop.note(Stab.Stop, Root->tripSite());
 
+  // The decompositions are decided one after another (Sec. 8): the first
+  // Sat answers, and Unsat needs every disjunct refuted.
   bool AnyUnknown = !Stab.Complete;
-
-  uint32_t Threads = Opts.Threads == 0
-                         ? std::max(1u, std::thread::hardware_concurrency())
-                         : Opts.Threads;
-  Threads = std::min<uint32_t>(
-      Threads, static_cast<uint32_t>(Stab.Disjuncts.size()));
-
-  if (Threads <= 1) {
-    for (size_t I = 0; I < Stab.Disjuncts.size(); ++I) {
-      const eq::Decomposition &D = Stab.Disjuncts[I];
-      if (stopped(AggStop)) {
-        AnyUnknown = true;
-        break;
-      }
-      Verdict V = solveDisjunct(D, Result, Stats, nullptr, AggStop,
-                                CertifyOn ? &Certs[I] : nullptr);
-      if (V == Verdict::Sat) {
-        Result.V = Verdict::Sat;
-        Result.Stats = Stats;
-        return Result;
-      }
-      if (V == Verdict::Unknown)
-        AnyUnknown = true;
+  for (size_t I = 0; I < Stab.Disjuncts.size(); ++I) {
+    if (stopped()) {
+      AnyUnknown = true;
+      break;
     }
-    Result.V = AnyUnknown ? Verdict::Unknown : Verdict::Unsat;
-    if (Result.V == Verdict::Unknown)
-      AggStop.surface(Result);
-    Result.Stats = Stats;
-    return Result;
-  }
-
-  // Stage the pool: solve disjunct 0 on the calling thread first. The
-  // stabilizer orders easy decompositions early, so a serial run's
-  // early-Sat exit usually never reaches the hard tail — an eagerly
-  // fanned-out pool starts those hard disjuncts anyway and, on few-core
-  // hosts, pays for work the serial loop would have skipped (the
-  // solve-parallel-1 regression). Staging keeps the serial fast path:
-  // only when disjunct 0 fails to answer Sat does the fan-out begin.
-  if (stopped(AggStop)) {
-    Result.V = Verdict::Unknown;
-    AggStop.surface(Result);
-    Result.Stats = Stats;
-    return Result;
-  }
-  {
-    Verdict V = solveDisjunct(Stab.Disjuncts[0], Result, Stats, nullptr,
-                              AggStop, CertifyOn ? &Certs[0] : nullptr);
+    Verdict V = solveDisjunct(Stab.Disjuncts[I], Result,
+                              CertifyOn ? &Certs[I] : nullptr);
     if (V == Verdict::Sat) {
       Result.V = Verdict::Sat;
       Result.Stats = Stats;
@@ -657,87 +598,9 @@ SolveResult Pipeline::runImpl() {
     if (V == Verdict::Unknown)
       AnyUnknown = true;
   }
-  Threads = std::min<uint32_t>(
-      Threads, static_cast<uint32_t>(Stab.Disjuncts.size() - 1));
-
-  // Disjunct pool over the remaining disjuncts: the decompositions are
-  // independent (each worker builds its own arena, tag automata, Simplex
-  // and SAT core), so grab them off a shared index — the atomic counter
-  // is the work-stealing deque of this coarse-grained pool. The first
-  // Sat raises the cancel flag, which the engines poll at their theory
-  // callbacks; cancelled losers come back Unknown and are ignored once a
-  // winner exists. Verdicts stay deterministic at any thread count: Sat
-  // wins outright, and without a Sat no disjunct is ever cancelled, so
-  // Unsat/Unknown aggregate exactly as in the serial loop.
-  std::atomic<size_t> NextIdx{1};
-  std::atomic<bool> Cancel{false};
-  std::atomic<bool> PoolUnknown{AnyUnknown};
-  std::mutex WinnerMu;
-  bool HaveWinner = false;
-  size_t WinnerIdx = 0;
-  SolveResult Winner;
-  SolveStats Merged = Stats;
-
-  StopNote PoolStop = AggStop;
-
-  auto Worker = [&] {
-    SolveStats Local;
-    StopNote LocalStop;
-    for (;;) {
-      size_t I = NextIdx.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Stab.Disjuncts.size())
-        break;
-      if (Cancel.load(std::memory_order_relaxed))
-        break;
-      if (stopped(LocalStop)) {
-        PoolUnknown.store(true, std::memory_order_relaxed);
-        break;
-      }
-      SolveResult R;
-      Verdict V = solveDisjunct(Stab.Disjuncts[I], R, Local, &Cancel,
-                                LocalStop, CertifyOn ? &Certs[I] : nullptr);
-      if (V == Verdict::Sat) {
-        std::lock_guard<std::mutex> Lock(WinnerMu);
-        if (!HaveWinner || I < WinnerIdx) {
-          HaveWinner = true;
-          WinnerIdx = I;
-          Winner = std::move(R);
-        }
-        Cancel.store(true, std::memory_order_relaxed);
-        break;
-      }
-      if (V == Verdict::Unknown && !Cancel.load(std::memory_order_relaxed))
-        PoolUnknown.store(true, std::memory_order_relaxed);
-    }
-    std::lock_guard<std::mutex> Lock(WinnerMu);
-    Merged.FastPathDecisions += Local.FastPathDecisions;
-    Merged.MpCalls += Local.MpCalls;
-    Merged.BudgetTrips += Local.BudgetTrips;
-    Merged.DegradedRetries += Local.DegradedRetries;
-    Merged.UsedMbqi |= Local.UsedMbqi;
-    Merged.UsedApproximation |= Local.UsedApproximation;
-    Merged.ModelsValidated += Local.ModelsValidated;
-    Merged.ValidationFailures += Local.ValidationFailures;
-    Merged.ParanoidChecks += Local.ParanoidChecks;
-    PoolStop.note(LocalStop.Reason, LocalStop.Site);
-  };
-
-  std::vector<std::thread> Pool;
-  Pool.reserve(Threads);
-  for (uint32_t T = 0; T < Threads; ++T)
-    Pool.emplace_back(Worker);
-  for (std::thread &T : Pool)
-    T.join();
-
-  Stats = Merged;
-  if (HaveWinner) {
-    Result = std::move(Winner);
-    Result.V = Verdict::Sat;
-  } else {
-    Result.V = PoolUnknown.load() ? Verdict::Unknown : Verdict::Unsat;
-    if (Result.V == Verdict::Unknown)
-      PoolStop.surface(Result);
-  }
+  Result.V = AnyUnknown ? Verdict::Unknown : Verdict::Unsat;
+  if (Result.V == Verdict::Unknown)
+    Stop.surface(Result);
   Result.Stats = Stats;
   return Result;
 }

@@ -67,13 +67,6 @@ struct SolveOptions {
   /// StepLimit: its deadline governs the pipeline, and per-disjunct child
   /// budgets are derived from its remaining time and its limits.
   postr::Budget *Budget = nullptr;
-  /// Worker threads for the disjunct pool. The decompositions produced by
-  /// stabilization are independent (per-disjunct arena/Simplex/SAT core),
-  /// so they are solved on a small pool with first-Sat cancellation.
-  /// 1 = solve in the calling thread; 0 = hardware concurrency. Verdicts
-  /// are deterministic at any thread count (Sat models may differ: any
-  /// satisfied disjunct is a correct witness).
-  uint32_t Threads = 1;
   eq::StabilizeOptions Stabilize;
   tagaut::MpOptions Mp;
   /// Use the PTime one-counter path when eligible (Thm. 7.1). Its Sat

@@ -290,17 +290,11 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     Out.Cert.Rule = "mbqi";
   }
   if (Out.V == Verdict::Unknown) {
-    // solveMbqi reports no reason itself; reconstruct it. A raised
-    // cancel flag (a pool loser) wins, read directly so no step is
-    // charged; candidate / offset exhaustion without a budget trip is a
-    // step-budget stop.
-    const std::atomic<bool> *Cancel = Bud->limits().Cancel;
-    if (Cancel && Cancel->load(std::memory_order_relaxed))
-      Out.Stop = StopReason::Cancelled;
-    else if (Bud->exceeded())
-      Out.Stop = Bud->reason();
-    else
-      Out.Stop = StopReason::StepBudget;
+    // solveMbqi reports no reason itself; reconstruct it. A budget trip
+    // (a raised cancel flag included, which the MBQI probes turn into
+    // Cancelled) names itself; candidate / offset exhaustion without a
+    // trip is a step-budget stop.
+    Out.Stop = Bud->exceeded() ? Bud->reason() : StopReason::StepBudget;
   }
   if (Out.V == Verdict::Sat) {
     Out.Assignment = Enc.decode(Model);

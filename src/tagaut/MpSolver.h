@@ -45,9 +45,9 @@ struct MpOptions {
   uint32_t MbqiMaxTaTransitions = 4000;
   /// Resource budget (deadline / memory cap / step limit / cancel flag,
   /// see base/Budget.h) governing the whole solve: the encoder, the
-  /// automata shortcuts, and every QF/MBQI sub-solve. The parallel
-  /// disjunct pool stops its losers through the budget's cancel flag.
-  /// Null runs the call under a fresh unlimited budget.
+  /// automata shortcuts, and every QF/MBQI sub-solve. A cancel flag on
+  /// it or an ancestor stops the solve at the next probe. Null runs the
+  /// call under a fresh unlimited budget.
   postr::Budget *Budget = nullptr;
   EncoderOptions Encoder;
   /// Record an Unsat certificate into MpResult::Cert: the QF-LIA path

@@ -16,6 +16,7 @@
 #include "eq/Stabilize.h"
 #include "lia/Incremental.h"
 #include "regex/Regex.h"
+#include "smtlib/Reader.h"
 #include "solver/Baselines.h"
 #include "solver/BruteForce.h"
 #include "solver/PositionSolver.h"
@@ -24,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -179,6 +182,24 @@ TEST(BudgetTest, NestedChildrenFirstReasonWins) {
   EXPECT_EQ(Mid2.reason(), StopReason::StepBudget);
 }
 
+TEST(BudgetTest, CancelledRootStopsGrandchildAtNextProbe) {
+  // The cancel flag sits on the root only. A grandchild must trip with
+  // Cancelled at its next probe, without the root or the middle budget
+  // probing first, and a child derived afterwards is born cancelled.
+  std::atomic<bool> Cancel{false};
+  Budget Root(Budget::Limits{0, 0, 0, &Cancel});
+  Budget Mid(Root.childLimits());
+  Budget Leaf(Mid.childLimits());
+  EXPECT_TRUE(Leaf.checkpoint("lia.simplex"));
+  Cancel.store(true);
+  EXPECT_FALSE(Leaf.checkpoint("lia.simplex"));
+  EXPECT_EQ(Leaf.reason(), StopReason::Cancelled);
+  EXPECT_STREQ(Leaf.tripSite(), "lia.simplex");
+  EXPECT_FALSE(Mid.exceeded());
+  Budget Late(Mid.childLimits());
+  EXPECT_EQ(Late.reason(), StopReason::Cancelled);
+}
+
 TEST(BudgetTest, StopReasonNamesAreStable) {
   EXPECT_STREQ(stopReasonName(StopReason::None), "none");
   EXPECT_STREQ(stopReasonName(StopReason::Timeout), "timeout");
@@ -242,7 +263,7 @@ TEST(FaultInjectTest, BadEnvSpecIsRejected) {
 // Per-site workloads for the sweep
 //===----------------------------------------------------------------------===
 
-/// Random ε-free NFA with a spine (bench_hotpath's shape, smaller).
+/// Random ε-free NFA with a spine (the gate's product shape, smaller).
 Nfa randomNfa(uint32_t NumStates, uint32_t Sigma, uint32_t ExtraEdges,
               uint32_t Seed) {
   std::mt19937 Rng(Seed);
@@ -257,7 +278,7 @@ Nfa randomNfa(uint32_t NumStates, uint32_t Sigma, uint32_t ExtraEdges,
   return A;
 }
 
-/// Random tag automaton with real Parikh/Simplex load (bench's solve
+/// Random tag automaton with real Parikh/Simplex load (the gate's solve
 /// stage, smaller).
 tagaut::TagAutomaton randomTa(tagaut::TagTable &Tags, uint32_t NumStates,
                               uint32_t Seed) {
@@ -578,20 +599,56 @@ TEST(BudgetTest, ExpiredCallerBudgetStartsNoDisjunct) {
   // Unexpired, a disjunct is decided (by the one-counter fast path).
   ASSERT_GT(Free.Stats.MpCalls + Free.Stats.FastPathDecisions, 0u);
 
-  for (uint32_t Threads : {1u, 4u}) {
-    Budget Expired(Budget::Limits{1, 0, 0, nullptr});
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    solver::SolveOptions O;
-    O.Budget = &Expired;
-    O.Threads = Threads;
-    solver::SolveResult R = solver::solveProblem(P, O);
-    EXPECT_EQ(R.V, Verdict::Unknown);
-    EXPECT_EQ(R.Stop, StopReason::Timeout);
-    EXPECT_EQ(R.Stats.MpCalls, 0u);
-    EXPECT_EQ(R.Stats.FastPathDecisions, 0u);
-    EXPECT_FALSE(R.StopSite.empty());
-    EXPECT_EQ(solver::exitCodeFor(R), 3);
-  }
+  Budget Expired(Budget::Limits{1, 0, 0, nullptr});
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  solver::SolveOptions O;
+  O.Budget = &Expired;
+  solver::SolveResult R = solver::solveProblem(P, O);
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stop, StopReason::Timeout);
+  EXPECT_EQ(R.Stats.MpCalls, 0u);
+  EXPECT_EQ(R.Stats.FastPathDecisions, 0u);
+  EXPECT_FALSE(R.StopSite.empty());
+  EXPECT_EQ(solver::exitCodeFor(R), 3);
+}
+
+TEST(BudgetTest, CancelMidDisjunctStopsTheSolve) {
+  // The deadline instance tests/deadline/thefuck_s7_i6.smt2 (without its
+  // 5 s cap): its one disjunct runs the Simplex far past any cap. The
+  // caller's budget carries a 20 s deadline and a cancel flag raised
+  // 200 ms in; the disjunct's child budget must see the flag at its next
+  // probe, so the solve answers Cancelled long before the deadline.
+  Result<strings::Problem> P = smtlib::parseString(R"(
+    (declare-fun in0 () String)
+    (declare-fun in1 () String)
+    (declare-fun in2 () String)
+    (assert (str.in_re in0 (re.loop (re.union (str.to_re "g") (str.to_re "i") (str.to_re "s")) 0 6)))
+    (assert (str.in_re in1 (re.loop (re.union (str.to_re "g") (str.to_re "i") (str.to_re "s")) 0 6)))
+    (assert (str.in_re in2 (re.loop (re.union (str.to_re "g") (str.to_re "i") (str.to_re "s")) 0 6)))
+    (assert (not (= (str.++ in2 in2) "pt")))
+    (assert (not (= (str.++ in0 in1) "gi")))
+    (assert (not (= "t" (str.at in2 2))))
+    (check-sat))");
+  ASSERT_TRUE(P) << P.error();
+  std::atomic<bool> Cancel{false};
+  Budget Root(Budget::Limits{20000, 0, 0, &Cancel});
+  solver::SolveOptions O;
+  O.Budget = &Root;
+  auto T0 = std::chrono::steady_clock::now();
+  std::thread Raiser([&Cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    Cancel.store(true);
+  });
+  solver::SolveResult R = solver::solveProblem(*P, O);
+  Raiser.join();
+  auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - T0)
+                .count();
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stop, StopReason::Cancelled);
+  EXPECT_EQ(solver::exitCodeFor(R), 4);
+  EXPECT_LT(Ms, 5000) << "cancel raised at 200 ms, answered at " << Ms
+                      << " ms (" << R.StopSite << ")";
 }
 
 TEST(BudgetTest, DeadlineStopsTheOneCounterWalk) {

@@ -448,62 +448,6 @@ TEST_P(PipelineDifferential, SolversNeverContradict) {
 INSTANTIATE_TEST_SUITE_P(Sweep, PipelineDifferential,
                          ::testing::Values(11u, 12u, 13u, 14u, 15u));
 
-//===----------------------------------------------------------------------===
-// Parallel disjunct pool
-//===----------------------------------------------------------------------===
-
-TEST(PipelineTest, ParallelPoolVerdictsMatchSerial) {
-  // Word equations fan stabilization out into several disjuncts; the
-  // pool must produce the same verdict as the serial loop at any thread
-  // count (models may differ — any satisfied disjunct is a witness).
-  // Three fixed shapes: multi-disjunct Sat, Unsat, and ε-heavy Sat.
-  auto MkSat = [] {
-    Problem P;
-    VarId X = P.strVar("x"), Y = P.strVar("y");
-    P.assertInRe(X, "a*");
-    P.assertInRe(Y, "a*");
-    P.assertWordEq({StrElem::var(X), StrElem::var(Y)},
-                   {StrElem::var(Y), StrElem::var(X)});
-    P.assertDiseq({StrElem::var(X)}, {StrElem::var(Y)});
-    return P;
-  };
-  auto MkUnsat = [] {
-    Problem P;
-    VarId X = P.strVar("x"), Y = P.strVar("y");
-    P.assertInRe(X, "ab");
-    P.assertInRe(Y, "(a|b){0,2}");
-    P.assertWordEq({StrElem::var(X)}, {StrElem::var(Y)});
-    P.assertDiseq({StrElem::var(Y)}, {StrElem::lit("ab")});
-    return P;
-  };
-  auto MkPred = [] {
-    Problem P;
-    VarId X = P.strVar("x"), Y = P.strVar("y");
-    P.assertInRe(X, "ab|ba");
-    P.assertInRe(Y, "(a|b){1,2}");
-    P.assertWordEq({StrElem::var(X)}, {StrElem::var(Y)});
-    P.assertPred(AssertKind::NotPrefixof, {StrElem::lit("a")},
-                 {StrElem::var(Y)});
-    return P;
-  };
-  int Case = 0;
-  for (const Problem &P : {MkSat(), MkUnsat(), MkPred()}) {
-    Verdict Serial = Verdict::Unknown;
-    for (uint32_t Threads : {1u, 2u, 4u}) {
-      SolveOptions Opts;
-      Opts.TimeoutMs = 20000;
-      Opts.Threads = Threads;
-      SolveResult R = solver::solveProblem(P, Opts);
-      if (Threads == 1)
-        Serial = R.V;
-      else
-        EXPECT_EQ(R.V, Serial) << "case " << Case << " threads " << Threads;
-    }
-    EXPECT_NE(Serial, Verdict::Unknown) << "case " << Case;
-    ++Case;
-  }
-}
-
 TEST(SelfCheckTest, EmptySideEquationIsSat) {
   // Regression: `x = ""` substitutes every variable away, leaving a
   // zero-state system automaton whose Parikh formula must accept the
