@@ -203,6 +203,30 @@ std::optional<Walk> pumpCycle(const WeightedGraph &G,
   return Out;
 }
 
+/// Successor edges per node in compressed rows: the edges out of node N
+/// are Edge[Start[N] .. Start[N+1]), in edge order.
+struct SuccRows {
+  std::vector<uint32_t> Start, Edge;
+};
+
+/// The rows of the edges of \p G that \p Keep accepts.
+template <typename KeepFn>
+SuccRows succRows(const WeightedGraph &G, KeepFn &&Keep) {
+  SuccRows R;
+  R.Start.assign(G.NumNodes + 1, 0);
+  for (const WeightedGraph::Edge &E : G.Edges)
+    if (Keep(E))
+      ++R.Start[E.From + 1];
+  for (uint32_t N = 0; N < G.NumNodes; ++N)
+    R.Start[N + 1] += R.Start[N];
+  R.Edge.resize(R.Start.back());
+  std::vector<uint32_t> Fill(R.Start.begin(), R.Start.end() - 1);
+  for (uint32_t EI = 0; EI < G.Edges.size(); ++EI)
+    if (Keep(G.Edges[EI]))
+      R.Edge[Fill[G.Edges[EI].From]++] = EI;
+  return R;
+}
+
 /// Visited (node, value) pairs of one walk search: an open-addressing
 /// table of 64-value bit pages keyed by (node, page). Memory grows with
 /// the pages the search touches, never with nodes × (2·Bound+1).
@@ -294,6 +318,17 @@ struct WalkSearch {
   explicit WalkSearch(const OneCounterOptions &Opts)
       : NodesLeft(Opts.NodeBudget), Bud(Opts.Budget) {}
 
+  /// The walk from a start state to Fifo[Head], read off the parent
+  /// links.
+  Walk walkTo(size_t Head) const {
+    Walk W;
+    for (uint32_t I = static_cast<uint32_t>(Head); Fifo[I].Parent != NoIdx;
+         I = Fifo[I].Parent)
+      W.push_back(Fifo[I].Edge);
+    std::reverse(W.begin(), W.end());
+    return W;
+  }
+
   /// The probe of one expansion: `counter.walk` on the first expansion
   /// and every 64th after it.
   bool mayExpand() {
@@ -364,22 +399,9 @@ Verdict existsWalk(const WeightedGraph &G, WalkMode Mode, WalkSearch &S,
     Bound = static_cast<int64_t>(RelCount) * MaxW + 1;
   }
 
-  // Relevant successors in compressed rows, in edge order per node.
-  std::vector<uint32_t> RowStart(G.NumNodes + 1, 0);
-  for (const WeightedGraph::Edge &E : G.Edges)
-    if (Rel[E.From] && Rel[E.To])
-      ++RowStart[E.From + 1];
-  for (uint32_t N = 0; N < G.NumNodes; ++N)
-    RowStart[N + 1] += RowStart[N];
-  std::vector<uint32_t> SuccEdge(RowStart.back());
-  {
-    std::vector<uint32_t> Fill(RowStart.begin(), RowStart.end() - 1);
-    for (uint32_t EI = 0; EI < G.Edges.size(); ++EI) {
-      const WeightedGraph::Edge &E = G.Edges[EI];
-      if (Rel[E.From] && Rel[E.To])
-        SuccEdge[Fill[E.From]++] = EI;
-    }
-  }
+  SuccRows Succ = succRows(G, [&](const WeightedGraph::Edge &E) {
+    return Rel[E.From] && Rel[E.To];
+  });
 
   // FIFO discovery order: Fifo[Head..] is the queue, Fifo[..Head] the
   // expanded states kept for the parent links.
@@ -407,27 +429,23 @@ Verdict existsWalk(const WeightedGraph &G, WalkMode Mode, WalkSearch &S,
         break;
       }
       if (Hit) {
-        Walk W;
-        for (uint32_t I = static_cast<uint32_t>(Head); Fifo[I].Parent != NoIdx;
-             I = Fifo[I].Parent)
-          W.push_back(Fifo[I].Edge);
-        std::reverse(W.begin(), W.end());
-        Witness = std::move(W);
+        Witness = S.walkTo(Head);
         return Verdict::Sat;
       }
     }
     if (S.NodesLeft == 0 || !S.mayExpand())
       return Verdict::Unknown;
     --S.NodesLeft;
-    for (uint32_t K = RowStart[Cur.Node]; K < RowStart[Cur.Node + 1]; ++K) {
-      const WeightedGraph::Edge &E = G.Edges[SuccEdge[K]];
+    for (uint32_t K = Succ.Start[Cur.Node]; K < Succ.Start[Cur.Node + 1];
+         ++K) {
+      const WeightedGraph::Edge &E = G.Edges[Succ.Edge[K]];
       int64_t V2 = Cur.Value + E.Weight;
       if (V2 > Bound || V2 < -Bound)
         continue;
       if (S.Seen.insert(E.To, V2)) {
         assert(Head < NoIdx && "walk search outgrew its parent links");
         Fifo.push_back(
-            {V2, E.To, static_cast<uint32_t>(Head), SuccEdge[K]});
+            {V2, E.To, static_cast<uint32_t>(Head), Succ.Edge[K]});
       }
     }
   }
@@ -444,6 +462,8 @@ std::map<VarId, Word> wordsOfWalk(const WeightedGraph &G, const VarConcat &Vc,
     Words[X];
   }
   for (uint32_t EI : W) {
+    if (G.Edges[EI].Base == NoIdx) // a str.at graph's start edge
+      continue;
     const VarConcat::BaseTransition &T = Vc.BaseDelta[G.Edges[EI].Base];
     if (T.Sym != VarConcat::Epsilon)
       Words[T.Var].push_back(T.Sym);
@@ -594,17 +614,250 @@ WeightedGraph buildMismatchGraph(const VarConcat &Vc,
   return G;
 }
 
+/// Largest |i| a str.at index may have on the fast path (the visited
+/// set's page keys hold values below 2^36).
+constexpr int64_t MaxAtIndex = int64_t(1) << 32;
+
+/// The words of a language that holds no word longer than one letter:
+/// whether ε is one, and which letters are.
+struct ShortWords {
+  bool Eps = false;
+  std::vector<bool> Letter;
+};
+
+/// The words of \p A if all of them have length ≤ 1, else none. In the
+/// trimmed (ε-free) automaton a longer word exists exactly when some
+/// transition ends where another starts; otherwise every transition
+/// runs from an initial to a final state and spells one word.
+std::optional<ShortWords> shortWordsOf(const automata::Nfa &A,
+                                       uint32_t Sigma) {
+  automata::Nfa T = A.trim();
+  ShortWords Out;
+  Out.Letter.assign(Sigma, false);
+  for (const automata::Transition &Tr : T.transitions()) {
+    auto [B, E] = T.outgoing(Tr.To);
+    if (B != E)
+      return std::nullopt;
+    if (Tr.Sym < Sigma)
+      Out.Letter[Tr.Sym] = true;
+  }
+  for (uint32_t Q : T.initialStates())
+    if (T.isFinal(Q))
+      Out.Eps = true;
+  return Out;
+}
+
+/// The reachability problem of one str.at decision (see the file
+/// comment): node 0 is the start, where the counter holds Start; a
+/// move subtracts its edge's weight and may not go below 0.
+struct AtProblem {
+  WeightedGraph G;
+  int64_t Start = 0;
+  std::vector<proof::WalkTarget> Targets;
+  /// Per edge: true on a sample edge (its base letter is S's letter at i).
+  std::vector<bool> IsSample;
+
+  void edge(uint32_t From, uint32_t To, int64_t W, uint32_t Base,
+            bool Sample = false) {
+    G.Edges.push_back({From, To, W, Base});
+    IsSample.push_back(Sample);
+  }
+};
+
+/// Builds the sampling components (one per occurrence of S) and the
+/// length component of `y ◇ str.at(S, I)` for y's words \p Y.
+AtProblem buildAtProblem(const VarConcat &Vc, const tagaut::PosPredicate &Pred,
+                         const ShortWords &Y, int64_t I, int64_t HayLenAbove) {
+  const bool Eq = Pred.Kind == tagaut::PredKind::StrAtEq;
+  const std::vector<VarId> &S = Pred.Rhs;
+  const uint32_t NumBase = Vc.numStates();
+  AtProblem P;
+  P.Start = std::max<int64_t>(I, 0);
+  P.G.addNodes(1);
+  P.G.Start[0] = true;
+  // A component's copy of A_◦ at node offset \p Base: start edges into its
+  // initial states.
+  auto Enter = [&](uint32_t Base) {
+    for (uint32_t Q = 0; Q < NumBase; ++Q)
+      if (Vc.IsInitial[Q])
+        P.edge(0, Base + Q, 0, NoIdx);
+  };
+
+  // Sampling components: which letters S may carry at position I.
+  std::vector<bool> Allowed(Y.Letter.size());
+  bool AnyAllowed = false;
+  size_t NumLetters = std::count(Y.Letter.begin(), Y.Letter.end(), true);
+  for (Symbol A = 0; A < Allowed.size(); ++A) {
+    Allowed[A] = Eq ? bool(Y.Letter[A])
+                    : Y.Eps || NumLetters > (Y.Letter[A] ? 1u : 0u);
+    AnyAllowed |= Allowed[A];
+  }
+  if (I >= 0 && AnyAllowed)
+    for (size_t T = 0; T < S.size(); ++T) {
+      const VarId X = S[T];
+      const uint32_t Bot = P.G.addNodes(2 * NumBase), Top = Bot + NumBase;
+      Enter(Bot);
+      for (uint32_t Q = 0; Q < NumBase; ++Q)
+        if (Vc.IsFinal[Q])
+          P.Targets.push_back({Top + Q, 0, 0});
+      for (uint32_t B = 0; B < Vc.BaseDelta.size(); ++B) {
+        const VarConcat::BaseTransition &Tr = Vc.BaseDelta[B];
+        int64_t Before =
+            Tr.Sym == VarConcat::Epsilon ? 0 : multBefore(S, T, Tr.Var);
+        bool OfX = Tr.Sym != VarConcat::Epsilon && Tr.Var == X;
+        P.edge(Bot + Tr.From, Bot + Tr.To, Before + (OfX ? 1 : 0), B);
+        P.edge(Top + Tr.From, Top + Tr.To, Before, B);
+        if (OfX && Allowed[Tr.Sym])
+          P.edge(Bot + Tr.From, Top + Tr.To, Before, B, /*Sample=*/true);
+      }
+    }
+
+  // Length component: the ε outcome, |S| ∈ (HayLenAbove, I] (any |S| when
+  // I < 0, where every weight is 0).
+  bool EpsAllowed = Eq ? Y.Eps : NumLetters > 0;
+  int64_t Window = I >= 0 ? I - HayLenAbove - 1 : 0;
+  if (EpsAllowed && Window >= 0) {
+    const uint32_t Base = P.G.addNodes(NumBase);
+    Enter(Base);
+    for (uint32_t Q = 0; Q < NumBase; ++Q)
+      if (Vc.IsFinal[Q])
+        P.Targets.push_back({Base + Q, 0, Window});
+    for (uint32_t B = 0; B < Vc.BaseDelta.size(); ++B) {
+      const VarConcat::BaseTransition &Tr = Vc.BaseDelta[B];
+      int64_t W = Tr.Sym == VarConcat::Epsilon || I < 0
+                      ? 0
+                      : multBefore(S, S.size(), Tr.Var);
+      P.edge(Base + Tr.From, Base + Tr.To, W, B);
+    }
+  }
+  return P;
+}
+
+/// Is a target state reachable from (node 0, P.Start)? Exact: values stay
+/// in [0, P.Start]. Unknown on NodeBudget exhaustion or a budget trip
+/// (S.Tripped). On Sat, \p Witness receives the walk.
+Verdict existsTargetWalk(const AtProblem &P, WalkSearch &S,
+                         std::optional<Walk> &Witness) {
+  Witness.reset();
+  const WeightedGraph &G = P.G;
+  // Each node is the target of at most one window; {1, 0} is none.
+  std::vector<std::pair<int64_t, int64_t>> Window(G.NumNodes, {1, 0});
+  for (const proof::WalkTarget &T : P.Targets)
+    Window[T.Node] = {T.Lo, T.Hi};
+  SuccRows Succ = succRows(G, [](const WeightedGraph::Edge &) {
+    return true;
+  });
+
+  std::vector<WalkSearch::State> &Fifo = S.Fifo;
+  Fifo.clear();
+  S.Seen.reset(P.Start);
+  S.Seen.insert(0, P.Start);
+  Fifo.push_back({P.Start, 0, NoIdx, NoIdx});
+  for (size_t Head = 0; Head < Fifo.size(); ++Head) {
+    WalkSearch::State Cur = Fifo[Head];
+    auto [Lo, Hi] = Window[Cur.Node];
+    if (Lo <= Cur.Value && Cur.Value <= Hi) {
+      Witness = S.walkTo(Head);
+      return Verdict::Sat;
+    }
+    if (S.NodesLeft == 0 || !S.mayExpand())
+      return Verdict::Unknown;
+    --S.NodesLeft;
+    for (uint32_t K = Succ.Start[Cur.Node]; K < Succ.Start[Cur.Node + 1];
+         ++K) {
+      const WeightedGraph::Edge &E = G.Edges[Succ.Edge[K]];
+      if (E.Weight > Cur.Value)
+        continue;
+      int64_t V2 = Cur.Value - E.Weight;
+      if (S.Seen.insert(E.To, V2)) {
+        assert(Head < NoIdx && "walk search outgrew its parent links");
+        Fifo.push_back({V2, E.To, static_cast<uint32_t>(Head), Succ.Edge[K]});
+      }
+    }
+  }
+  return Verdict::Unsat;
+}
+
+/// Decides one eligible str.at predicate (see the file comment).
+OneCounterResult decideStrAt(const std::map<VarId, automata::Nfa> &Langs,
+                             const tagaut::PosPredicate &Pred, uint32_t Sigma,
+                             const OneCounterOptions &Opts,
+                             int64_t HayLenAbove) {
+  const int64_t I = Pred.AtPos.constant();
+  assert(HayLenAbove <= std::max<int64_t>(I, -1) && "bound not below i");
+  const VarId Y = Pred.Lhs.front();
+  const ShortWords YWords = *shortWordsOf(Langs.at(Y), Sigma);
+  std::map<VarId, automata::Nfa> HayLangs = Langs;
+  HayLangs.erase(Y);
+  VarConcat Vc = buildVarConcat(HayLangs);
+  AtProblem P = buildAtProblem(Vc, Pred, YWords, I, HayLenAbove);
+
+  OneCounterResult R;
+  uint64_t States = (static_cast<uint64_t>(P.Start) + 1) * P.G.NumNodes;
+  if (Opts.Certify && States > proof::MaxWalkStates)
+    return R;
+  WalkSearch S(Opts);
+  std::optional<Walk> Witness;
+  R.V = existsTargetWalk(P, S, Witness);
+  if (S.Tripped) {
+    R.V = Verdict::Unknown;
+    R.Stop = Opts.Budget->reason();
+    return R;
+  }
+  if (R.V == Verdict::Unsat && Opts.Certify) {
+    proof::WalkProof &C = R.Cert.emplace();
+    C.NumNodes = P.G.NumNodes;
+    for (const WeightedGraph::Edge &E : P.G.Edges)
+      C.Edges.push_back({E.From, E.To, E.Weight});
+    C.StartValue = C.Bound = P.Start;
+    C.Targets = std::move(P.Targets);
+  }
+  if (R.V != Verdict::Sat)
+    return R;
+
+  // y's word: the sampled letter's partner, or the ε outcome's.
+  std::map<VarId, Word> Words = wordsOfWalk(P.G, Vc, HayLangs, *Witness);
+  std::optional<Symbol> Sampled;
+  for (uint32_t EI : *Witness)
+    if (P.IsSample[EI])
+      Sampled = Vc.BaseDelta[P.G.Edges[EI].Base].Sym;
+  const bool Eq = Pred.Kind == tagaut::PredKind::StrAtEq;
+  Word &YWord = Words[Y];
+  if (Sampled && Eq) {
+    YWord = {*Sampled};
+  } else if ((Sampled && !YWords.Eps) || (!Sampled && !Eq)) {
+    // A letter of y other than the sampled one (any, for the ε outcome).
+    for (Symbol A = 0; A < Sigma && YWord.empty(); ++A)
+      if (YWords.Letter[A] && (!Sampled || A != *Sampled))
+        YWord = {A};
+  }
+  R.Model = std::move(Words);
+  return R;
+}
+
 } // namespace
 
 bool postr::counter::isEligible(
-    const std::vector<tagaut::PosPredicate> &Preds) {
+    const std::vector<tagaut::PosPredicate> &Preds,
+    const std::map<VarId, automata::Nfa> &Langs) {
   if (Preds.size() != 1)
     return false;
-  switch (Preds.front().Kind) {
+  const tagaut::PosPredicate &P = Preds.front();
+  switch (P.Kind) {
   case tagaut::PredKind::Diseq:
   case tagaut::PredKind::NotPrefix:
   case tagaut::PredKind::NotSuffix:
     return true;
+  case tagaut::PredKind::StrAtEq:
+  case tagaut::PredKind::StrAtNe: {
+    if (!P.AtPos.isConstant() || std::llabs(P.AtPos.constant()) > MaxAtIndex ||
+        P.Lhs.size() != 1 || P.Rhs.empty() ||
+        std::count(P.Rhs.begin(), P.Rhs.end(), P.Lhs.front()) != 0)
+      return false;
+    auto It = Langs.find(P.Lhs.front());
+    return It != Langs.end() &&
+           shortWordsOf(It->second, It->second.alphabetSize()).has_value();
+  }
   default:
     return false;
   }
@@ -613,8 +866,11 @@ bool postr::counter::isEligible(
 OneCounterResult postr::counter::decideSinglePredicate(
     const std::map<VarId, automata::Nfa> &Langs,
     const tagaut::PosPredicate &Pred, uint32_t Sigma,
-    const OneCounterOptions &Opts) {
-  assert(isEligible({Pred}) && "fast path on ineligible predicate");
+    const OneCounterOptions &Opts, int64_t HayLenAbove) {
+  assert(isEligible({Pred}, Langs) && "fast path on ineligible predicate");
+  if (Pred.Kind == tagaut::PredKind::StrAtEq ||
+      Pred.Kind == tagaut::PredKind::StrAtNe)
+    return decideStrAt(Langs, Pred, Sigma, Opts, HayLenAbove);
   OneCounterResult R;
   for (const auto &[X, Nfa] : Langs) {
     (void)X;

@@ -850,6 +850,8 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
   Out.Stats.Checks = TS.Checks - TheoryBefore.Checks;
   Out.Stats.RowFillIn = TS.RowFillIn - TheoryBefore.RowFillIn;
   Out.Stats.MaxRowNnz = TS.MaxRowNnz; // high-water mark, not a delta
+  Out.Stats.RowsEliminated = TS.RowsEliminated - TheoryBefore.RowsEliminated;
+  Out.Stats.EntriesMerged = TS.EntriesMerged - TheoryBefore.EntriesMerged;
   Out.Stats.DenNormalizations =
       TS.DenNormalizations - TheoryBefore.DenNormalizations;
   Out.Stats.TheoryConflicts = TheoryConflicts;
@@ -860,12 +862,14 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
   if (std::getenv("POSTR_SIMPLEX_STATS"))
     std::fprintf(stderr,
                  "[simplex] pivots=%llu checks=%llu fill=%llu maxnnz=%llu "
-                 "dennorm=%llu bland=%d\n",
+                 "dennorm=%llu bland=%d elim=%llu merged=%llu\n",
                  (unsigned long long)TS.Pivots, (unsigned long long)TS.Checks,
                  (unsigned long long)TS.RowFillIn,
                  (unsigned long long)TS.MaxRowNnz,
                  (unsigned long long)TS.DenNormalizations,
-                 static_cast<int>(Theory->blandPivots()));
+                 static_cast<int>(Theory->blandPivots()),
+                 (unsigned long long)TS.RowsEliminated,
+                 (unsigned long long)TS.EntriesMerged);
   if (StatsOn)
     std::fprintf(
         stderr,

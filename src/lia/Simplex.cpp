@@ -418,6 +418,8 @@ void Simplex::pivot(uint32_t B, uint32_t N) {
         ++I2;
       }
     }
+    ++Stats.RowsEliminated;
+    Stats.EntriesMerged += N1 + N2;
     MergeScratch.Den = E * Q;
     normalizeRow(MergeScratch);
     std::swap(Other.Cols, MergeScratch.Cols);

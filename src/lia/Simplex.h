@@ -55,6 +55,11 @@ struct SimplexStats {
   uint64_t Checks = 0;   ///< feasibility scans (checkRational calls)
   uint64_t RowFillIn = 0; ///< entries created by pivot elimination
   uint64_t MaxRowNnz = 0; ///< widest row ever produced
+  /// Rows the entering column was substituted out of, over all pivots.
+  uint64_t RowsEliminated = 0;
+  /// Entries the elimination merges visited (both operand rows): the
+  /// deterministic work measure of a pivot.
+  uint64_t EntriesMerged = 0;
   uint64_t DenNormalizations = 0; ///< row gcd passes that actually reduced
 };
 

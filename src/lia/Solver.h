@@ -84,6 +84,8 @@ struct QfSearchStats {
   uint64_t Checks = 0;         ///< Simplex feasibility scans
   uint64_t RowFillIn = 0;      ///< tableau entries created by elimination
   uint64_t MaxRowNnz = 0;      ///< widest tableau row ever produced
+  uint64_t RowsEliminated = 0; ///< rows a pivot substituted into
+  uint64_t EntriesMerged = 0;  ///< row entries those substitutions merged
   uint64_t DenNormalizations = 0; ///< row gcd passes that reduced
   uint64_t TheoryConflicts = 0;
   uint64_t BudgetTrips = 0;     ///< solves stopped by a resource budget
@@ -100,6 +102,8 @@ struct QfSearchStats {
     Checks += O.Checks;
     RowFillIn += O.RowFillIn;
     MaxRowNnz = MaxRowNnz > O.MaxRowNnz ? MaxRowNnz : O.MaxRowNnz;
+    RowsEliminated += O.RowsEliminated;
+    EntriesMerged += O.EntriesMerged;
     DenNormalizations += O.DenNormalizations;
     TheoryConflicts += O.TheoryConflicts;
     BudgetTrips += O.BudgetTrips;

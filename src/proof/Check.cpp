@@ -528,6 +528,78 @@ CheckOutcome proof::checkQfProof(const QfProof &P) {
   return Out;
 }
 
+//===----------------------------------------------------------------------===//
+// Walk refutations: bounded counter reachability, re-decided from scratch
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Verifies one walk refutation: non-negative weights, the start inside
+/// [0, Bound], and no target reachable. On rejection \p Err says why.
+bool checkWalkProof(const WalkProof &W, CheckStats &Stats, std::string &Err) {
+  if (W.NumNodes == 0 || W.StartNode >= W.NumNodes) {
+    Err = "walk start node out of range";
+    return false;
+  }
+  if (W.StartValue < 0 || W.StartValue > W.Bound) {
+    Err = "walk start value outside [0, bound]";
+    return false;
+  }
+  // (Bound + 1) · NumNodes <= MaxWalkStates, without overflow.
+  if (static_cast<uint64_t>(W.Bound) >= MaxWalkStates / W.NumNodes) {
+    Err = "walk state space exceeds the kernel cap";
+    return false;
+  }
+  const uint64_t Width = static_cast<uint64_t>(W.Bound) + 1;
+  std::vector<std::vector<const WalkEdge *>> Out(W.NumNodes);
+  for (const WalkEdge &E : W.Edges) {
+    if (E.From >= W.NumNodes || E.To >= W.NumNodes) {
+      Err = "walk edge node out of range";
+      return false;
+    }
+    if (E.Weight < 0) {
+      Err = "walk edge with negative weight";
+      return false;
+    }
+    Out[E.From].push_back(&E);
+  }
+  std::vector<std::vector<const WalkTarget *>> TargetsAt(W.NumNodes);
+  for (const WalkTarget &T : W.Targets) {
+    if (T.Node >= W.NumNodes) {
+      Err = "walk target node out of range";
+      return false;
+    }
+    TargetsAt[T.Node].push_back(&T);
+  }
+  // Breadth-first search over (node, value) with 0 <= value <= Bound.
+  std::vector<bool> Seen(Width * W.NumNodes, false);
+  std::vector<std::pair<uint32_t, int64_t>> Queue{{W.StartNode, W.StartValue}};
+  Seen[W.StartNode * Width + static_cast<uint64_t>(W.StartValue)] = true;
+  for (size_t Head = 0; Head < Queue.size(); ++Head) {
+    auto [N, V] = Queue[Head];
+    ++Stats.WalkStates;
+    for (const WalkTarget *T : TargetsAt[N])
+      if (T->Lo <= V && V <= T->Hi) {
+        Err = "walk target (" + std::to_string(N) + ", " + std::to_string(V) +
+              ") is reachable";
+        return false;
+      }
+    for (const WalkEdge *E : Out[N]) {
+      if (E->Weight > V)
+        continue;
+      int64_t V2 = V - E->Weight;
+      uint64_t Slot = E->To * Width + static_cast<uint64_t>(V2);
+      if (!Seen[Slot]) {
+        Seen[Slot] = true;
+        Queue.push_back({E->To, V2});
+      }
+    }
+  }
+  return true;
+}
+
+} // namespace
+
 CheckOutcome proof::checkCertificate(const Certificate &C) {
   CheckOutcome Out;
   if (!C.Complete) {
@@ -548,6 +620,15 @@ CheckOutcome proof::checkCertificate(const Certificate &C) {
         return Out;
       }
       ++Out.Stats.TrustedRules;
+      continue;
+    }
+    if (D.Walk) {
+      std::string Err;
+      if (!checkWalkProof(*D.Walk, Out.Stats, Err)) {
+        Out.Error = "disjunct " + std::to_string(I) + ": " + Err;
+        return Out;
+      }
+      ++Out.Stats.CheckedRefutations;
       continue;
     }
     QfChecker QC(D.Proof, Out.Stats);

@@ -14,7 +14,9 @@
 /// clause trace is accepted when every learnt clause passes reverse
 /// unit propagation against the live clause DB, every theory lemma's
 /// Farkas/branch-tree certificate re-evaluates to `0 <= negative`, and
-/// the final refutation event conflicts under unit propagation.
+/// the final refutation event conflicts under unit propagation. A walk
+/// refutation is accepted when a breadth-first search of its bounded
+/// counter graph reaches no target state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,12 +33,14 @@ namespace proof {
 
 /// Kernel activity counters, reported by `postr_check -v`.
 struct CheckStats {
-  uint32_t CheckedRefutations = 0; ///< disjuncts closed by a clause trace
+  /// Disjuncts closed by a clause trace or a walk refutation.
+  uint32_t CheckedRefutations = 0;
   /// Disjuncts closed by a front-end rule; a complete certificate with
   /// zero disjuncts counts as one.
   uint32_t TrustedRules = 0;
   uint64_t RupChecks = 0;          ///< clauses verified by propagation
   uint64_t FarkasLeaves = 0;       ///< Farkas combinations re-evaluated
+  uint64_t WalkStates = 0;         ///< walk states the kernel searched
 };
 
 struct CheckOutcome {

@@ -11,6 +11,11 @@
 //   complete 0|1
 //   disjuncts N
 //   disjunct <i> rule <name>          -- structural short-circuit
+//   disjunct <i> walk                 -- counter-reachability refutation
+//     walk <nodes> <edges> <targets> <start-node> <start-value> <bound>
+//     e <from> <to> <weight>          -- exactly <edges> lines
+//     t <node> <lo> <hi>              -- exactly <targets> lines
+//   end
 //   disjunct <i> qf                   -- clause-trace refutation
 //     v <var> <lo|*> <hi|*>
 //     atm <satvar> <const> <k> {<var> <coeff>}...
@@ -165,6 +170,16 @@ void serializeQf(std::ostringstream &Out, const QfProof &P) {
     }
     Out << '\n';
   }
+}
+
+void serializeWalk(std::ostringstream &Out, const WalkProof &W) {
+  Out << "walk " << W.NumNodes << ' ' << W.Edges.size() << ' '
+      << W.Targets.size() << ' ' << W.StartNode << ' ' << W.StartValue << ' '
+      << W.Bound << '\n';
+  for (const WalkEdge &E : W.Edges)
+    Out << "e " << E.From << ' ' << E.To << ' ' << E.Weight << '\n';
+  for (const WalkTarget &T : W.Targets)
+    Out << "t " << T.Node << ' ' << T.Lo << ' ' << T.Hi << '\n';
 }
 
 /// Token-stream parser state over one certificate text.
@@ -381,6 +396,29 @@ bool parseQf(Parser &P, QfProof &Out) {
   }
 }
 
+bool parseWalk(Parser &P, WalkProof &Out) {
+  std::string Tag;
+  uint32_t NumEdges, NumTargets;
+  if (!P.nextLine() || !P.tok(Tag) || Tag != "walk")
+    return P.fail("expected 'walk' header");
+  if (!P.u32(Out.NumNodes) || !P.u32(NumEdges) || !P.u32(NumTargets) ||
+      !P.u32(Out.StartNode) || !P.i64(Out.StartValue) || !P.i64(Out.Bound))
+    return false;
+  Out.Edges.resize(NumEdges);
+  for (WalkEdge &E : Out.Edges)
+    if (!P.nextLine() || !P.tok(Tag) || Tag != "e" || !P.u32(E.From) ||
+        !P.u32(E.To) || !P.i64(E.Weight))
+      return P.fail("bad walk edge");
+  Out.Targets.resize(NumTargets);
+  for (WalkTarget &T : Out.Targets)
+    if (!P.nextLine() || !P.tok(Tag) || Tag != "t" || !P.u32(T.Node) ||
+        !P.i64(T.Lo) || !P.i64(T.Hi))
+      return P.fail("bad walk target");
+  if (!P.nextLine() || !P.tok(Tag) || Tag != "end")
+    return P.fail("expected 'end' after walk targets");
+  return true;
+}
+
 } // namespace
 
 std::string proof::serialize(const Certificate &C) {
@@ -392,6 +430,10 @@ std::string proof::serialize(const Certificate &C) {
     const DisjunctCert &D = C.Disjuncts[I];
     if (D.IsRule) {
       Out << "disjunct " << I << " rule " << D.Rule << '\n';
+    } else if (D.Walk) {
+      Out << "disjunct " << I << " walk\n";
+      serializeWalk(Out, *D.Walk);
+      Out << "end\n";
     } else {
       Out << "disjunct " << I << " qf\n";
       serializeQf(Out, D.Proof);
@@ -428,7 +470,7 @@ Result<Certificate> proof::parse(std::string_view Text) {
     std::string Kind;
     if (!P.nextLine() || !P.tok(Tag) || Tag != "disjunct" || !P.u32(Idx) ||
         !P.tok(Kind))
-      return P.fail("expected 'disjunct <i> rule|qf'"), Bail();
+      return P.fail("expected 'disjunct <i> rule|walk|qf'"), Bail();
     if (Idx != I)
       return P.fail("disjunct index out of order"), Bail();
     DisjunctCert &D = C.Disjuncts[I];
@@ -436,6 +478,9 @@ Result<Certificate> proof::parse(std::string_view Text) {
       D.IsRule = true;
       if (!P.tok(D.Rule))
         return P.fail("missing rule name"), Bail();
+    } else if (Kind == "walk") {
+      if (!parseWalk(P, D.Walk.emplace()))
+        return Bail();
     } else if (Kind == "qf") {
       if (!parseQf(P, D.Proof))
         return Bail();

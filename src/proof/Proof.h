@@ -25,12 +25,21 @@
 ///    tree for integrality conflicts), DB-reduction deletions, and a
 ///    final refutation event (empty-clause or assumption-core); or
 ///
+///  - a `WalkProof` (`disjunct <i> walk`): a bounded counter-reachability
+///    refutation from the one-counter fast path for a numeral-index
+///    str.at (counter/OneCounter.h). It holds a weighted graph, a start
+///    state, target states and a bound; the kernel re-decides bounded
+///    reachability on its own and accepts only when no target is
+///    reachable. Building the graph from the languages' concatenation
+///    automaton A_◦ is trusted encoding, exactly like a `QfProof`'s Input
+///    clauses: the kernel checks the search, not the construction; or
+///
 ///  - a named structural rule (`DisjunctCert::IsRule`): one of the
 ///    automata-level short-circuits (empty language, commuting powers,
 ///    epsilon needle, syntactic self-containment, the one-counter fast
-///    path, MBQI candidate logic). These are part of the trusted
-///    front-end, recorded so the composition is explicit; the kernel
-///    counts them but cannot re-derive them.
+///    path for ≠ / ¬prefixof / ¬suffixof, MBQI candidate logic). These
+///    are part of the trusted front-end, recorded so the composition is
+///    explicit; the kernel counts them but cannot re-derive them.
 ///
 /// Atoms tie SAT variables to linear inequalities: SAT var v true means
 /// `Const + Σ Coeff·Var <= 0` over the integer problem variables, false
@@ -48,6 +57,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,11 +148,44 @@ struct QfProof {
   std::vector<TheoryCert> Certs;
 };
 
+/// One edge of a WalkProof graph; its weight must be non-negative.
+struct WalkEdge {
+  uint32_t From = 0, To = 0;
+  int64_t Weight = 0;
+};
+
+/// Target states (Node, v) for every counter value Lo <= v <= Hi.
+struct WalkTarget {
+  uint32_t Node = 0;
+  int64_t Lo = 0, Hi = 0;
+};
+
+/// A bounded counter-reachability refutation. A counter holds
+/// StartValue on StartNode; taking an edge subtracts its weight, and no
+/// move may take the counter below 0. The claim: no target state is
+/// reachable. Since weights are non-negative, every reachable value lies
+/// in [0, StartValue] ⊆ [0, Bound], so a search over the (Bound + 1) ·
+/// NumNodes states is exhaustive and needs no excursion argument.
+struct WalkProof {
+  uint32_t NumNodes = 0;
+  std::vector<WalkEdge> Edges;
+  uint32_t StartNode = 0;
+  int64_t StartValue = 0;
+  std::vector<WalkTarget> Targets;
+  int64_t Bound = 0;
+};
+
+/// Cap on (Bound + 1) · NumNodes a WalkProof may span; the kernel
+/// rejects larger ones, so the fast path does not emit them.
+constexpr uint64_t MaxWalkStates = uint64_t(1) << 24;
+
 /// Refutation of one stabilization disjunct.
 struct DisjunctCert {
   bool IsRule = false;
   std::string Rule; ///< structural rule name when IsRule
   QfProof Proof;    ///< clause trace otherwise
+  /// Set for a walk refutation (then Proof is unused).
+  std::optional<WalkProof> Walk;
 };
 
 /// Whole-problem Unsat certificate: every disjunct refuted and the

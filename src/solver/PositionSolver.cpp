@@ -67,6 +67,55 @@ struct StopNote {
   }
 };
 
+/// The integer side the str.at fast path absorbs: every atom of \p NF,
+/// read through \p D's substitution, is a numeral lower bound |S| > k on
+/// the haystack S of \p Pred. Returns the largest k, or none when some
+/// atom is anything else.
+std::optional<int64_t> hayLenLowerBound(const NormalForm &NF,
+                                        const eq::Decomposition &D,
+                                        const PosPredicate &Pred) {
+  // Sums in 128 bits: the coefficients and constants come from the input.
+  std::map<VarId, __int128> Hay;
+  for (VarId X : Pred.Rhs)
+    ++Hay[X];
+  __int128 K = -1;
+  for (const NormIntAtom &Atom : NF.IntAtoms) {
+    // Atom as Σ c·|z| + Const  ⋈  0, with ⋈ turned into > or ≥.
+    IntTerm Diff = Atom.Lhs - Atom.Rhs;
+    if (!Diff.IntVars.empty())
+      return std::nullopt;
+    int64_t Sign;
+    bool Strict;
+    switch (Atom.Op) {
+    case lia::Cmp::Gt:
+    case lia::Cmp::Ge:
+      Sign = 1;
+      Strict = Atom.Op == lia::Cmp::Gt;
+      break;
+    case lia::Cmp::Lt:
+    case lia::Cmp::Le:
+      Sign = -1;
+      Strict = Atom.Op == lia::Cmp::Lt;
+      break;
+    default:
+      return std::nullopt;
+    }
+    std::map<VarId, __int128> Coeff;
+    for (const auto &[X, C] : Diff.LenVars)
+      for (VarId T : D.Subst.at(X))
+        Coeff[T] += Sign * static_cast<__int128>(C);
+    std::erase_if(Coeff, [](const auto &Entry) { return Entry.second == 0; });
+    if (Coeff != Hay)
+      return std::nullopt;
+    // |S| + c > 0 is |S| > −c; |S| + c ≥ 0 is |S| > −c − 1.
+    __int128 C = Sign * static_cast<__int128>(Diff.Const);
+    K = std::max(K, Strict ? -C : -C - 1);
+  }
+  if (K > INT64_MAX)
+    return std::nullopt;
+  return static_cast<int64_t>(K);
+}
+
 class Pipeline {
 public:
   Pipeline(const Problem &P, const SolveOptions &Opts)
@@ -337,15 +386,36 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     return Verdict::Unknown;
   }
 
-  // PTime fast path (Thm. 7.1): a single eligible predicate, no I part.
-  // Its Sat carries the walk it found as the model; only a Sat without
-  // one (an over-long pumped cycle) or a NodeBudget Unknown falls through
-  // to the LIA path.
-  if (Opts.UseOcaFastPath && !HasIntSide && counter::isEligible(Preds)) {
+  // PTime fast path (Thm. 7.1): a single eligible predicate, no I part
+  // except, for a numeral-index str.at, lower bounds |S| > k (k ≤ i) on
+  // its haystack. Its Sat carries the walk it found as the model; only a
+  // Sat without one (an over-long pumped cycle) or a NodeBudget Unknown
+  // falls through to the LIA path.
+  std::optional<int64_t> HayLenAbove;
+  if (Opts.UseOcaFastPath && counter::isEligible(Preds, Langs)) {
+    const PosPredicate &Pred = Preds.front();
+    bool StrAt =
+        Pred.Kind == PredKind::StrAtEq || Pred.Kind == PredKind::StrAtNe;
+    if (!HasIntSide)
+      HayLenAbove = -1;
+    else if (StrAt && !Approximated)
+      HayLenAbove = hayLenLowerBound(NF, D, Pred);
+    // Every hit at i satisfies |S| > k only for k ≤ i; for i < 0 such a
+    // bound holds outright.
+    if (HayLenAbove && StrAt) {
+      int64_t I = Pred.AtPos.constant();
+      if (*HayLenAbove > I)
+        HayLenAbove.reset();
+      else if (I < 0)
+        HayLenAbove = -1;
+    }
+  }
+  if (HayLenAbove) {
     counter::OneCounterOptions OcOpts;
     OcOpts.Budget = &Child;
+    OcOpts.Certify = CertOut != nullptr;
     counter::OneCounterResult Oc = counter::decideSinglePredicate(
-        Langs, Preds.front(), NF.Sigma.size(), OcOpts);
+        Langs, Preds.front(), NF.Sigma.size(), OcOpts, *HayLenAbove);
     if (Oc.Stop != StopReason::None) {
       ++Stats.BudgetTrips;
       Stop.note(Oc.Stop, Child.tripSite());
@@ -353,9 +423,12 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     }
     if (Oc.V == Verdict::Unsat) {
       ++Stats.FastPathDecisions;
-      if (CertOut) {
-        // The PTime one-counter decision (Thm. 7.1) is a trusted engine;
-        // its refutation is recorded by name (proof/Proof.h).
+      if (CertOut && Oc.Cert) {
+        // A str.at refutation: the kernel re-decides its walk graph.
+        CertOut->Walk = std::move(Oc.Cert);
+      } else if (CertOut) {
+        // The ≠ / ¬prefixof / ¬suffixof searches (Thm. 7.1) are a trusted
+        // engine; their refutation is recorded by name (proof/Proof.h).
         CertOut->IsRule = true;
         CertOut->Rule = "one-counter";
       }

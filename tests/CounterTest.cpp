@@ -9,9 +9,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "counter/OneCounter.h"
+#include "proof/Check.h"
 #include "regex/Regex.h"
+#include "smtlib/Reader.h"
 #include "solver/BruteForce.h"
+#include "solver/PositionSolver.h"
 #include "strings/Eval.h"
+#include "strings/Normalize.h"
 #include "tagaut/MpSolver.h"
 
 #include <gtest/gtest.h>
@@ -86,12 +90,25 @@ struct Fixture {
 };
 
 TEST(OneCounterTest, Eligibility) {
-  PosPredicate D{PredKind::Diseq, {0}, {1}, {}};
-  PosPredicate C{PredKind::NotContains, {0}, {1}, {}};
-  EXPECT_TRUE(isEligible({D}));
-  EXPECT_FALSE(isEligible({C}));
-  EXPECT_FALSE(isEligible({D, D}));
-  EXPECT_FALSE(isEligible({}));
+  Fixture F;
+  VarId X = F.var("(ab)*"), Y = F.var("ab"), Lit = F.var("a|");
+  F.finalize();
+  PosPredicate D{PredKind::Diseq, {X}, {Y}, {}};
+  PosPredicate C{PredKind::NotContains, {X}, {Y}, {}};
+  EXPECT_TRUE(isEligible({D}, F.Langs));
+  EXPECT_FALSE(isEligible({C}, F.Langs));
+  EXPECT_FALSE(isEligible({D, D}, F.Langs));
+  EXPECT_FALSE(isEligible({}, F.Langs));
+  // str.at: a numeral index, and a compared variable with words of
+  // length ≤ 1 that the haystack does not mention.
+  EXPECT_TRUE(isEligible({{PredKind::StrAtEq, {Lit}, {X, Y, X}, 3}}, F.Langs));
+  EXPECT_TRUE(isEligible({{PredKind::StrAtNe, {Lit}, {X}, -1}}, F.Langs));
+  EXPECT_FALSE(isEligible({{PredKind::StrAtEq, {Y}, {X}, 0}}, F.Langs));
+  EXPECT_FALSE(isEligible({{PredKind::StrAtEq, {Lit}, {X, Lit}, 0}}, F.Langs));
+  EXPECT_FALSE(isEligible({{PredKind::StrAtEq, {Lit, Lit}, {X}, 0}}, F.Langs));
+  lia::Arena A;
+  lia::LinTerm AtVar = lia::LinTerm::variable(A.freshVar("i"));
+  EXPECT_FALSE(isEligible({{PredKind::StrAtNe, {Lit}, {X}, AtVar}}, F.Langs));
 }
 
 TEST(OneCounterTest, DiseqByLength) {
@@ -233,21 +250,25 @@ TEST(OneCounterTest, CappedExcursionBoundAnswersUnknown) {
 }
 
 /// A tripped budget stops the walk search at its `counter.walk` probe
-/// with the budget's reason, and names the site.
+/// with the budget's reason, and names the site: for ≠ and for str.at.
 TEST(OneCounterTest, BudgetTripStopsTheWalkSearch) {
   Fixture F;
-  VarId X = F.var("(ab)*"), Y = F.var("(ab)*");
+  VarId X = F.var("(ab)*"), Y = F.var("(ab)*"), Lit = F.var("a");
   F.finalize();
-  std::atomic<bool> Cancel{true};
-  Budget Bud(Budget::Limits{0, 0, 0, &Cancel});
-  OneCounterOptions O;
-  O.Budget = &Bud;
-  OneCounterResult R = decideSinglePredicate(
-      F.Langs, {PredKind::Diseq, {X, Y}, {Y, X}, {}}, F.Sigma.size(), O);
-  EXPECT_EQ(R.V, Verdict::Unknown);
-  EXPECT_EQ(R.Stop, StopReason::Cancelled);
-  ASSERT_NE(Bud.tripSite(), nullptr);
-  EXPECT_STREQ(Bud.tripSite(), "counter.walk");
+  for (const PosPredicate &Pred :
+       {PosPredicate{PredKind::Diseq, {X, Y}, {Y, X}, {}},
+        PosPredicate{PredKind::StrAtEq, {Lit}, {X, Y}, 5}}) {
+    std::atomic<bool> Cancel{true};
+    Budget Bud(Budget::Limits{0, 0, 0, &Cancel});
+    OneCounterOptions O;
+    O.Budget = &Bud;
+    OneCounterResult R =
+        decideSinglePredicate(F.Langs, Pred, F.Sigma.size(), O);
+    EXPECT_EQ(R.V, Verdict::Unknown);
+    EXPECT_EQ(R.Stop, StopReason::Cancelled);
+    ASSERT_NE(Bud.tripSite(), nullptr);
+    EXPECT_STREQ(Bud.tripSite(), "counter.walk");
+  }
 }
 
 /// The length branch's signed-cycle shortcut pumps its cycle into a
@@ -259,6 +280,174 @@ TEST(OneCounterTest, PumpedCycleWitness) {
   Fixture F2;
   VarId X2 = F2.var("(ab)*"), Y2 = F2.var("abab(ab)*");
   EXPECT_EQ(F2.decide({PredKind::NotSuffix, {Y2}, {X2}, {}}), Verdict::Sat);
+}
+
+/// A random primitive-or-not root of length 1-4 over {a,b,c}.
+std::string randomRoot(std::mt19937 &Rng) {
+  std::string W(1 + Rng() % 4, 'a');
+  for (char &C : W)
+    C = "abc"[Rng() % 3];
+  return W;
+}
+
+/// Numeral-index str.at / ¬str.at over a concatenation of flat
+/// languages: the one-counter fast path against the tag/LIA path
+/// (UseOcaFastPath = false), at every index −1..12 and every letter, with
+/// and without a length bound |S| > k. Verdicts agree, every fast-path
+/// Sat model passes the evaluator, and every Unsat certificate passes the
+/// kernel as one checked refutation (a walk record when the fast path
+/// decided it), with no trusted rule.
+TEST(OneCounterTest, StrAtDifferentialAgainstLiaPath) {
+  std::mt19937 Rng(4077);
+  uint32_t Sats = 0, Unsats = 0, Bounded = 0;
+  for (int Draw = 0; Draw < 6; ++Draw) {
+    // 1-4 variables, all on one root (powers of one word) or each on its
+    // own; r* or r+.
+    const int K = 1 + Draw % 4;
+    const bool OneRoot = (Draw % 2 == 0) != (Draw >= 4);
+    const std::string Shared = randomRoot(Rng);
+    std::string Decls;
+    for (int V = 1; V <= K; ++V)
+      Decls += "(declare-fun x" + std::to_string(V) + " () String)\n"
+               "(assert (str.in_re x" + std::to_string(V) + " (re." +
+               (Rng() % 2 ? "*" : "+") + " (str.to_re \"" +
+               (OneRoot ? Shared : randomRoot(Rng)) + "\"))))\n";
+    // Every variable once plus up to two repeats, shuffled; at least two
+    // occurrences, since str.at of one variable is lowered to a
+    // membership before any solver sees it.
+    std::vector<int> Seq;
+    for (int V = 1; V <= K; ++V)
+      Seq.push_back(V);
+    for (uint32_t E = K == 1 ? 1 + Rng() % 2 : Rng() % 3; E > 0; --E)
+      Seq.push_back(1 + static_cast<int>(Rng() % K));
+    std::shuffle(Seq.begin(), Seq.end(), Rng);
+    std::string Hay = "(str.++";
+    for (int V : Seq)
+      Hay += " x" + std::to_string(V);
+    Hay += ")";
+
+    // Every index; the letter rotates, so each index meets every letter
+    // over three consecutive draws.
+    for (int64_t I = -1; I <= 12; ++I) {
+      const char Letter = "abc"[(I + 1 + Draw) % 3];
+        const bool Eq = Rng() % 2 == 0;
+        // k ∈ [−2, i+1]: k = i+1 is a bound the fast path must refuse.
+        std::optional<int64_t> Bound;
+        if (Rng() % 2)
+          Bound = -2 + static_cast<int64_t>(Rng() % (I + 4));
+        std::string At = "(= (str.at " + Hay + " " + std::to_string(I) +
+                         ") \"" + std::string(1, Letter) + "\")";
+        std::string Text = Decls + "(assert " +
+                           (Eq ? At : "(not " + At + ")") + ")\n";
+        if (Bound)
+          Text += "(assert (> (str.len " + Hay + ") " +
+                  std::to_string(*Bound) + "))\n";
+        Text += "(check-sat)\n";
+        Result<strings::Problem> P = smtlib::parseString(Text);
+        ASSERT_TRUE(P) << P.error();
+
+        solver::SolveOptions FastO, SlowO;
+        FastO.CertifyUnsat = true;
+        SlowO.UseOcaFastPath = false;
+        solver::SolveResult Fast = solver::solveProblem(*P, FastO);
+        solver::SolveResult Slow = solver::solveProblem(*P, SlowO);
+        ASSERT_NE(Slow.V, Verdict::Unknown) << Text;
+        ASSERT_EQ(Fast.V, Slow.V) << Text;
+        const bool Absorbed = !Bound || *Bound <= I;
+        EXPECT_EQ(Fast.Stats.FastPathDecisions, Absorbed ? 1u : 0u) << Text;
+        if (Absorbed)
+          EXPECT_EQ(Fast.Stats.MpCalls, 0u) << Text;
+        Bounded += Bound.has_value();
+        if (Fast.V == Verdict::Sat) {
+          ++Sats;
+          // The evaluator keeps a reference to the alphabet.
+          const strings::NormalForm NF = strings::normalize(*P);
+          strings::ConcreteEvaluator E(*P, NF.Sigma);
+          EXPECT_TRUE(E.evalAll(Fast.Words, Fast.Ints)) << Text;
+          continue;
+        }
+        ++Unsats;
+        Result<proof::Certificate> C = proof::parse(Fast.CertText);
+        ASSERT_TRUE(C) << C.error() << "\n" << Text;
+        proof::CheckOutcome CO = proof::checkCertificate(*C);
+        EXPECT_TRUE(CO.Ok) << CO.Error << "\n" << Text;
+        EXPECT_EQ(CO.Stats.TrustedRules, 0u) << Text;
+        EXPECT_EQ(CO.Stats.CheckedRefutations, 1u) << Text;
+      }
+  }
+  // Both verdicts and both bound variants occur.
+  EXPECT_GE(Sats, 20u);
+  EXPECT_GE(Unsats, 20u);
+  EXPECT_GE(Bounded, 20u);
+}
+
+/// The integer side the str.at fast path absorbs: numeral lower bounds
+/// on the whole haystack in any orientation. A bound on part of it, an
+/// equality, or a bound above i keeps the disjunct on solveMP.
+TEST(OneCounterTest, StrAtAbsorbsOnlyHaystackLowerBounds) {
+  const std::string Decls = R"(
+    (declare-fun x1 () String)
+    (declare-fun x2 () String)
+    (assert (str.in_re x1 (re.* (str.to_re "ab"))))
+    (assert (str.in_re x2 (re.* (str.to_re "ab"))))
+    (assert (not (= (str.at (str.++ x1 x2 x1) 3) "b"))))";
+  const std::string H = "(str.++ x1 x2 x1)";
+  const struct {
+    std::string Atom;
+    bool Absorbed;
+  } Cases[] = {
+      {"(> (str.len " + H + ") 2)", true},
+      {"(>= (str.len " + H + ") 3)", true},
+      {"(< 2 (str.len " + H + "))", true},
+      {"(<= 4 (str.len " + H + "))", true},
+      {"(> (str.len " + H + ") 4)", false}, // k > i
+      {"(> (str.len x1) 2)", false},
+      {"(= (str.len " + H + ") 4)", false},
+  };
+  for (const auto &C : Cases) {
+    std::string Text = Decls + "\n(assert " + C.Atom + ")\n(check-sat)\n";
+    Result<strings::Problem> P = smtlib::parseString(Text);
+    ASSERT_TRUE(P) << P.error();
+    solver::SolveOptions FastO, SlowO;
+    SlowO.UseOcaFastPath = false;
+    solver::SolveResult Fast = solver::solveProblem(*P, FastO);
+    solver::SolveResult Slow = solver::solveProblem(*P, SlowO);
+    EXPECT_EQ(Fast.V, Slow.V) << C.Atom;
+    EXPECT_EQ(Fast.Stats.FastPathDecisions, C.Absorbed ? 1u : 0u) << C.Atom;
+  }
+}
+
+/// A walk refutation's graph, start and targets are what the kernel
+/// re-decides: y = str.at(x·x, 1) with x ∈ (ab)* and y ∈ {b} is Sat, and
+/// with y ∈ {a} it is Unsat with a walk certificate.
+TEST(OneCounterTest, StrAtWalkCertificate) {
+  for (const char *Y : {"b", "a"}) {
+    Fixture F;
+    VarId X = F.var("(ab)*"), Lit = F.var(Y);
+    F.finalize();
+    OneCounterOptions O;
+    O.Certify = true;
+    OneCounterResult R = decideSinglePredicate(
+        F.Langs, {PredKind::StrAtEq, {Lit}, {X, X}, 1}, F.Sigma.size(), O);
+    if (std::string(Y) == "b") {
+      ASSERT_EQ(R.V, Verdict::Sat);
+      ASSERT_TRUE(R.Model);
+      EXPECT_EQ(R.Model->at(Lit), Word{1});
+      EXPECT_FALSE(R.Cert);
+      continue;
+    }
+    ASSERT_EQ(R.V, Verdict::Unsat);
+    ASSERT_TRUE(R.Cert);
+    EXPECT_EQ(R.Cert->StartNode, 0u);
+    EXPECT_EQ(R.Cert->StartValue, 1);
+    EXPECT_EQ(R.Cert->Bound, 1);
+    proof::Certificate C;
+    C.Disjuncts.emplace_back().Walk = *R.Cert;
+    proof::CheckOutcome CO = proof::checkCertificate(C);
+    EXPECT_TRUE(CO.Ok) << CO.Error;
+    EXPECT_EQ(CO.Stats.CheckedRefutations, 1u);
+    EXPECT_GT(CO.Stats.WalkStates, 0u);
+  }
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "automata/Nfa.h"
 #include "lia/Mbqi.h"
 #include "lia/Solver.h"
+#include "proof/Check.h"
 #include "smtlib/Reader.h"
 #include "solver/PositionSolver.h"
 #include "tagaut/Encoder.h"
@@ -140,6 +141,8 @@ TEST(GateTest, SolveVerdictsAndSearchCounters) {
   EXPECT_EQ(S.TheoryConflicts, 1052u);
   EXPECT_EQ(S.RowFillIn, 206729u);
   EXPECT_EQ(S.MaxRowNnz, 98u);
+  EXPECT_EQ(S.RowsEliminated, 45964u);
+  EXPECT_EQ(S.EntriesMerged, 923582u);
 }
 
 TEST(GateTest, PipelineVerdicts) {
@@ -214,6 +217,61 @@ TEST(GateTest, MbqiDecidesFootnote10Draws) {
   EXPECT_EQ(Sat.Stop, StopReason::None);
   EXPECT_TRUE(Sat.Stats.UsedMbqi);
   EXPECT_GT(SatSt.OuterSolves, 0u);
+}
+
+/// Solves \p Smt2 under the step cap with certification on.
+solver::SolveResult solveCertified(const char *Smt2) {
+  Result<strings::Problem> P = smtlib::parseString(Smt2);
+  EXPECT_TRUE(P) << P.error();
+  solver::SolveOptions O;
+  O.StepLimit = StepCap;
+  O.CertifyUnsat = true;
+  return P ? solver::solveProblem(*P, O) : solver::SolveResult();
+}
+
+TEST(GateTest, StrAtFootnote10DrawsTakeTheWalkSearch) {
+  // Two footnote-10 str.at draws (postr-bench position, seed 11, draws 5
+  // and 46): a numeral index over a concatenation is decided by the
+  // one-counter walk search, never by solveMP, and the Unsat ¬str.at,
+  // which carries its length bound, is a checked walk refutation.
+  solver::SolveResult Unsat = solveCertified(R"(
+    (declare-fun x1 () String)
+    (declare-fun x2 () String)
+    (declare-fun x3 () String)
+    (declare-fun x4 () String)
+    (assert (str.in_re x1 (re.* (str.to_re "ac"))))
+    (assert (str.in_re x2 (re.* (str.to_re "ac"))))
+    (assert (str.in_re x3 (re.* (str.to_re "ac"))))
+    (assert (str.in_re x4 (re.* (str.to_re "ac"))))
+    (assert (> (str.len (str.++ x3 x1 x4 x2)) 1))
+    (assert (not (= (str.at (str.++ x3 x1 x4 x2) 1) "c")))
+    (check-sat))");
+  EXPECT_EQ(Unsat.V, Verdict::Unsat);
+  EXPECT_EQ(Unsat.Stats.FastPathDecisions, 1u);
+  EXPECT_EQ(Unsat.Stats.MpCalls, 0u);
+  EXPECT_EQ(Unsat.Stats.UnsatsCertified, 1u);
+  Result<proof::Certificate> C = proof::parse(Unsat.CertText);
+  ASSERT_TRUE(C) << C.error();
+  proof::CheckOutcome CO = proof::checkCertificate(*C);
+  EXPECT_TRUE(CO.Ok) << CO.Error;
+  EXPECT_EQ(CO.Stats.CheckedRefutations, 1u);
+  EXPECT_EQ(CO.Stats.TrustedRules, 0u);
+
+  solver::SolveResult Sat = solveCertified(R"(
+    (declare-fun x1 () String)
+    (declare-fun x2 () String)
+    (declare-fun x3 () String)
+    (declare-fun x4 () String)
+    (assert (str.in_re x1 (re.+ (str.to_re "ba"))))
+    (assert (str.in_re x2 (re.+ (str.to_re "a"))))
+    (assert (str.in_re x3 (re.+ (str.to_re "bc"))))
+    (assert (str.in_re x4 (re.+ (str.to_re "c"))))
+    (assert (= (str.at (str.++ x1 x4 x2 x3) 3) "a"))
+    (check-sat))");
+  EXPECT_EQ(Sat.V, Verdict::Sat);
+  EXPECT_EQ(Sat.Stats.FastPathDecisions, 1u);
+  EXPECT_EQ(Sat.Stats.MpCalls, 0u);
+  EXPECT_EQ(Sat.Stats.ModelsValidated, 1u);
 }
 
 } // namespace

@@ -168,6 +168,84 @@ TEST(ProofCheckTest, GarbageTextRejectedWithLineInfo) {
 }
 
 //===----------------------------------------------------------------------===//
+// Walk refutations: bounded counter reachability.
+//===----------------------------------------------------------------------===//
+
+/// Start (0, 3). 0 → 1 costs 2, so node 1 holds 1; 1 → 2 costs 2 and
+/// would take the counter below 0, so target (2, 0) stays out of reach;
+/// 1 → 3 costs 1 and reaches (3, 0), which is no target.
+proof::WalkProof tinyWalkProof() {
+  proof::WalkProof W;
+  W.NumNodes = 4;
+  W.Edges = {{0, 1, 2}, {1, 2, 2}, {1, 3, 1}, {3, 3, 0}};
+  W.StartNode = 0;
+  W.StartValue = 3;
+  W.Bound = 3;
+  W.Targets = {{2, 0, 0}, {3, 1, 3}};
+  return W;
+}
+
+proof::Certificate wrapWalk(proof::WalkProof W) {
+  proof::Certificate C;
+  C.Disjuncts.emplace_back().Walk = std::move(W);
+  return C;
+}
+
+TEST(ProofWalkTest, RoundTripVerifiesAsCheckedRefutation) {
+  std::string Text = proof::serialize(wrapWalk(tinyWalkProof()));
+  EXPECT_NE(Text.find("disjunct 0 walk\nwalk 4 4 2 0 3 3\n"),
+            std::string::npos)
+      << Text;
+  Result<proof::Certificate> Parsed = proof::parse(Text);
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.error();
+  EXPECT_EQ(proof::serialize(*Parsed), Text);
+  proof::CheckOutcome Out = proof::checkCertificate(*Parsed);
+  EXPECT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_EQ(Out.Stats.CheckedRefutations, 1u);
+  EXPECT_EQ(Out.Stats.TrustedRules, 0u);
+  EXPECT_EQ(Out.Stats.WalkStates, 3u); // (0,3) (1,1) (3,0)
+}
+
+TEST(ProofWalkTest, ReachableTargetRejected) {
+  proof::WalkProof W = tinyWalkProof();
+  W.Targets.push_back({3, 0, 0});
+  proof::CheckOutcome Out = proof::checkCertificate(wrapWalk(std::move(W)));
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_NE(Out.Error.find("reachable"), std::string::npos) << Out.Error;
+}
+
+TEST(ProofWalkTest, NegativeWeightRejected) {
+  // A weight of −1 would let the search climb back to (1, 2) and on to
+  // the target (2, 0): the kernel refuses such graphs outright.
+  proof::WalkProof W = tinyWalkProof();
+  W.Edges.push_back({1, 1, -1});
+  proof::CheckOutcome Out = proof::checkCertificate(wrapWalk(std::move(W)));
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_NE(Out.Error.find("negative"), std::string::npos) << Out.Error;
+}
+
+TEST(ProofWalkTest, StartPastBoundRejected) {
+  proof::WalkProof W = tinyWalkProof();
+  W.StartValue = 4; // values above Bound would go unsearched
+  proof::CheckOutcome Out = proof::checkCertificate(wrapWalk(std::move(W)));
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_NE(Out.Error.find("bound"), std::string::npos) << Out.Error;
+}
+
+TEST(ProofWalkTest, TruncatedRecordRejected) {
+  std::string Text = proof::serialize(wrapWalk(tinyWalkProof()));
+  // Drop the last edge line: the header still announces four edges.
+  size_t Cut = Text.find("e 3 3 0\n");
+  ASSERT_NE(Cut, std::string::npos) << Text;
+  std::string Short = Text;
+  Short.erase(Cut, std::string("e 3 3 0\n").size());
+  EXPECT_FALSE(static_cast<bool>(proof::parse(Short)));
+  // And a record cut off mid-way.
+  Short = Text.substr(0, Text.find("t 2 0 0"));
+  EXPECT_FALSE(static_cast<bool>(proof::parse(Short)));
+}
+
+//===----------------------------------------------------------------------===//
 // Solver-produced traces: solveQF with a QfTraceBuilder attached.
 //===----------------------------------------------------------------------===//
 
