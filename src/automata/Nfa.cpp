@@ -779,11 +779,11 @@ bool postr::automata::equivalent(const Nfa &A, const Nfa &B) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-call memoization hook
+// Operation hook
 //===----------------------------------------------------------------------===//
 
 namespace {
-/// One plain pointer per thread; the common (non-serve) case pays a
+/// One plain pointer per thread; the common (unhooked) case pays a
 /// single TLS read in intersect()/determinize() and nothing else.
 thread_local NfaOpHook *ActiveNfaOpHook = nullptr;
 } // namespace

@@ -243,18 +243,21 @@ Nfa reverse(const Nfa &A);
 bool equivalent(const Nfa &A, const Nfa &B);
 
 //===----------------------------------------------------------------------===//
-// Cross-call memoization hook
+// Operation hook
 //===----------------------------------------------------------------------===//
 
-/// The memoizable operations. Both are deterministic functions of their
-/// operands, which is what makes replaying a cached result sound.
+/// The hooked operations. Both are deterministic functions of their
+/// operands, so a hook that answered a lookup with a stored result would
+/// replay exactly what recomputation gives.
 enum class NfaOp : uint8_t { Intersect, Determinize };
 
-/// Optional per-thread memoization consulted by intersect() and
+/// Optional per-thread observer consulted by intersect() and
 /// determinize() before computing and offered the full (never
-/// budget-tripped partial) result afterwards. Installed by the
-/// postr-serve worker sessions (serve/Cache.h); for every other caller
-/// the active hook is null and the cost is one thread-local read.
+/// budget-tripped partial) result afterwards. Its one user is
+/// postr-bench's `CountingHook` (postr-bench/src/Serial.cpp), which never
+/// answers a lookup and times the op between lookup and stage for the
+/// `automata.*` layer metrics. With no hook installed the cost is one
+/// thread-local read.
 class NfaOpHook {
 public:
   virtual ~NfaOpHook() = default;

@@ -27,6 +27,14 @@ using namespace postr::lia;
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+/// Branch-and-bound node budget per full-model integrality check;
+/// exhaustion falls back to splitting-on-demand.
+constexpr uint64_t BranchNodesPerCheck = 2000;
+
+/// Hard cap on theory conflicts before giving up (Unknown); a runaway
+/// backstop, not a tuning knob.
+constexpr uint32_t MaxTheoryConflicts = 2000000;
 } // namespace
 
 /// The persistent DPLL(T) engine behind a context (and, through the
@@ -641,7 +649,7 @@ IncrementalContext::Impl::onAssign(const std::vector<Lit> &Trail, size_t From,
     ++NumRationalChecks;
   if (Changed && !Theory->checkRational()) {
     ++TheoryConflicts;
-    if (TheoryConflicts > Opts.MaxTheoryConflicts) {
+    if (TheoryConflicts > MaxTheoryConflicts) {
       // Engine-internal runaway cap: structured as StepBudget, but does
       // NOT trip a shared budget — siblings of this solve keep running.
       if (Stop == StopReason::None)
@@ -673,13 +681,13 @@ IncrementalContext::Impl::onFinalModel(std::vector<Lit> &ConflictOut) {
   // Rational feasibility holds by construction; look for an integer model.
   ++NumFinalChecks;
   trace("final", 0);
-  TheoryResult R = Theory->checkInteger(FinalModel, Opts.TheoryNodeBudget);
+  TheoryResult R = Theory->checkInteger(FinalModel, BranchNodesPerCheck);
   if (stopped("lia.sat"))
     return TRes::Abort; // cancel/deadline interrupted branch-and-bound
   if (R == TheoryResult::Sat)
     return TRes::Ok;
   ++TheoryConflicts;
-  if (TheoryConflicts > Opts.MaxTheoryConflicts) {
+  if (TheoryConflicts > MaxTheoryConflicts) {
     if (Stop == StopReason::None)
       Stop = StopReason::StepBudget;
     return TRes::Abort;

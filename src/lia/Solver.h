@@ -45,11 +45,6 @@ namespace lia {
 /// Tunables for the QF solver. Defaults suit the formulae the tag
 /// framework emits.
 struct QfOptions {
-  /// Branch-and-bound node budget per full-model integrality check.
-  uint64_t TheoryNodeBudget = 2000;
-  /// Hard cap on theory conflicts before giving up (Unknown); a runaway
-  /// backstop, not a tuning knob.
-  uint32_t MaxTheoryConflicts = 2000000;
   /// Runs this context's Simplex on Bland's leaving order instead of
   /// SparsestRow (lia/Simplex.h). Set by tagaut/MpSolver for formulas
   /// with position predicates, by solver/PositionSolver for word-equation

@@ -1,4 +1,4 @@
-//===- serve/Cache.cpp - Validated cross-query caches -----------------------===//
+//===- serve/Cache.cpp - The validated cross-query result cache -----------===//
 //
 // Part of PosTr, a reproduction of "A Uniform Framework for Handling
 // Position Constraints in String Solving" (PLDI 2025).
@@ -6,8 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Cache.h"
-
-#include <algorithm>
 
 namespace postr {
 namespace serve {
@@ -87,120 +85,6 @@ uint64_t ResultCache::entryBytes(const std::string &Key,
 }
 
 void ResultCache::evictUntilFits() {
-  while (UsedBytes > MaxBytes && !Lru.empty()) {
-    auto It = Map.find(Lru.back());
-    UsedBytes -= It->second.Bytes;
-    Map.erase(It);
-    Lru.pop_back();
-    ++St.Evictions;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Structural hashing of automata
-//===----------------------------------------------------------------------===//
-
-uint64_t structuralHash(const automata::Nfa &A) {
-  uint64_t H = hashCombine(0x706f7374726e6661ull, A.alphabetSize());
-  H = hashCombine(H, A.numStates());
-  for (uint32_t Q = 0; Q < A.numStates(); ++Q)
-    H = hashCombine(
-        H, (uint64_t(A.isInitial(Q)) << 1) | uint64_t(A.isFinal(Q)));
-  // transitions() is the normalized (sorted, deduplicated) view, so two
-  // automata that differ only in insertion order hash equal.
-  for (const automata::Transition &T : A.transitions()) {
-    H = hashCombine(H, T.From);
-    H = hashCombine(H, T.Sym);
-    H = hashCombine(H, T.To);
-  }
-  return H;
-}
-
-bool structurallyEqual(const automata::Nfa &A, const automata::Nfa &B) {
-  if (A.alphabetSize() != B.alphabetSize() || A.numStates() != B.numStates())
-    return false;
-  for (uint32_t Q = 0; Q < A.numStates(); ++Q)
-    if (A.isInitial(Q) != B.isInitial(Q) || A.isFinal(Q) != B.isFinal(Q))
-      return false;
-  return A.transitions() == B.transitions();
-}
-
-//===----------------------------------------------------------------------===//
-// NfaOpCache
-//===----------------------------------------------------------------------===//
-
-std::optional<automata::Nfa> NfaOpCache::lookup(Op O, const automata::Nfa &A,
-                                                const automata::Nfa *B) {
-  Key K{O, structuralHash(A), B ? structuralHash(*B) : 0};
-  auto Match = [&](const Entry &E) {
-    if (!structurallyEqual(E.A, A))
-      return false;
-    if (B)
-      return E.HasB && structurallyEqual(E.B, *B);
-    return !E.HasB;
-  };
-  if (auto It = Map.find(K); It != Map.end() && Match(It->second)) {
-    ++St.Hits;
-    Lru.splice(Lru.begin(), Lru, It->second.LruIt);
-    return It->second.Out;
-  }
-  // The same query may repeat an op before it completes (e.g. MBQI
-  // re-deriving the same product); staged entries are visible to it.
-  for (const auto &[SK, SE] : Staged)
-    if (SK == K && Match(SE)) {
-      ++St.Hits;
-      return SE.Out;
-    }
-  ++St.Misses;
-  return std::nullopt;
-}
-
-void NfaOpCache::stage(Op O, const automata::Nfa &A, const automata::Nfa *B,
-                       const automata::Nfa &Out) {
-  Key K{O, structuralHash(A), B ? structuralHash(*B) : 0};
-  Entry E;
-  E.A = A;
-  if (B) {
-    E.B = *B;
-    E.HasB = true;
-  }
-  E.Out = Out;
-  E.Bytes = nfaBytes(A) + (B ? nfaBytes(*B) : 0) + nfaBytes(Out) + 256;
-  Staged.emplace_back(K, std::move(E));
-}
-
-void NfaOpCache::publishStaged() {
-  for (auto &[K, E] : Staged) {
-    if (E.Bytes > MaxBytes)
-      continue;
-    if (auto It = Map.find(K); It != Map.end()) {
-      // Deterministic ops: an existing entry already holds this result
-      // (or a colliding key's — either way, keep the resident one).
-      Lru.splice(Lru.begin(), Lru, It->second.LruIt);
-      continue;
-    }
-    Lru.push_front(K);
-    E.LruIt = Lru.begin();
-    UsedBytes += E.Bytes;
-    Map.emplace(K, std::move(E));
-  }
-  Staged.clear();
-  evictUntilFits();
-  St.Entries = Map.size();
-  St.Bytes = UsedBytes;
-}
-
-void NfaOpCache::dropStaged() {
-  St.StagedDropped += Staged.size();
-  Staged.clear();
-}
-
-uint64_t NfaOpCache::nfaBytes(const automata::Nfa &N) const {
-  return uint64_t(N.numStates()) / 4 +
-         uint64_t(N.numTransitions()) * sizeof(automata::Transition) + 64;
-}
-
-void NfaOpCache::evictUntilFits() {
   while (UsedBytes > MaxBytes && !Lru.empty()) {
     auto It = Map.find(Lru.back());
     UsedBytes -= It->second.Bytes;

@@ -52,7 +52,6 @@ ServeOptions serveOptionsFromEnv() {
   O.MaxTimeoutMs = envU64("POSTR_SERVE_MAX_TIMEOUT_MS", O.MaxTimeoutMs);
   O.MemLimitBytes = envU64("POSTR_SERVE_MEM_LIMIT_BYTES", O.MemLimitBytes);
   O.CacheBytes = envU64("POSTR_SERVE_CACHE_BYTES", O.CacheBytes);
-  O.OpCacheBytes = envU64("POSTR_SERVE_OPCACHE_BYTES", O.OpCacheBytes);
   O.MaxRequestBytes =
       std::max<uint64_t>(4096, envU64("POSTR_SERVE_MAX_REQUEST_BYTES",
                                       O.MaxRequestBytes));
@@ -68,9 +67,6 @@ ServeOptions serveOptionsFromEnv() {
 //===----------------------------------------------------------------------===//
 
 struct Server::WorkerSlot {
-  /// In-process mode: the session's automata-op cache (rebuilt on
-  /// quarantine).
-  std::unique_ptr<NfaOpCache> OpCache;
   /// Forked mode: child pid and the daemon's pipe ends.
   pid_t Pid = -1;
   int FdIn = -1;  ///< write requests here
@@ -81,12 +77,8 @@ struct Server::WorkerSlot {
 Server::Server(const ServeOptions &O) : Opts(O) {
   if (Opts.CacheBytes)
     Cache = std::make_unique<ResultCache>(Opts.CacheBytes);
-  for (uint32_t I = 0; I < std::max(1u, Opts.Workers); ++I) {
-    auto Slot = std::make_unique<WorkerSlot>();
-    if (!Opts.ForkWorkers && Opts.OpCacheBytes)
-      Slot->OpCache = std::make_unique<NfaOpCache>(Opts.OpCacheBytes);
-    Slots.push_back(std::move(Slot));
-  }
+  for (uint32_t I = 0; I < std::max(1u, Opts.Workers); ++I)
+    Slots.push_back(std::make_unique<WorkerSlot>());
   // Forked children are spawned lazily on first use; a dead daemon-side
   // pipe must not kill the daemon.
   if (Opts.ForkWorkers)
@@ -185,14 +177,10 @@ void Server::quarantine(WorkerSlot &S) {
     std::lock_guard<std::mutex> L(Mu);
     ++St.Quarantines;
   }
-  if (Opts.ForkWorkers) {
+  // A forked child is respawned lazily on next use. An in-process
+  // worker keeps no state between queries, so it has nothing to tear down.
+  if (Opts.ForkWorkers)
     reapWorker(S, /*Kill=*/true);
-    // Respawned lazily on next use, with a cold op cache.
-  } else {
-    S.OpCache = Opts.OpCacheBytes
-                    ? std::make_unique<NfaOpCache>(Opts.OpCacheBytes)
-                    : nullptr;
-  }
 }
 
 Server::WorkerSlot *Server::acquireSlot(uint64_t &RetryAfterMs) {
@@ -239,12 +227,12 @@ Response Server::runOnWorker(WorkerSlot &Slot, const Request &Req,
   Crashed = Killed = false;
   if (!Opts.ForkWorkers) {
     if (Req.TestAbort && Opts.AllowTestAbort) {
-      // Simulated crash: the session state is torn down exactly as if
-      // the process had died, without taking the test binary with it.
+      // Simulated crash: the containment ladder runs exactly as if the
+      // process had died, without taking the test binary with it.
       Crashed = true;
       return Response{};
     }
-    return solveRequest(Req, Opts, Slot.OpCache.get(), &ShuttingDown);
+    return solveRequest(Req, Opts, &ShuttingDown);
   }
 
   if (Slot.Pid < 0)
@@ -336,9 +324,7 @@ bool isQuarantineTrigger(const Response &R, std::string &Reason,
 
 } // namespace
 
-Response Server::solveAdmitted(const Request &Req, const std::string &Key,
-                               uint64_t EffTimeoutMs) {
-  (void)Key;
+Response Server::solveAdmitted(const Request &Req, uint64_t EffTimeoutMs) {
   Request Eff = Req;
   Eff.TimeoutMs = EffTimeoutMs;
 
@@ -382,7 +368,7 @@ Response Server::solveAdmitted(const Request &Req, const std::string &Key,
     Retry = true;
   } else if (R.S == Response::Ok && R.FaultFired) {
     // Determinate, validated verdict despite a fired fault: serve it
-    // (it passed the self-check) but still rebuild the session.
+    // (it passed the self-check) but still replace the worker.
     quarantine(*Slot);
   }
 
@@ -490,7 +476,7 @@ Response Server::submit(const Request &Req) {
         // Paranoid: re-derive the hit from scratch and only serve it if
         // the fresh solve agrees; a mismatch means a poisoned entry
         // slipped through — drop it and serve (and count) the truth.
-        Response Fresh = solveAdmitted(Req, Key, EffMs);
+        Response Fresh = solveAdmitted(Req, EffMs);
         bool Agrees = Fresh.S == Response::Ok &&
                       Fresh.Verdict == Hit->Verdict &&
                       Fresh.Reason == Hit->Reason &&
@@ -511,7 +497,7 @@ Response Server::submit(const Request &Req) {
       }
     }
 
-    Out = solveAdmitted(Req, Key, EffMs);
+    Out = solveAdmitted(Req, EffMs);
     if (Out.S == Response::Ok)
       Out.Cache = UseCache ? "miss" : "bypass";
     if (UseCache && Out.S == Response::Ok && !Out.Verdict.empty() &&

@@ -9,7 +9,7 @@
 /// The fault-tolerant resident solver behind `postr_serve`: a pool of
 /// crash-contained worker sessions, admission control with load
 /// shedding, per-request deadlines wired into the cooperative `Budget`,
-/// and the validated cross-query caches of serve/Cache.h.
+/// and the validated cross-query result cache of serve/Cache.h.
 ///
 /// One orchestration codepath drives two executor modes:
 ///
@@ -25,10 +25,11 @@
 ///
 /// Containment ladder (both modes): a worker that crashes, fails the
 /// solver's self-check, trips an injected fault, or stops on
-/// MemOut/StepBudget is *quarantined* — its session state (including its
-/// automata-op cache) is torn down and rebuilt — and the query is
-/// retried once on a clean worker with degraded options (Bland pivoting,
-/// reduced MBQI bounds). A second failure returns a structured
+/// MemOut/StepBudget is *quarantined* — a forked child is killed and
+/// respawned on next use; an in-process worker holds no state across
+/// queries, so there it is only counted — and the query is retried once
+/// on a clean worker with degraded options (Bland pivoting, reduced MBQI
+/// bounds). A second failure returns a structured
 /// `unknown (reason)`, never a crash and never a wrong verdict.
 ///
 //===----------------------------------------------------------------------===//
@@ -72,9 +73,6 @@ struct ServeOptions {
   /// Whole-query result-cache capacity in bytes (0 disables the tier).
   /// Env POSTR_SERVE_CACHE_BYTES.
   uint64_t CacheBytes = 64ull << 20;
-  /// Per-worker automata-op cache capacity in bytes (0 disables). Env
-  /// POSTR_SERVE_OPCACHE_BYTES.
-  uint64_t OpCacheBytes = 16ull << 20;
   /// Cap on one request frame's payload. Env
   /// POSTR_SERVE_MAX_REQUEST_BYTES.
   uint64_t MaxRequestBytes = DefaultMaxFrameBytes;
@@ -114,7 +112,8 @@ struct ServerStats {
   uint64_t Unknown = 0;
   /// Requests shed by admission control (busy replies).
   uint64_t Shed = 0;
-  /// Quarantines: worker sessions torn down and rebuilt.
+  /// Quarantines: failed worker sessions (forked children are killed
+  /// and respawned).
   uint64_t Quarantines = 0;
   /// Forked workers that died mid-query (EOF / bad frame).
   uint64_t WorkerCrashes = 0;
@@ -153,8 +152,7 @@ private:
   /// worker vanished instead of replying.
   Response runOnWorker(WorkerSlot &Slot, const Request &Req, bool &Crashed,
                        bool &Killed);
-  Response solveAdmitted(const Request &Req, const std::string &Key,
-                         uint64_t EffTimeoutMs);
+  Response solveAdmitted(const Request &Req, uint64_t EffTimeoutMs);
   WorkerSlot *acquireSlot(uint64_t &RetryAfterMs);
   void releaseSlot(WorkerSlot *Slot);
   void quarantine(WorkerSlot &Slot);

@@ -8,13 +8,11 @@
 #include "serve/Worker.h"
 
 #include "base/Budget.h"
-#include "serve/Cache.h"
 #include "smtlib/Reader.h"
 #include "solver/PositionSolver.h"
 
 #include <algorithm>
 #include <csignal>
-#include <memory>
 #include <unistd.h>
 
 namespace postr {
@@ -33,7 +31,6 @@ uint64_t effectiveTimeoutMs(uint64_t HeaderMs, uint64_t ScriptMs,
 }
 
 Response solveRequest(const Request &Req, const ServeOptions &Opts,
-                      NfaOpCache *OpCache,
                       const std::atomic<bool> *Cancel) {
   Response Resp;
   Resp.Id = Req.Id;
@@ -64,13 +61,7 @@ Response solveRequest(const Request &Req, const ServeOptions &Opts,
 
   uint64_t FiredBefore =
       FaultInjector::armed() ? FaultInjector::armed()->fired() : 0;
-  solver::SolveResult R;
-  {
-    // The op cache sees only this solve's automata work; staged entries
-    // are published below iff the whole query validates.
-    NfaCacheScope Scope(OpCache);
-    R = solver::solveProblem(*P, SOpts);
-  }
+  solver::SolveResult R = solver::solveProblem(*P, SOpts);
   // The injector may have been armed lazily (env parse at first probe),
   // so re-query after the solve.
   FaultInjector *FI = FaultInjector::armed();
@@ -109,12 +100,6 @@ Response solveRequest(const Request &Req, const ServeOptions &Opts,
   Resp.FaultFired = FaultFired;
   Resp.Publishable =
       R.V != Verdict::Unknown && !R.Validation.Failed && !FaultFired;
-  if (OpCache) {
-    if (Resp.Publishable)
-      OpCache->publishStaged();
-    else
-      OpCache->dropStaged();
-  }
   return Resp;
 }
 
@@ -142,10 +127,6 @@ int workerChildMain(int FdIn, int FdOut, const ServeOptions &Opts) {
                              // the pipe
   ::sigaction(SIGTERM, &SA, nullptr);
 
-  std::unique_ptr<NfaOpCache> OpCache;
-  if (Opts.OpCacheBytes)
-    OpCache = std::make_unique<NfaOpCache>(Opts.OpCacheBytes);
-
   for (;;) {
     Result<std::string> Frame = readFrame(FdIn, Opts.MaxRequestBytes);
     if (!Frame)
@@ -169,7 +150,7 @@ int workerChildMain(int FdIn, int FdOut, const ServeOptions &Opts) {
         _exit(86); // simulated crash mid-query: no reply; the daemon
                    // observes EOF and runs the containment ladder
       ChildCancel.store(false, std::memory_order_relaxed);
-      Resp = solveRequest(*Req, Opts, OpCache.get(), &ChildCancel);
+      Resp = solveRequest(*Req, Opts, &ChildCancel);
     }
     if (!writeFrame(FdOut, encodeResponse(Resp)))
       return 1;

@@ -7,7 +7,9 @@
 ///
 /// \file
 /// The solve-one-request core shared by both executor modes of
-/// serve/Server.h, and the forked worker child's main loop.
+/// serve/Server.h, and the forked worker child's main loop. A worker
+/// keeps no cache of its own: the daemon consults its result cache
+/// (serve/Cache.h) before it dispatches a request to a worker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,14 +27,11 @@ namespace serve {
 /// Solves one request in the current process/thread. Parses the body,
 /// intersects the deadlines (request header ∩ scripted `:timeout` ∩
 /// server cap) into a cooperative `Budget` so cancellation and timeout
-/// interrupt Simplex pivots and MBQI rounds mid-flight, installs
-/// \p OpCache (may be null) for the duration of the solve, and publishes
-/// or drops the staged automata-op results according to the same
-/// validation gate the response's `Publishable` flag reports. Never
-/// throws and never crashes on malformed input — a parse error is a
-/// structured Error reply.
+/// interrupt Simplex pivots and MBQI rounds mid-flight, and sets the
+/// response's `Publishable` flag from the validation gate the result
+/// cache publishes through. Never throws and never crashes on malformed
+/// input — a parse error is a structured Error reply.
 Response solveRequest(const Request &Req, const ServeOptions &Opts,
-                      NfaOpCache *OpCache,
                       const std::atomic<bool> *Cancel);
 
 /// Effective deadline for a request: the tightest of the nonzero client

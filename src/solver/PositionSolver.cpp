@@ -26,6 +26,13 @@ using tagaut::PredKind;
 
 namespace {
 
+/// Word-length bound for the paranoid enumeration cross-check.
+constexpr uint32_t ParanoidWordLen = 3;
+
+/// Abstract step budget for the paranoid cross-check (keeps it cheap and
+/// deterministic; the oracle reports Unknown when it trips).
+constexpr uint64_t ParanoidSteps = 50'000;
+
 /// POSTR_SELFCHECK=paranoid turns on the Unsat-vs-enumeration cross-check
 /// process-wide, without touching SolveOptions (read once; the usual
 /// pattern for deployment knobs in this codebase).
@@ -485,14 +492,15 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       break;
     }
 
-  // Length-first ≠. Integer atoms keep the one-counter fast path out,
-  // and solveMP encodes each ≠ through 2K+1 tag copies; yet a ≠ whose
-  // sides may differ in length mostly holds by length alone. So when
-  // every predicate left is a ≠, first solve with each one strengthened
-  // to |u| ≠ |v| and nothing left to encode. That under-approximates, so
-  // only its (validated) Sat is taken; anything else falls through to the
-  // full encoding, on an arena and a budget the attempt never touched.
-  if (HasIntSide && !Preds.empty() &&
+  // Length-first ≠. A second predicate or an integer atom keeps the
+  // one-counter fast path out, and solveMP encodes each ≠ through 2K+1
+  // tag copies; yet a ≠ whose sides may differ in length mostly holds by
+  // length alone. So when every predicate left is a ≠, first solve with
+  // each one strengthened to |u| ≠ |v| and nothing left to encode. That
+  // under-approximates, so only its (validated) Sat is taken; anything
+  // else falls through to the full encoding, on an arena and a budget the
+  // attempt never touched.
+  if (!Preds.empty() &&
       std::all_of(Preds.begin(), Preds.end(), [](const PosPredicate &Pred) {
         return Pred.Kind == PredKind::Diseq;
       })) {
@@ -583,9 +591,8 @@ SolveResult Pipeline::run() {
       (Opts.ParanoidUnsatCheck || paranoidSelfCheckEnv())) {
     ++R.Stats.ParanoidChecks;
     EnumOptions EO;
-    EO.MaxWordLen = Opts.ParanoidMaxWordLen;
-    Budget ParanoidBud(
-        Budget::Limits{0, 0, Opts.ParanoidStepLimit, nullptr});
+    EO.MaxWordLen = ParanoidWordLen;
+    Budget ParanoidBud(Budget::Limits{0, 0, ParanoidSteps, nullptr});
     EO.Budget = &ParanoidBud;
     SolveResult OracleR = solveEnum(P, EO);
     if (OracleR.V == Verdict::Sat) {

@@ -83,11 +83,6 @@ struct SolveOptions {
   /// Unsat is demoted to Unknown with a ValidationFailure diagnostic.
   /// Expensive; also enabled process-wide by POSTR_SELFCHECK=paranoid.
   bool ParanoidUnsatCheck = false;
-  /// Word-length bound for the paranoid enumeration cross-check.
-  uint32_t ParanoidMaxWordLen = 3;
-  /// Abstract step budget for the paranoid cross-check (keeps it cheap
-  /// and deterministic; the oracle reports Unknown when it trips).
-  uint64_t ParanoidStepLimit = 50'000;
   /// Certify every Unsat verdict: each disjunct records a refutation
   /// (full DRUP + Farkas clause trace on the QF-LIA path, named
   /// trusted-rule records for the automata shortcuts / one-counter /

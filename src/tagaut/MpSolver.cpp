@@ -12,12 +12,22 @@
 #include "lia/Solver.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace postr;
 using namespace postr::tagaut;
 
 namespace {
+
+/// Cap on connectivity-CEGAR rounds under SpanMode::Lazy before the
+/// solver answers Unknown. Each round adds one cut; real workloads
+/// converge in a handful.
+constexpr uint32_t MaxCutRounds = 4096;
+
+/// Resource guard for the quantified (MBQI) path: tag automata with more
+/// transitions than this answer Unknown up-front, because even the
+/// incremental encoding of the outer instance grows with every
+/// accumulated lemma.
+constexpr size_t MbqiTaTransitionCap = 4000;
 
 /// The primitive root of a non-empty word: the shortest p with W = p^k.
 Word primitiveRoot(const Word &W) {
@@ -230,7 +240,7 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
       std::vector<uint32_t> Gap = connectedComponentGap(Enc.Ta, Enc.Pf, Model);
       if (Gap.empty())
         return std::nullopt;
-      if (++Cuts > Opts.MaxConnectivityCuts) {
+      if (++Cuts > MaxCutRounds) {
         ExceededCuts = true;
         return std::nullopt;
       }
@@ -255,18 +265,8 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
   // transitions even the incremental MBQI setup (outer encoding plus one
   // Parikh clone per accumulated lemma) exceeds any sane budget. Answer
   // Unknown up-front instead (the same resource-out the paper reports
-  // for OSTRICH-sized encodings). The threshold is an MpOptions knob,
-  // env-overridable so large-instance experiments need no rebuild.
-  uint32_t MbqiGuard = Opts.MbqiMaxTaTransitions;
-  if (const char *E = std::getenv("POSTR_MBQI_MAX_TA_TRANSITIONS")) {
-    char *End = nullptr;
-    unsigned long V = std::strtoul(E, &End, 10);
-    // A malformed value must not silently disable the resource guard;
-    // keep the option default unless the whole string parsed.
-    if (End != E && *End == '\0' && V <= UINT32_MAX)
-      MbqiGuard = static_cast<uint32_t>(V);
-  }
-  if (MbqiGuard != 0 && Enc.Ta.transitions().size() > MbqiGuard) {
+  // for OSTRICH-sized encodings).
+  if (Enc.Ta.transitions().size() > MbqiTaTransitionCap) {
     Out.V = Verdict::Unknown;
     Out.Stop = StopReason::StepBudget;
     return Out;

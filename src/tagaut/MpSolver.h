@@ -32,17 +32,6 @@ namespace tagaut {
 struct MpOptions {
   lia::QfOptions Qf;
   lia::MbqiOptions Mbqi;
-  /// Cap on connectivity-CEGAR rounds under SpanMode::Lazy before the
-  /// solver answers Unknown. Each round adds one cut; real workloads
-  /// converge in a handful.
-  uint32_t MaxConnectivityCuts = 4096;
-  /// Resource guard for the quantified (MBQI) path: tag automata with
-  /// more transitions than this answer Unknown up-front, because even
-  /// the incremental encoding of the outer instance grows with every
-  /// accumulated lemma. 0 disables the guard. Overridable without a
-  /// rebuild via the POSTR_MBQI_MAX_TA_TRANSITIONS environment variable
-  /// (large-instance experiments).
-  uint32_t MbqiMaxTaTransitions = 4000;
   /// Resource budget (deadline / memory cap / step limit / cancel flag,
   /// see base/Budget.h) governing the whole solve: the encoder, the
   /// automata shortcuts, and every QF/MBQI sub-solve. A cancel flag on

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
+#include <string>
 
 using namespace postr;
 using namespace postr::automata;
@@ -331,6 +333,33 @@ TEST(NfaTest, TrimDropsUnreachableAndDead) {
   Nfa T = A.trim();
   EXPECT_EQ(T.numStates(), 2u);
   EXPECT_TRUE(T.accepts({0}));
+}
+
+/// Logs the hook calls as a string: 'L' per lookup, 'S' per stage.
+class LoggingHook : public NfaOpHook {
+public:
+  std::string Log;
+  std::optional<Nfa> lookup(NfaOp, const Nfa &, const Nfa *) override {
+    Log += 'L';
+    return std::nullopt;
+  }
+  void stage(NfaOp, const Nfa &, const Nfa *, const Nfa &) override {
+    Log += 'S';
+  }
+};
+
+TEST(NfaTest, OpHookSeesEachOpOnlyInsideItsScope) {
+  // postr-bench's automata.* metrics count a lookup followed by a stage
+  // as one completed op; outside the scope the hook sees nothing.
+  LoggingHook H;
+  Nfa A = abStar();
+  {
+    NfaOpHookScope Scope(&H);
+    intersect(A, A);
+    determinize(A);
+  }
+  intersect(A, A);
+  EXPECT_EQ(H.Log, "LSLS");
 }
 
 } // namespace

@@ -613,21 +613,19 @@ TEST(BudgetTest, ExpiredCallerBudgetStartsNoDisjunct) {
 }
 
 TEST(BudgetTest, CancelMidDisjunctStopsTheSolve) {
-  // The deadline instance tests/deadline/thefuck_s7_i6.smt2 (without its
-  // 5 s cap): its one disjunct runs the Simplex far past any cap. The
-  // caller's budget carries a 20 s deadline and a cancel flag raised
+  // The deadline instance tests/deadline/notcontains_mixed_root.smt2
+  // (without its 5 s cap): its one disjunct runs MBQI far past any cap.
+  // The caller's budget carries a 20 s deadline and a cancel flag raised
   // 200 ms in; the disjunct's child budget must see the flag at its next
   // probe, so the solve answers Cancelled long before the deadline.
   Result<strings::Problem> P = smtlib::parseString(R"(
-    (declare-fun in0 () String)
-    (declare-fun in1 () String)
-    (declare-fun in2 () String)
-    (assert (str.in_re in0 (re.loop (re.union (str.to_re "g") (str.to_re "i") (str.to_re "s")) 0 6)))
-    (assert (str.in_re in1 (re.loop (re.union (str.to_re "g") (str.to_re "i") (str.to_re "s")) 0 6)))
-    (assert (str.in_re in2 (re.loop (re.union (str.to_re "g") (str.to_re "i") (str.to_re "s")) 0 6)))
-    (assert (not (= (str.++ in2 in2) "pt")))
-    (assert (not (= (str.++ in0 in1) "gi")))
-    (assert (not (= "t" (str.at in2 2))))
+    (declare-fun x1 () String)
+    (declare-fun x2 () String)
+    (declare-fun z () String)
+    (assert (str.in_re x1 (re.* (str.to_re "ab"))))
+    (assert (str.in_re x2 (re.* (str.to_re "ab"))))
+    (assert (str.in_re z (re.* (str.to_re "c"))))
+    (assert (not (str.contains (str.++ z x2 x1 x1 x2) (str.++ x1 x2 x2))))
     (check-sat))");
   ASSERT_TRUE(P) << P.error();
   std::atomic<bool> Cancel{false};

@@ -169,7 +169,9 @@ TEST(KnobCoverageTest, EveryOptionsStructFieldIsInKnobsDoc) {
 // Knobs deleted on purpose stay deleted: no source may read them again.
 // The names are split so that a plain grep for them finds no live use.
 // The Simplex pivot-rule override forced one rule process-wide; the pivot
-// selection is now computed from the input (docs/BENCH.md).
+// selection is now computed from the input (docs/BENCH.md). The serve
+// automata-op cache lost to recomputation on serve-replay and went with
+// its capacity knob; the MBQI tag-transition guard is a constant.
 TEST(KnobCoverageTest, DeletedEnvKnobsStayOut) {
   std::set<std::string> Knobs;
   collectEnvKnobs(Root / "src", Knobs);
@@ -177,7 +179,11 @@ TEST(KnobCoverageTest, DeletedEnvKnobsStayOut) {
   collectEnvKnobs(Root / "examples", Knobs);
   collectEnvKnobs(Root / "tools", Knobs);
   for (const char *Dead : {"POSTR_SIMPLEX_"
-                           "PIVOT_RULE"})
+                           "PIVOT_RULE",
+                           "POSTR_SERVE_"
+                           "OPCACHE_BYTES",
+                           "POSTR_MBQI_"
+                           "MAX_TA_TRANSITIONS"})
     EXPECT_FALSE(Knobs.count(Dead)) << Dead << " was deleted but is read again";
 }
 

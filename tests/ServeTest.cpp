@@ -4,14 +4,13 @@
 // Position Constraints in String Solving" (PLDI 2025).
 //
 // In-process coverage of the postr-serve stack: wire protocol round
-// trips and framing hardening, both cache tiers (LRU/eviction, the
-// structural-equality guard, staged/validated insertion), the server's
-// containment ladder (simulated crash → quarantine → rebuilt session →
-// degraded retry), the poisoned-entry gate (a self-check-failing result
-// must never be served from the cache), and a randomized concurrent
-// soak mixing sat/unsat/malformed/timeout traffic whose served verdicts
-// are checked against one-shot solves. Everything runs in-process so
-// the sanitizer jobs see every allocation.
+// trips and framing hardening, the result cache (LRU/eviction, validated
+// insertion), the server's containment ladder (simulated crash →
+// quarantine → degraded retry), the poisoned-entry gate (a
+// self-check-failing result must never be served from the cache), and a
+// randomized concurrent soak mixing sat/unsat/malformed/timeout traffic
+// whose served verdicts are checked against one-shot solves. Everything
+// runs in-process so the sanitizer jobs see every allocation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -207,84 +206,6 @@ TEST(ResultCacheTest, LruEvictionByBytes) {
 }
 
 //===----------------------------------------------------------------------===//
-// Automata-op cache
-//===----------------------------------------------------------------------===//
-
-automata::Nfa abStar() {
-  automata::Nfa A(2);
-  automata::State Q0 = A.addState(), Q1 = A.addState();
-  A.markInitial(Q0);
-  A.markFinal(Q0);
-  A.addTransition(Q0, 0, Q1);
-  A.addTransition(Q1, 1, Q0);
-  return A;
-}
-
-TEST(NfaOpCacheTest, StructuralHashIsInsertionOrderInvariant) {
-  automata::Nfa A(2);
-  automata::State A0 = A.addState(), A1 = A.addState();
-  A.markInitial(A0);
-  A.markFinal(A1);
-  A.addTransition(A0, 0, A1);
-  A.addTransition(A0, 1, A0);
-  automata::Nfa B(2);
-  automata::State B0 = B.addState(), B1 = B.addState();
-  B.markInitial(B0);
-  B.markFinal(B1);
-  B.addTransition(B0, 1, B0); // same transitions, other order
-  B.addTransition(B0, 0, B1);
-  EXPECT_EQ(serve::structuralHash(A), serve::structuralHash(B));
-  EXPECT_TRUE(serve::structurallyEqual(A, B));
-  B.addTransition(B1, 0, B1);
-  EXPECT_FALSE(serve::structurallyEqual(A, B));
-}
-
-TEST(NfaOpCacheTest, StagedValidatedInsertion) {
-  serve::NfaOpCache C(1 << 20);
-  automata::Nfa A = abStar(), B = abStar();
-  automata::Nfa Fresh = automata::intersect(A, B);
-
-  EXPECT_FALSE(C.lookup(serve::NfaOpCache::Op::Intersect, A, &B).has_value());
-  C.stage(serve::NfaOpCache::Op::Intersect, A, &B, Fresh);
-  // Staged entries are visible to the in-flight query...
-  EXPECT_TRUE(C.lookup(serve::NfaOpCache::Op::Intersect, A, &B).has_value());
-  // ...but dropping them (failed query) leaves nothing behind.
-  C.dropStaged();
-  EXPECT_FALSE(C.lookup(serve::NfaOpCache::Op::Intersect, A, &B).has_value());
-  EXPECT_EQ(C.stats().StagedDropped, 1u);
-
-  C.stage(serve::NfaOpCache::Op::Intersect, A, &B, Fresh);
-  C.publishStaged();
-  std::optional<automata::Nfa> Hit =
-      C.lookup(serve::NfaOpCache::Op::Intersect, A, &B);
-  ASSERT_TRUE(Hit.has_value());
-  // A verified hit is bit-identical to recomputation.
-  EXPECT_TRUE(serve::structurallyEqual(*Hit, Fresh));
-  EXPECT_EQ(C.stats().Entries, 1u);
-}
-
-TEST(NfaOpCacheTest, HookMemoizesIntersectAndDeterminize) {
-  serve::NfaOpCache C(1 << 20);
-  automata::Nfa A = abStar(), B = abStar();
-  automata::Nfa Cold, Warm, DCold, DWarm;
-  {
-    serve::NfaCacheScope Scope(&C);
-    Cold = automata::intersect(A, B);
-    DCold = automata::determinize(A);
-    C.publishStaged();
-    Warm = automata::intersect(A, B);
-    DWarm = automata::determinize(A);
-  }
-  EXPECT_TRUE(serve::structurallyEqual(Cold, Warm));
-  EXPECT_TRUE(serve::structurallyEqual(DCold, DWarm));
-  EXPECT_GE(C.stats().Hits, 2u);
-  // Outside the scope the hook is inert: no hits accrue.
-  uint64_t HitsBefore = C.stats().Hits + C.stats().Misses;
-  automata::intersect(A, B);
-  EXPECT_EQ(C.stats().Hits + C.stats().Misses, HitsBefore);
-}
-
-//===----------------------------------------------------------------------===//
 // Server: deadlines
 //===----------------------------------------------------------------------===//
 
@@ -410,8 +331,8 @@ TEST(ServeServerTest, SimulatedCrashQuarantinesRebuildsAndRetries) {
   Q.TestAbort = true;
   Q.Smt2 = "(declare-fun x () String)(assert (= x \"ab\"))(check-sat)";
   Response R = S.submit(Q);
-  // The crash is contained: the retry (on a rebuilt session, degraded
-  // options) still produces the right verdict.
+  // The crash is contained: the retry (degraded options) still produces
+  // the right verdict.
   ASSERT_EQ(R.S, Response::Ok) << R.Message;
   EXPECT_EQ(R.Verdict, "sat");
   serve::ServerStats St = S.stats();

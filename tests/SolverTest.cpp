@@ -200,6 +200,26 @@ TEST(PipelineTest, LengthFirstDisequalityHoldsByLength) {
   EXPECT_GE(R.Words.at(X).size(), 3u);
 }
 
+TEST(PipelineTest, LengthFirstDisequalityNeedsNoIntSide) {
+  // thefuck/11/81 (bench/workloads): two ≠ and no integer side. Two
+  // predicates keep the one-counter fast path out; all-ε satisfies both
+  // by length, so the attempt answers with one solveMP call in under 300
+  // budget steps. The full tag encoding alone needs over 10000.
+  Problem P;
+  VarId In0 = P.strVar("in0"), In1 = P.strVar("in1"), In2 = P.strVar("in2");
+  for (VarId V : {In0, In1, In2})
+    P.assertInRe(V, "(g|i|s){0,6}");
+  P.assertDiseq({StrElem::var(In2)}, {StrElem::lit("st")});
+  P.assertDiseq({StrElem::var(In2), StrElem::var(In0)}, {StrElem::lit("i")});
+  P.assertDiseq({StrElem::var(In1), StrElem::var(In1)}, {StrElem::lit("pt")});
+  SolveOptions Opts;
+  Opts.StepLimit = 2000;
+  SolveResult R = solver::solveProblem(P, Opts);
+  ASSERT_EQ(R.V, Verdict::Sat);
+  EXPECT_EQ(R.Stats.MpCalls, 1u);
+  EXPECT_EQ(R.Stats.ModelsValidated, 1u);
+}
+
 TEST(PipelineTest, LengthFirstDisequalityFallsThroughOnEqualLengths) {
   // |x| = |y| = 1 forces |x·y| = |"ab"|, so the attempt finds nothing and
   // the full encoding decides the mismatch: a second solveMP call.
@@ -243,14 +263,15 @@ TEST(PipelineTest, LengthFirstDisequalityNeverRefutes) {
 
 TEST(PipelineTest, LengthFirstDisequalityMatchesEnum) {
   // Seeded draws of one or two ≠ over concatenations of x, y against
-  // words, under a length atom, all languages finite so that solveEnum
-  // is complete. Both outcomes of the attempt must occur: a Sat by
-  // length alone (one solveMP call) and a fall-through (two).
+  // words, the first 40 under a length atom and the last 20 without one,
+  // all languages finite so that solveEnum is complete. Both outcomes of
+  // the attempt must occur: a Sat by length alone (one solveMP call) and
+  // a fall-through (two).
   const char *Words[] = {"", "a", "ab", "ba", "abb"};
   const lia::Cmp Ops[] = {lia::Cmp::Eq, lia::Cmp::Ge, lia::Cmp::Le};
   std::mt19937 Rng(7);
   int ByLength = 0, FellThrough = 0;
-  for (int Draw = 0; Draw < 40; ++Draw) {
+  for (int Draw = 0; Draw < 60; ++Draw) {
     Problem P;
     VarId X = P.strVar("x"), Y = P.strVar("y");
     P.assertInRe(X, Draw % 2 ? "(a|b){0,2}" : "a{0,2}");
@@ -259,8 +280,9 @@ TEST(PipelineTest, LengthFirstDisequalityMatchesEnum) {
       StrSeq Lhs = {StrElem::var(Rng() % 2 ? X : Y), StrElem::var(Y)};
       P.assertDiseq(Lhs, {StrElem::lit(Words[Rng() % 5])});
     }
-    P.assertIntAtom(IntTerm::lenOf(Rng() % 2 ? X : Y), Ops[Rng() % 3],
-                    IntTerm::constant(Rng() % 3));
+    if (Draw < 40)
+      P.assertIntAtom(IntTerm::lenOf(Rng() % 2 ? X : Y), Ops[Rng() % 3],
+                      IntTerm::constant(Rng() % 3));
     SolveResult R = solve(P);
     solver::EnumOptions EO;
     EO.TimeoutMs = 5000;
