@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -600,6 +601,113 @@ bool checkWalkProof(const WalkProof &W, CheckStats &Stats, std::string &Err) {
 
 } // namespace
 
+//===----------------------------------------------------------------------===//
+// Mono-root rewrites: each atom is its predicate's image, and in the trace
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using Coeffs = std::vector<std::pair<uint32_t, int64_t>>;
+
+/// True if \p W is a primitive word: no proper divisor d of |W| makes W
+/// d-periodic.
+bool isPrimitive(const std::vector<uint32_t> &W) {
+  if (W.empty())
+    return false;
+  for (size_t D = 1; D < W.size(); ++D) {
+    if (W.size() % D != 0)
+      continue;
+    bool Periodic = true;
+    for (size_t I = D; I < W.size() && Periodic; ++I)
+      Periodic = W[I] == W[I - D];
+    if (Periodic)
+      return false;
+  }
+  return true;
+}
+
+/// Verifies the rewrite \p R against the trace \p P it travels with.
+bool checkRewrite(const MonoRootRewrite &R, const QfProof &P,
+                  CheckStats &Stats, std::string &Err) {
+  std::map<uint32_t, const LenDef *> Lens;
+  for (const LenDef &L : R.Lens)
+    if (!Lens.emplace(L.StrVar, &L).second) {
+      Err = "duplicate length term for string var " + std::to_string(L.StrVar);
+      return false;
+    }
+  std::set<std::pair<int64_t, Coeffs>> TraceAtoms;
+  for (const LinAtom &A : P.Atoms)
+    TraceAtoms.insert({A.Const, A.Coeffs});
+
+  for (const MonoRootAtom &M : R.Atoms) {
+    if (!isPrimitive(M.Root)) {
+      Err = "mono-root rewrite over a root that is not primitive";
+      return false;
+    }
+    // ≠ becomes |u| ≠ |v|; ¬prefixof, ¬suffixof and ¬contains become
+    // |needle| > |haystack|.
+    MonoRootAtom::Op Want = M.K == MonoRootAtom::Kind::Diseq
+                                ? MonoRootAtom::Op::Ne
+                                : MonoRootAtom::Op::Gt;
+    if (M.Cmp != Want) {
+      Err = "mono-root rewrite maps a predicate to the wrong comparison";
+      return false;
+    }
+    std::map<uint32_t, int64_t> Occ;
+    for (uint32_t X : M.Lhs)
+      ++Occ[X];
+    for (uint32_t X : M.Rhs)
+      --Occ[X];
+    std::erase_if(Occ, [](const auto &E) { return E.second == 0; });
+    if (!std::equal(Occ.begin(), Occ.end(), M.Coeffs.begin(), M.Coeffs.end(),
+                    [](const auto &A, const auto &B) {
+                      return A.first == B.first && A.second == B.second;
+                    })) {
+      Err = "mono-root atom is not the image of its predicate's sides";
+      return false;
+    }
+    // T = Σ c·|x| over the problem variables, in 128 bits.
+    std::map<uint32_t, __int128> Term;
+    for (const auto &[X, C] : Occ) {
+      auto It = Lens.find(X);
+      if (It == Lens.end()) {
+        Err = "mono-root atom reads string var " + std::to_string(X) +
+              " without a length term";
+        return false;
+      }
+      for (const auto &[V, K] : It->second->Coeffs)
+        Term[V] += static_cast<__int128>(C) * K;
+    }
+    std::erase_if(Term, [](const auto &E) { return E.second == 0; });
+    ++Stats.MonoRootAtoms;
+    // A ground atom (T = 0, false either way) never reaches the atom
+    // table. Otherwise its lowered forms must: T ≠ 0 is T + 1 ≤ 0 or
+    // −T + 1 ≤ 0, and T > 0 is −T + 1 ≤ 0.
+    if (Term.empty())
+      continue;
+    for (int Sign : {1, -1}) {
+      if (Sign == 1 && M.Cmp == MonoRootAtom::Op::Gt)
+        continue;
+      std::pair<int64_t, Coeffs> Key{1, {}};
+      for (const auto &[V, C] : Term) {
+        __int128 SC = Sign * C;
+        if (SC < INT64_MIN || SC > INT64_MAX) {
+          Err = "mono-root atom coefficient out of range";
+          return false;
+        }
+        Key.second.push_back({V, static_cast<int64_t>(SC)});
+      }
+      if (!TraceAtoms.count(Key)) {
+        Err = "mono-root atom is not among the trace's atoms";
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+} // namespace
+
 CheckOutcome proof::checkCertificate(const Certificate &C) {
   CheckOutcome Out;
   if (!C.Complete) {
@@ -631,8 +739,12 @@ CheckOutcome proof::checkCertificate(const Certificate &C) {
       ++Out.Stats.CheckedRefutations;
       continue;
     }
-    QfChecker QC(D.Proof, Out.Stats);
     std::string Err;
+    if (D.Rewrite && !checkRewrite(*D.Rewrite, D.Proof, Out.Stats, Err)) {
+      Out.Error = "disjunct " + std::to_string(I) + ": " + Err;
+      return Out;
+    }
+    QfChecker QC(D.Proof, Out.Stats);
     if (!QC.run(Err)) {
       Out.Error = "disjunct " + std::to_string(I) + ": " + Err;
       return Out;

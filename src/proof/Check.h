@@ -14,9 +14,11 @@
 /// clause trace is accepted when every learnt clause passes reverse
 /// unit propagation against the live clause DB, every theory lemma's
 /// Farkas/branch-tree certificate re-evaluates to `0 <= negative`, and
-/// the final refutation event conflicts under unit propagation. A walk
-/// refutation is accepted when a breadth-first search of its bounded
-/// counter graph reaches no target state.
+/// the final refutation event conflicts under unit propagation. A
+/// trace's mono-root rewrite is accepted when every root is primitive
+/// and every length atom is its predicate's image and among the trace's
+/// atoms. A walk refutation is accepted when a breadth-first search of
+/// its bounded counter graph reaches no target state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +43,7 @@ struct CheckStats {
   uint64_t RupChecks = 0;          ///< clauses verified by propagation
   uint64_t FarkasLeaves = 0;       ///< Farkas combinations re-evaluated
   uint64_t WalkStates = 0;         ///< walk states the kernel searched
+  uint32_t MonoRootAtoms = 0;      ///< rewritten predicates checked
 };
 
 struct CheckOutcome {

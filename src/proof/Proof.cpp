@@ -17,6 +17,9 @@
 //     t <node> <lo> <hi>              -- exactly <targets> lines
 //   end
 //   disjunct <i> qf                   -- clause-trace refutation
+//     len <x> <k> {<var> <coeff>}...   -- |x| of string var x
+//     mono <kind> <op> <r> {<letter>}... <nl> {<x>}... <nr> {<x>}...
+//          <k> {<x> <coeff>}...       -- a predicate and its length atom
 //     v <var> <lo|*> <hi|*>
 //     atm <satvar> <const> <k> {<var> <coeff>}...
 //     c <id> <leaves> <nodes> <root>
@@ -27,7 +30,9 @@
 //   end
 //   unsat
 //
-// Rationals are `num` or `num/den` in decimal (128-bit).
+// Rationals are `num` or `num/den` in decimal (128-bit). A `mono` kind
+// is ne|nprefix|nsuffix|ncontains and its op one of le|lt|ge|gt|eq|ne;
+// the `mono` record is one line.
 //
 //===----------------------------------------------------------------------===//
 
@@ -115,6 +120,31 @@ const char *stepTag(ClauseStep::Kind K) {
   return "?";
 }
 
+const char *MonoKindNames[] = {"ne", "nprefix", "nsuffix", "ncontains"};
+const char *MonoOpNames[] = {"le", "lt", "ge", "gt", "eq", "ne"};
+
+/// Index of \p Name in \p Names, or -1.
+template <size_t N> int indexOf(const char *const (&Names)[N],
+                                const std::string &Name) {
+  for (size_t I = 0; I < N; ++I)
+    if (Name == Names[I])
+      return static_cast<int>(I);
+  return -1;
+}
+
+void serializeTerm(std::ostringstream &Out,
+                   const std::vector<std::pair<uint32_t, int64_t>> &Coeffs) {
+  Out << ' ' << Coeffs.size();
+  for (const auto &[V, C] : Coeffs)
+    Out << ' ' << V << ' ' << C;
+}
+
+void serializeList(std::ostringstream &Out, const std::vector<uint32_t> &L) {
+  Out << ' ' << L.size();
+  for (uint32_t X : L)
+    Out << ' ' << X;
+}
+
 void serializeQf(std::ostringstream &Out, const QfProof &P) {
   for (const VarBounds &B : P.Bounds) {
     Out << "v " << B.Var << ' '
@@ -122,9 +152,8 @@ void serializeQf(std::ostringstream &Out, const QfProof &P) {
         << (B.HasHi ? std::to_string(B.Hi) : std::string("*")) << '\n';
   }
   for (const LinAtom &A : P.Atoms) {
-    Out << "atm " << A.SatVar << ' ' << A.Const << ' ' << A.Coeffs.size();
-    for (const auto &[V, C] : A.Coeffs)
-      Out << ' ' << V << ' ' << C;
+    Out << "atm " << A.SatVar << ' ' << A.Const;
+    serializeTerm(Out, A.Coeffs);
     Out << '\n';
   }
   for (size_t I = 0; I < P.Certs.size(); ++I) {
@@ -168,6 +197,23 @@ void serializeQf(std::ostringstream &Out, const QfProof &P) {
       else
         Out << " -";
     }
+    Out << '\n';
+  }
+}
+
+void serializeRewrite(std::ostringstream &Out, const MonoRootRewrite &R) {
+  for (const LenDef &L : R.Lens) {
+    Out << "len " << L.StrVar;
+    serializeTerm(Out, L.Coeffs);
+    Out << '\n';
+  }
+  for (const MonoRootAtom &M : R.Atoms) {
+    Out << "mono " << MonoKindNames[static_cast<int>(M.K)] << ' '
+        << MonoOpNames[static_cast<int>(M.Cmp)];
+    serializeList(Out, M.Root);
+    serializeList(Out, M.Lhs);
+    serializeList(Out, M.Rhs);
+    serializeTerm(Out, M.Coeffs);
     Out << '\n';
   }
 }
@@ -256,7 +302,30 @@ struct Parser {
   }
 };
 
-bool parseQf(Parser &P, QfProof &Out) {
+bool parseTerm(Parser &P, std::vector<std::pair<uint32_t, int64_t>> &Out) {
+  uint32_t N;
+  if (!P.u32(N))
+    return false;
+  Out.resize(N);
+  for (auto &[V, C] : Out)
+    if (!P.u32(V) || !P.i64(C))
+      return false;
+  return true;
+}
+
+bool parseList(Parser &P, std::vector<uint32_t> &Out) {
+  uint32_t N;
+  if (!P.u32(N))
+    return false;
+  Out.resize(N);
+  for (uint32_t &X : Out)
+    if (!P.u32(X))
+      return false;
+  return true;
+}
+
+bool parseQf(Parser &P, DisjunctCert &D) {
+  QfProof &Out = D.Proof;
   // Sections arrive in any order; `end` closes the disjunct.
   for (;;) {
     if (!P.nextLine())
@@ -266,7 +335,33 @@ bool parseQf(Parser &P, QfProof &Out) {
       return false;
     if (Tag == "end")
       return true;
-    if (Tag == "v") {
+    if (Tag == "len") {
+      LenDef L;
+      if (!P.u32(L.StrVar) || !parseTerm(P, L.Coeffs))
+        return false;
+      if (!D.Rewrite)
+        D.Rewrite.emplace();
+      D.Rewrite->Lens.push_back(std::move(L));
+    } else if (Tag == "mono") {
+      MonoRootAtom M;
+      std::string Kind, Op;
+      if (!P.tok(Kind) || !P.tok(Op))
+        return false;
+      int KindIdx = indexOf(MonoKindNames, Kind);
+      int OpIdx = indexOf(MonoOpNames, Op);
+      if (KindIdx < 0)
+        return P.fail("bad mono kind '" + Kind + "'");
+      if (OpIdx < 0)
+        return P.fail("bad mono op '" + Op + "'");
+      M.K = static_cast<MonoRootAtom::Kind>(KindIdx);
+      M.Cmp = static_cast<MonoRootAtom::Op>(OpIdx);
+      if (!parseList(P, M.Root) || !parseList(P, M.Lhs) ||
+          !parseList(P, M.Rhs) || !parseTerm(P, M.Coeffs))
+        return false;
+      if (!D.Rewrite)
+        D.Rewrite.emplace();
+      D.Rewrite->Atoms.push_back(std::move(M));
+    } else if (Tag == "v") {
       VarBounds B;
       std::string Lo, Hi;
       if (!P.u32(B.Var) || !P.tok(Lo) || !P.tok(Hi))
@@ -287,13 +382,8 @@ bool parseQf(Parser &P, QfProof &Out) {
       Out.Bounds.push_back(B);
     } else if (Tag == "atm") {
       LinAtom A;
-      uint32_t N;
-      if (!P.u32(A.SatVar) || !P.i64(A.Const) || !P.u32(N))
+      if (!P.u32(A.SatVar) || !P.i64(A.Const) || !parseTerm(P, A.Coeffs))
         return false;
-      A.Coeffs.resize(N);
-      for (auto &[V, C] : A.Coeffs)
-        if (!P.u32(V) || !P.i64(C))
-          return false;
       Out.Atoms.push_back(std::move(A));
     } else if (Tag == "c") {
       uint32_t Id, NL, NN;
@@ -436,6 +526,8 @@ std::string proof::serialize(const Certificate &C) {
       Out << "end\n";
     } else {
       Out << "disjunct " << I << " qf\n";
+      if (D.Rewrite)
+        serializeRewrite(Out, *D.Rewrite);
       serializeQf(Out, D.Proof);
       Out << "end\n";
     }
@@ -482,7 +574,7 @@ Result<Certificate> proof::parse(std::string_view Text) {
       if (!parseWalk(P, D.Walk.emplace()))
         return Bail();
     } else if (Kind == "qf") {
-      if (!parseQf(P, D.Proof))
+      if (!parseQf(P, D))
         return Bail();
     } else {
       return P.fail("bad disjunct kind '" + Kind + "'"), Bail();

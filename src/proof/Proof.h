@@ -23,7 +23,11 @@
 ///    certificate: a nonnegative rational combination of asserted
 ///    bounds summing to `0 <= negative`, with an explicit branch-split
 ///    tree for integrality conflicts), DB-reduction deletions, and a
-///    final refutation event (empty-clause or assumption-core); or
+///    final refutation event (empty-clause or assumption-core). A trace
+///    may carry a `MonoRootRewrite` (`mono` and `len` records): the
+///    disjunct's predicates over powers of one primitive word became
+///    length atoms of its input, and the kernel checks each atom against
+///    its predicate before replaying the trace; or
 ///
 ///  - a `WalkProof` (`disjunct <i> walk`): a bounded counter-reachability
 ///    refutation from the one-counter fast path for a numeral-index
@@ -35,9 +39,9 @@
 ///    clauses: the kernel checks the search, not the construction; or
 ///
 ///  - a named structural rule (`DisjunctCert::IsRule`): one of the
-///    automata-level short-circuits (empty language, commuting powers,
-///    epsilon needle, syntactic self-containment, the one-counter fast
-///    path for ≠ / ¬prefixof / ¬suffixof, MBQI candidate logic). These
+///    automata-level short-circuits (empty language, epsilon needle,
+///    syntactic self-containment, the one-counter fast path for
+///    mixed-root ≠ / ¬prefixof / ¬suffixof, MBQI candidate logic). These
 ///    are part of the trusted front-end, recorded so the composition is
 ///    explicit; the kernel counts them but cannot re-derive them.
 ///
@@ -179,6 +183,38 @@ struct WalkProof {
 /// rejects larger ones, so the fast path does not emit them.
 constexpr uint64_t MaxWalkStates = uint64_t(1) << 24;
 
+/// A string variable's length term #⟨L,x⟩ over the trace's problem
+/// variables: Σ Coeff·Var.
+struct LenDef {
+  uint32_t StrVar = 0;
+  std::vector<std::pair<uint32_t, int64_t>> Coeffs; ///< (problem var, coeff)
+};
+
+/// One predicate a MonoRootRewrite replaced, and the length atom it
+/// became: Σ Coeff·|x| ⋈ 0 over string variables.
+struct MonoRootAtom {
+  enum class Kind : uint8_t { Diseq, NotPrefix, NotSuffix, NotContains };
+  enum class Op : uint8_t { Le, Lt, Ge, Gt, Eq, Ne };
+  Kind K = Kind::Diseq;
+  std::vector<uint32_t> Root;     ///< the primitive word r, as letters
+  std::vector<uint32_t> Lhs, Rhs; ///< the sides; Lhs is the needle
+  Op Cmp = Op::Ne;
+  std::vector<std::pair<uint32_t, int64_t>> Coeffs; ///< (string var, coeff)
+};
+
+/// The rewrite a clause trace rests on: each mono-root predicate of the
+/// disjunct became a length atom of the trace's input (|u| ≠ |v| for ≠,
+/// |needle| > |haystack| otherwise). The kernel checks that every root
+/// is primitive, that every atom is its kind's image over the sides'
+/// occurrence counts, and that the atom, read through the length terms,
+/// is among the trace's atoms. That every language lies in r* is
+/// trusted encoding, like a walk graph's construction; the lemma behind
+/// the rewrite is metatheory.
+struct MonoRootRewrite {
+  std::vector<LenDef> Lens;
+  std::vector<MonoRootAtom> Atoms;
+};
+
 /// Refutation of one stabilization disjunct.
 struct DisjunctCert {
   bool IsRule = false;
@@ -186,6 +222,9 @@ struct DisjunctCert {
   QfProof Proof;    ///< clause trace otherwise
   /// Set for a walk refutation (then Proof is unused).
   std::optional<WalkProof> Walk;
+  /// Set for a clause trace over a disjunct whose mono-root predicates
+  /// became length atoms.
+  std::optional<MonoRootRewrite> Rewrite;
 };
 
 /// Whole-problem Unsat certificate: every disjunct refuted and the

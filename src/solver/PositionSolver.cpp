@@ -300,9 +300,10 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   Handles H = MintHandles(A);
 
   // Substitute the decomposition into P; divert non-flat ¬contains into
-  // the |u| > |v| under-approximation (Sec. 8 heuristic).
+  // the |u| > |v| under-approximation (Sec. 8 heuristic), unless it is
+  // mono-root, where solveMP's rewrite to that same atom is exact.
   std::vector<PosPredicate> Preds;
-  std::vector<std::pair<std::vector<VarId>, std::vector<VarId>>> ApproxLenGt;
+  std::vector<tagaut::LenAtom> ApproxLenGt;
   for (const NormPred &NP : NF.Preds) {
     PosPredicate Pred;
     Pred.Kind = NP.Kind;
@@ -313,8 +314,9 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       Pred.AtPos = H.term(NP.AtPos);
     }
     if (Pred.Kind == PredKind::NotContains &&
-        !tagaut::notContainsVarsFlat(Langs, {Pred})) {
-      ApproxLenGt.push_back({Pred.Lhs, Pred.Rhs});
+        !tagaut::notContainsVarsFlat(Langs, {Pred}) &&
+        !tagaut::monoRoot(Langs, Pred)) {
+      ApproxLenGt.push_back({Pred.Lhs, lia::Cmp::Gt, Pred.Rhs});
       continue;
     }
     Preds.push_back(std::move(Pred));
@@ -340,9 +342,9 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     Read.insert(Pred.Lhs.begin(), Pred.Lhs.end());
     Read.insert(Pred.Rhs.begin(), Pred.Rhs.end());
   }
-  for (const auto &[U, V] : ApproxLenGt) {
-    Read.insert(U.begin(), U.end());
-    Read.insert(V.begin(), V.end());
+  for (const tagaut::LenAtom &At : ApproxLenGt) {
+    Read.insert(At.Lhs.begin(), At.Lhs.end());
+    Read.insert(At.Rhs.begin(), At.Rhs.end());
   }
   for (const NormIntAtom &Atom : NF.IntAtoms) {
     ReadLens(Atom.Lhs);
@@ -393,13 +395,22 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     return Verdict::Unknown;
   }
 
+  // Whether every predicate is mono-root: solveMP then rewrites each one
+  // to its length atom, exactly and with a checked refutation.
+  bool AllMonoRoot =
+      std::all_of(Preds.begin(), Preds.end(), [&](const PosPredicate &Pred) {
+        return tagaut::monoRoot(Langs, Pred).has_value();
+      });
+
   // PTime fast path (Thm. 7.1): a single eligible predicate, no I part
   // except, for a numeral-index str.at, lower bounds |S| > k (k ≤ i) on
   // its haystack. Its Sat carries the walk it found as the model; only a
   // Sat without one (an over-long pumped cycle) or a NodeBudget Unknown
-  // falls through to the LIA path.
+  // falls through to the LIA path. A mono-root predicate is left to
+  // solveMP, whose refutation the kernel checks.
   std::optional<int64_t> HayLenAbove;
-  if (Opts.UseOcaFastPath && counter::isEligible(Preds, Langs)) {
+  if (Opts.UseOcaFastPath && !AllMonoRoot &&
+      counter::isEligible(Preds, Langs)) {
     const PosPredicate &Pred = Preds.front();
     bool StrAt =
         Pred.Kind == PredKind::StrAtEq || Pred.Kind == PredKind::StrAtNe;
@@ -434,8 +445,9 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
         // A str.at refutation: the kernel re-decides its walk graph.
         CertOut->Walk = std::move(Oc.Cert);
       } else if (CertOut) {
-        // The ≠ / ¬prefixof / ¬suffixof searches (Thm. 7.1) are a trusted
-        // engine; their refutation is recorded by name (proof/Proof.h).
+        // The mixed-root ≠ / ¬prefixof / ¬suffixof searches (Thm. 7.1)
+        // are a trusted engine; their refutation is recorded by name
+        // (proof/Proof.h).
         CertOut->IsRule = true;
         CertOut->Rule = "one-counter";
       }
@@ -448,19 +460,14 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   }
 
   // The I′ part over the handles \p Hs of the arena solveMP is given:
-  // the integer atoms, the ¬contains under-approximation, |u| ≠ |v| for
-  // each ≠ of \p LenNe, and the ties of every length handle.
-  auto IntBuilderFor = [&](Handles &Hs, const std::vector<PosPredicate> &LenNe)
+  // the integer atoms, the length atoms \p LenAtoms, and the ties of
+  // every length handle.
+  auto IntBuilderFor = [&](Handles &Hs,
+                           const std::vector<tagaut::LenAtom> &LenAtoms)
       -> tagaut::IntConstraintBuilder {
-    return [&, &Hs = Hs, &LenNe = LenNe](
+    return [&, &Hs = Hs, &LenAtoms = LenAtoms](
                lia::Arena &Ar,
                const std::map<VarId, lia::LinTerm> &LenTerms) {
-      auto Len = [&](const std::vector<VarId> &Seq) {
-        lia::LinTerm Sum;
-        for (VarId T : Seq)
-          Sum += LenTerms.at(T);
-        return Sum;
-      };
       std::vector<lia::FormulaId> Parts;
       // Convert the atoms first: term() lazily mints length handles, and
       // every handle minted anywhere must be tied to the Parikh image
@@ -468,14 +475,16 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       for (const NormIntAtom &Atom : NF.IntAtoms)
         Parts.push_back(
             Ar.cmp(Hs.term(Atom.Lhs), Atom.Op, Hs.term(Atom.Rhs)));
-      for (const auto &[U, V] : ApproxLenGt)
-        Parts.push_back(Ar.cmp(Len(U), lia::Cmp::Gt, Len(V)));
-      for (const PosPredicate &Pred : LenNe)
-        Parts.push_back(Ar.cmp(Len(Pred.Lhs), lia::Cmp::Ne, Len(Pred.Rhs)));
+      for (const tagaut::LenAtom &At : LenAtoms)
+        Parts.push_back(tagaut::lenAtomFormula(Ar, LenTerms, At));
       // Tie every length handle to the Parikh length of its substitution.
-      for (const auto &[X, Handle] : Hs.Lens)
-        Parts.push_back(Ar.cmp(lia::LinTerm::variable(Handle), lia::Cmp::Eq,
-                               Len(D.Subst.at(X))));
+      for (const auto &[X, Handle] : Hs.Lens) {
+        lia::LinTerm Len;
+        for (VarId T : D.Subst.at(X))
+          Len += LenTerms.at(T);
+        Parts.push_back(
+            Ar.cmp(lia::LinTerm::variable(Handle), lia::Cmp::Eq, Len));
+      }
       return Ar.conj(std::move(Parts));
     };
   };
@@ -499,8 +508,9 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   // each one strengthened to |u| ≠ |v| and nothing left to encode. That
   // under-approximates, so only its (validated) Sat is taken; anything
   // else falls through to the full encoding, on an arena and a budget the
-  // attempt never touched.
-  if (!Preds.empty() &&
+  // attempt never touched. When every ≠ is mono-root, solveMP's own
+  // rewrite is this same attempt, made exact, so it is not run twice.
+  if (!Preds.empty() && !AllMonoRoot &&
       std::all_of(Preds.begin(), Preds.end(), [](const PosPredicate &Pred) {
         return Pred.Kind == PredKind::Diseq;
       })) {
@@ -511,8 +521,12 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     tagaut::MpOptions LenOpts = MpOpts;
     LenOpts.Certify = false;
     LenOpts.Budget = &LenBud;
-    tagaut::MpResult R = tagaut::solveMP(LenArena, Langs, {}, NF.Sigma.size(),
-                                         IntBuilderFor(LenH, Preds), LenOpts);
+    std::vector<tagaut::LenAtom> LenAtoms = ApproxLenGt;
+    for (const PosPredicate &Pred : Preds)
+      LenAtoms.push_back(tagaut::monoRootAtom(Pred));
+    tagaut::MpResult R =
+        tagaut::solveMP(LenArena, Langs, {}, NF.Sigma.size(),
+                        IntBuilderFor(LenH, LenAtoms), LenOpts);
     Root->chargeMem(LenBud.memCharged());
     if (R.V == Verdict::Sat)
       return Accept(std::move(R.Assignment), IntsOf(LenH, R.Model));
@@ -524,15 +538,11 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   }
 
   ++Stats.MpCalls;
-  for (const PosPredicate &Pred : Preds)
-    if (Pred.Kind == PredKind::NotContains)
-      Stats.UsedMbqi = true;
-
-  const std::vector<PosPredicate> NoLenNe;
-  tagaut::IntConstraintBuilder IntBuilder = IntBuilderFor(H, NoLenNe);
+  tagaut::IntConstraintBuilder IntBuilder = IntBuilderFor(H, ApproxLenGt);
   MpOpts.Budget = &Child;
   tagaut::MpResult R =
       tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, MpOpts);
+  Stats.UsedMbqi |= R.UsedMbqi;
   const char *StopSite = Child.tripSite();
   // Root-level accounting: the disjunct's cumulative charges count
   // against the root cap too (the run loop's probe notices the trip).
@@ -557,6 +567,7 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     } else {
       Deg.Budget = &RetryBud;
       R = tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, Deg);
+      Stats.UsedMbqi |= R.UsedMbqi;
       StopSite = RetryBud.tripSite();
       Root->chargeMem(RetryBud.memCharged());
     }

@@ -112,6 +112,7 @@ struct SolveStats {
   /// Disjuncts re-run once in degraded mode (Bland pivoting, reduced
   /// MBQI bounds) after stopping on MemOut/StepBudget.
   uint32_t DegradedRetries = 0;
+  /// A solveMP call reached the MBQI loop.
   bool UsedMbqi = false;
   bool UsedApproximation = false;
   bool StabilizationIncomplete = false;

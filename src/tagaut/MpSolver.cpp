@@ -12,6 +12,7 @@
 #include "lia/Solver.h"
 
 #include <algorithm>
+#include <set>
 
 using namespace postr;
 using namespace postr::tagaut;
@@ -43,60 +44,161 @@ Word primitiveRoot(const Word &W) {
   return W;
 }
 
-/// NFA for the language p* (a cycle through the letters of p).
-automata::Nfa starOfWord(const Word &P, uint32_t AlphabetSize) {
-  automata::Nfa A(AlphabetSize);
-  A.addStates(static_cast<uint32_t>(P.size()));
-  A.markInitial(0);
-  A.markFinal(0);
-  for (uint32_t I = 0; I < P.size(); ++I)
-    A.addTransition(I, P[I], (I + 1) % static_cast<uint32_t>(P.size()));
-  return A;
-}
-
-/// True if both sides of \p P are permutations of the same occurrence
-/// multiset and every involved language is contained in p* for a single
-/// word p. All values then iterate p, so concatenation commutes and the
-/// two sides are *equal* under every assignment — ¬contains (and ≠,
-/// ¬suffixof, …) can never hold. This is the primitive-word structure of
-/// the position-hard family (footnote 10).
-bool sidesForcedEqual(const std::map<VarId, automata::Nfa> &Langs,
-                      const PosPredicate &P, uint32_t AlphabetSize) {
-  std::vector<VarId> L = P.Lhs, R = P.Rhs;
-  std::sort(L.begin(), L.end());
-  std::sort(R.begin(), R.end());
-  if (L != R || L.empty())
-    return false;
-  // Find the root from the first language with a non-empty word (someWord
-  // returns a shortest word, which may be ε — intersect with Σ⁺ first).
-  automata::Nfa AnyPlus(AlphabetSize);
-  AnyPlus.addStates(2);
-  AnyPlus.markInitial(0);
-  AnyPlus.markFinal(1);
-  for (Symbol S = 0; S < AlphabetSize; ++S) {
-    AnyPlus.addTransition(0, S, 1);
-    AnyPlus.addTransition(1, S, 1);
+/// A shortest non-empty word of the trimmed automaton \p T, or ε when it
+/// has none: breadth-first over (state, read a letter yet).
+Word shortestNonEmptyWord(const automata::Nfa &T) {
+  using automata::State;
+  struct Node {
+    State Q;
+    bool Read;
+    uint32_t Parent;
+    Symbol Sym;
+  };
+  std::vector<Node> Nodes;
+  std::vector<uint8_t> Seen(2 * size_t(T.numStates()), 0);
+  for (State Q : T.initialStates()) {
+    Seen[2 * size_t(Q)] = 1;
+    Nodes.push_back({Q, false, ~0u, 0});
   }
-  Word Root;
-  for (VarId X : L) {
-    std::optional<Word> W =
-        automata::intersect(Langs.at(X), AnyPlus).someWord();
-    if (W && !W->empty()) {
-      Root = primitiveRoot(*W);
-      break;
+  for (uint32_t Head = 0; Head < Nodes.size(); ++Head) {
+    Node N = Nodes[Head];
+    if (N.Read && T.isFinal(N.Q)) {
+      Word W;
+      for (uint32_t I = Head; Nodes[I].Parent != ~0u; I = Nodes[I].Parent)
+        if (Nodes[I].Sym != automata::Nfa::Epsilon)
+          W.push_back(Nodes[I].Sym);
+      return Word(W.rbegin(), W.rend());
+    }
+    auto [B, E] = T.outgoing(N.Q);
+    for (const automata::Transition *It = B; It != E; ++It) {
+      bool Read = N.Read || It->Sym != automata::Nfa::Epsilon;
+      size_t Slot = 2 * size_t(It->To) + Read;
+      if (!Seen[Slot]) {
+        Seen[Slot] = 1;
+        Nodes.push_back({It->To, Read, Head, It->Sym});
+      }
     }
   }
-  if (Root.empty())
-    return false; // all-ε handled by the ε-needle check
-  automata::Nfa RootStar = starOfWord(Root, AlphabetSize);
-  automata::Nfa NotRootStar = automata::complement(RootStar);
-  for (VarId X : L)
-    if (!automata::intersect(Langs.at(X), NotRootStar).isEmpty())
+  return {};
+}
+
+/// True if the language of the trimmed automaton \p T lies in R*: the
+/// product with R's |R|-state cycle never reads a letter off the cycle
+/// and never accepts away from phase 0. Every state of \p T lies on an
+/// accepting path, so either violation spells a word outside R*.
+bool inRootStar(const automata::Nfa &T, const Word &R) {
+  using automata::State;
+  const size_t N = R.size();
+  std::vector<uint8_t> Seen(size_t(T.numStates()) * N, 0);
+  std::vector<std::pair<State, uint32_t>> Stack;
+  for (State Q : T.initialStates()) {
+    Seen[size_t(Q) * N] = 1;
+    Stack.push_back({Q, 0});
+  }
+  while (!Stack.empty()) {
+    auto [Q, Phase] = Stack.back();
+    Stack.pop_back();
+    if (T.isFinal(Q) && Phase != 0)
       return false;
+    auto [B, E] = T.outgoing(Q);
+    for (const automata::Transition *It = B; It != E; ++It) {
+      uint32_t Next = Phase;
+      if (It->Sym != automata::Nfa::Epsilon) {
+        if (It->Sym != R[Phase])
+          return false;
+        Next = static_cast<uint32_t>((Phase + 1) % N);
+      }
+      size_t Slot = size_t(It->To) * N + Next;
+      if (!Seen[Slot]) {
+        Seen[Slot] = 1;
+        Stack.push_back({It->To, Next});
+      }
+    }
+  }
   return true;
 }
 
+proof::MonoRootAtom::Kind proofKind(PredKind K) {
+  switch (K) {
+  case PredKind::NotPrefix:
+    return proof::MonoRootAtom::Kind::NotPrefix;
+  case PredKind::NotSuffix:
+    return proof::MonoRootAtom::Kind::NotSuffix;
+  case PredKind::NotContains:
+    return proof::MonoRootAtom::Kind::NotContains;
+  default:
+    return proof::MonoRootAtom::Kind::Diseq;
+  }
+}
+
+/// The certificate record of \p P's rewrite over root \p Root.
+proof::MonoRootAtom rewriteRecord(const PosPredicate &P, const Word &Root) {
+  proof::MonoRootAtom M;
+  M.K = proofKind(P.Kind);
+  M.Root.assign(Root.begin(), Root.end());
+  M.Lhs.assign(P.Lhs.begin(), P.Lhs.end());
+  M.Rhs.assign(P.Rhs.begin(), P.Rhs.end());
+  M.Cmp = P.Kind == PredKind::Diseq ? proof::MonoRootAtom::Op::Ne
+                                    : proof::MonoRootAtom::Op::Gt;
+  std::map<VarId, int64_t> Occ;
+  for (VarId X : P.Lhs)
+    ++Occ[X];
+  for (VarId X : P.Rhs)
+    --Occ[X];
+  for (auto [X, C] : Occ)
+    if (C != 0)
+      M.Coeffs.push_back({X, C});
+  return M;
+}
+
 } // namespace
+
+lia::FormulaId
+postr::tagaut::lenAtomFormula(lia::Arena &A,
+                              const std::map<VarId, lia::LinTerm> &LenTerms,
+                              const LenAtom &At) {
+  auto Len = [&](const std::vector<VarId> &Seq) {
+    lia::LinTerm Sum;
+    for (VarId X : Seq)
+      Sum += LenTerms.at(X);
+    return Sum;
+  };
+  return A.cmp(Len(At.Lhs), At.Op, Len(At.Rhs));
+}
+
+std::optional<Word>
+postr::tagaut::monoRoot(const std::map<VarId, automata::Nfa> &Langs,
+                        const PosPredicate &P) {
+  if (P.Kind != PredKind::Diseq && P.Kind != PredKind::NotPrefix &&
+      P.Kind != PredKind::NotSuffix && P.Kind != PredKind::NotContains)
+    return std::nullopt;
+  std::vector<VarId> Vars = P.Lhs;
+  Vars.insert(Vars.end(), P.Rhs.begin(), P.Rhs.end());
+  std::sort(Vars.begin(), Vars.end());
+  Vars.erase(std::unique(Vars.begin(), Vars.end()), Vars.end());
+  // The root comes from the first language with a non-empty word; a
+  // language holding only ε (no transition once trimmed) fits any root.
+  Word Root;
+  for (VarId X : Vars) {
+    automata::Nfa T = Langs.at(X).trim();
+    if (Root.empty()) {
+      Word W = shortestNonEmptyWord(T);
+      if (W.empty())
+        continue;
+      Root = primitiveRoot(W);
+    }
+    if (!inRootStar(T, Root))
+      return std::nullopt;
+  }
+  if (Root.empty())
+    Root = {0};
+  return Root;
+}
+
+LenAtom postr::tagaut::monoRootAtom(const PosPredicate &P) {
+  return {P.Lhs,
+          P.Kind == PredKind::Diseq ? lia::Cmp::Ne : lia::Cmp::Gt, P.Rhs};
+}
 
 MpResult postr::tagaut::solveMP(lia::Arena &A,
                                 const std::map<VarId, automata::Nfa> &Langs,
@@ -138,8 +240,28 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
       return RuleUnsat("empty-language");
   }
 
+  // Mono-root rewrite: a predicate whose variables all range over powers
+  // of one primitive word is equivalent to a length atom, which joins I′
+  // below; the predicates left are encoded.
+  std::vector<PosPredicate> Rest;
+  std::vector<LenAtom> Atoms;
+  std::vector<proof::MonoRootAtom> Records;
+  for (const PosPredicate &P : Preds) {
+    if (Stopped()) {
+      Out.V = Verdict::Unknown;
+      return Out;
+    }
+    if (std::optional<Word> Root = monoRoot(Langs, P)) {
+      Atoms.push_back(monoRootAtom(P));
+      if (Opts.Certify)
+        Records.push_back(rewriteRecord(P, *Root));
+    } else {
+      Rest.push_back(P);
+    }
+  }
+
   // Thm. 6.5's side condition; callers run heuristics before this point.
-  if (!notContainsVarsFlat(Langs, Preds)) {
+  if (!notContainsVarsFlat(Langs, Rest)) {
     Out.V = Verdict::Unknown;
     return Out;
   }
@@ -149,23 +271,7 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
   // unsatisfiable regardless of the rest. (MBQI alone cannot conclude
   // this when the haystack language is infinite: there are infinitely
   // many candidate models and each one gets refuted individually.)
-  // Commuting-powers short-circuit: when a mismatch-style predicate's two
-  // sides are forced equal (same occurrence multiset over one iterated
-  // word), it is unsatisfiable outright. ¬prefixof additionally requires
-  // a strictly longer left side, which equality also rules out.
-  for (const PosPredicate &P : Preds) {
-    if (Stopped()) {
-      Out.V = Verdict::Unknown;
-      return Out;
-    }
-    if (P.Kind != PredKind::NotContains && P.Kind != PredKind::Diseq &&
-        P.Kind != PredKind::NotPrefix && P.Kind != PredKind::NotSuffix)
-      continue;
-    if (sidesForcedEqual(Langs, P, AlphabetSize))
-      return RuleUnsat("commuting-powers");
-  }
-
-  for (const PosPredicate &P : Preds) {
+  for (const PosPredicate &P : Rest) {
     if (P.Kind != PredKind::NotContains)
       continue;
     bool NeedleForcedEmpty = true;
@@ -199,16 +305,21 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
   EncoderOptions EncOpts = Opts.Encoder;
   if (!EncOpts.Budget)
     EncOpts.Budget = Bud;
-  SystemEncoding Enc = encodeSystem(A, Langs, Preds, AlphabetSize, EncOpts);
+  SystemEncoding Enc = encodeSystem(A, Langs, Rest, AlphabetSize, EncOpts);
   // A tripped encoder returns a partial encoding — discard it.
   if (Stopped()) {
     Out.V = Verdict::Unknown;
     return Out;
   }
 
-  lia::FormulaId Goal = Enc.Outer;
+  std::vector<lia::FormulaId> GoalParts{Enc.Outer};
   if (IntConstraints)
-    Goal = A.conj({Goal, IntConstraints(A, Enc.LenTerms)});
+    GoalParts.push_back(IntConstraints(A, Enc.LenTerms));
+  std::vector<lia::FormulaId> AtomFs;
+  for (const LenAtom &At : Atoms)
+    AtomFs.push_back(lenAtomFormula(A, Enc.LenTerms, At));
+  GoalParts.insert(GoalParts.end(), AtomFs.begin(), AtomFs.end());
+  lia::FormulaId Goal = A.conj(std::move(GoalParts));
 
   if (Enc.Blocks.empty()) {
     lia::QfOptions Qf = Opts.Qf;
@@ -221,7 +332,7 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     // Position predicates encode the 2K+1-copy mismatch structure, whose
     // tableaus run on Bland's order; a bare membership + length system is
     // the Parikh load where SparsestRow halves the fill-in (docs/BENCH.md).
-    if (!Preds.empty())
+    if (!Rest.empty())
       Qf.BlandPivots = true;
     if (!Qf.Budget)
       Qf.Budget = Bud;
@@ -248,8 +359,30 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     };
     lia::QfResult R = lia::solveQF(A, Goal, Qf, Refine);
     Out.V = ExceededCuts ? Verdict::Unknown : R.V;
-    if (Opts.Certify && Out.V == Verdict::Unsat)
+    if (Opts.Certify && Out.V == Verdict::Unsat) {
       Out.Cert.Proof = std::move(Trace.P);
+      // The rewrite the trace rests on: every rewritten predicate and the
+      // length term of each variable it reads. A goal folded to false
+      // defines no atom, so then only the atoms that folded too (a false
+      // one refutes the disjunct) are the trace's.
+      auto Folded = [&A](lia::FormulaId F) {
+        return A.kind(F) == lia::FKind::True || A.kind(F) == lia::FKind::False;
+      };
+      if (A.kind(Goal) == lia::FKind::False)
+        for (size_t I = Records.size(); I-- > 0;)
+          if (!Folded(AtomFs[I]))
+            Records.erase(Records.begin() + static_cast<ptrdiff_t>(I));
+      if (!Records.empty()) {
+        proof::MonoRootRewrite &Rw = Out.Cert.Rewrite.emplace();
+        std::set<VarId> Read;
+        for (const proof::MonoRootAtom &M : Records)
+          for (const auto &Mono : M.Coeffs)
+            Read.insert(Mono.first);
+        for (VarId X : Read)
+          Rw.Lens.push_back({X, Enc.LenTerms.at(X).coeffs()});
+        Rw.Atoms = std::move(Records);
+      }
+    }
     if (Out.V == Verdict::Unknown)
       // Exhausted cut rounds are an engine-internal cap, not a shared-
       // budget trip.
@@ -281,6 +414,7 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
   if (!Mb.Qf.Budget)
     Mb.Qf.Budget = Bud;
   std::vector<int64_t> Model;
+  Out.UsedMbqi = true;
   Out.V = lia::solveMbqi(A, Q, &Model, Mb);
   // An MBQI refutation rests on blocking clauses justified by *inner*
   // refutations — candidate logic the clause-trace kernel cannot replay.

@@ -25,6 +25,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 
 namespace postr {
 namespace tagaut {
@@ -61,8 +62,12 @@ struct MpResult {
   /// be read off through their `lia::Var` handles).
   std::vector<int64_t> Model;
   /// With MpOptions::Certify, on Unsat: this call's refutation — either
-  /// a named structural rule or a checkable QF clause trace.
+  /// a named structural rule or a checkable QF clause trace (with the
+  /// mono-root rewrite it rests on, if any predicate was rewritten).
   proof::DisjunctCert Cert;
+  /// True when the call reached the MBQI loop (a ¬contains predicate was
+  /// left after the mono-root rewrite).
+  bool UsedMbqi = false;
 };
 
 /// Builds the I′ part: invoked after encoding with the per-variable
@@ -71,11 +76,40 @@ struct MpResult {
 using IntConstraintBuilder = std::function<lia::FormulaId(
     lia::Arena &A, const std::map<VarId, lia::LinTerm> &LenTerms)>;
 
+/// A length atom |Lhs| ⋈ |Rhs| between two concatenations.
+struct LenAtom {
+  std::vector<VarId> Lhs;
+  lia::Cmp Op = lia::Cmp::Ne;
+  std::vector<VarId> Rhs;
+};
+
+/// \p At over the encoder's per-variable length terms.
+lia::FormulaId lenAtomFormula(lia::Arena &A,
+                              const std::map<VarId, lia::LinTerm> &LenTerms,
+                              const LenAtom &At);
+
+/// The primitive root r when \p P is a ≠, ¬prefixof, ¬suffixof or
+/// ¬contains and the language of every variable on both sides lies in
+/// r*. A language holding only ε fits any root; when all of them do, r
+/// is the first letter. Every side is then a power r^a, so by
+/// Lyndon–Schützenberger and "r^b is a factor of r^a iff b ≤ a" the
+/// predicate is equivalent to `monoRootAtom(P)`. The containment test is
+/// a product walk of each trimmed automaton against r's |r|-state cycle.
+std::optional<Word> monoRoot(const std::map<VarId, automata::Nfa> &Langs,
+                             const PosPredicate &P);
+
+/// The length atom a mono-root predicate is equivalent to: |u| ≠ |v|
+/// for u ≠ v, and |needle| > |haystack| for ¬prefixof, ¬suffixof and
+/// ¬contains (needle = Lhs).
+LenAtom monoRootAtom(const PosPredicate &P);
+
 /// Decides R′ ∧ I′ ∧ P′. The caller owns \p A and may have minted integer
 /// variables in it (e.g. for str.at position terms) before the call.
-/// Returns Unknown when a ¬contains predicate ranges over a non-flat
-/// language (callers apply the Sec. 8 heuristics first) or on resource
-/// exhaustion.
+/// A mono-root predicate (see `monoRoot`) leaves P′ and its length atom
+/// joins I′; the rewrite is exact, so both verdicts stand. Returns
+/// Unknown when a ¬contains predicate left after it ranges over a
+/// non-flat language (callers apply the Sec. 8 heuristics first) or on
+/// resource exhaustion.
 MpResult solveMP(lia::Arena &A,
                  const std::map<VarId, automata::Nfa> &Langs,
                  const std::vector<PosPredicate> &Preds,

@@ -414,14 +414,18 @@ std::vector<SiteCase> siteCases() {
   }});
 
   Cases.push_back({"counter.walk", [] {
-    // xy ≠ yx over (ab)*: commuting powers, Unsat, decided by the
-    // one-counter fast path after ~40k walk-search expansions.
+    // xyz ≠ yxz with x, y ∈ (ab)*, z ∈ c*: Unsat (xy and yx are powers
+    // of ab, so equal), but z puts a second root on both sides, so the
+    // predicate is not mono-root and the one-counter fast path decides it.
     strings::Problem P;
-    VarId X = P.strVar("x"), Y = P.strVar("y");
+    VarId X = P.strVar("x"), Y = P.strVar("y"), Z = P.strVar("z");
     P.assertInRe(X, "(ab)*");
     P.assertInRe(Y, "(ab)*");
-    P.assertDiseq({strings::StrElem::var(X), strings::StrElem::var(Y)},
-                  {strings::StrElem::var(Y), strings::StrElem::var(X)});
+    P.assertInRe(Z, "c*");
+    P.assertDiseq({strings::StrElem::var(X), strings::StrElem::var(Y),
+                   strings::StrElem::var(Z)},
+                  {strings::StrElem::var(Y), strings::StrElem::var(X),
+                   strings::StrElem::var(Z)});
     solver::SolveResult R = solver::solveProblem(P);
     if (R.V == Verdict::Unknown) {
       EXPECT_NE(R.Stop, StopReason::None);
@@ -437,11 +441,12 @@ std::vector<SiteCase> siteCases() {
   Cases.push_back({"lia.simplex", liaDriver});
 
   Cases.push_back({"lia.mbqi", [] {
-    // ¬contains(x, y), x ∈ a, y ∈ aa: "a" occurs in "aa", Unsat — and no
-    // pre-MBQI short-circuit applies (distinct vars, unequal languages),
-    // so the verdict comes from the MBQI refutation loop.
+    // ¬contains(x, y), x ∈ a, y ∈ ab: "a" occurs in "ab", Unsat — and no
+    // pre-MBQI short-circuit applies (distinct vars, and no single root
+    // for a and ab, so no mono-root length atom), so the verdict comes
+    // from the MBQI refutation loop.
     return mpDriver({{tagaut::PredKind::NotContains, {0}, {1}, {}}},
-                    {{0, "a"}, {1, "aa"}});
+                    {{0, "a"}, {1, "ab"}});
   }});
 
   Cases.push_back({"solver.disjunct", [] {
@@ -650,9 +655,10 @@ TEST(BudgetTest, CancelMidDisjunctStopsTheSolve) {
 }
 
 TEST(BudgetTest, DeadlineStopsTheOneCounterWalk) {
-  // x1x2x3x4 ≠ x4x3x2x1 over (abcbb)*: the fast path's walk search runs
-  // for seconds before exhausting its node budget. Under a 10 ms cap its
-  // own probe notices the deadline, and no solveMP starts.
+  // x1x2x3x4z ≠ x4x3x2x1z with x_i ∈ (abcbb)* and z ∈ c*: not mono-root,
+  // so the fast path takes it, and the solve is still undecided after
+  // 30 s. Under a 10 ms cap the walk search's own probe notices the
+  // deadline, and no solveMP starts.
   strings::Problem P;
   strings::StrSeq L, R;
   for (int I = 1; I <= 4; ++I) {
@@ -661,6 +667,10 @@ TEST(BudgetTest, DeadlineStopsTheOneCounterWalk) {
     L.push_back(strings::StrElem::var(X));
   }
   R.assign(L.rbegin(), L.rend());
+  VarId Z = P.strVar("z");
+  P.assertInRe(Z, "c*");
+  L.push_back(strings::StrElem::var(Z));
+  R.push_back(strings::StrElem::var(Z));
   P.assertDiseq(L, R);
   solver::SolveOptions O;
   O.TimeoutMs = 10;

@@ -182,17 +182,21 @@ solver::SolveResult solveCounted(const char *Smt2, lia::MbqiStats &St) {
 }
 
 TEST(GateTest, MbqiDecidesFootnote10Draws) {
-  // Two footnote-10 ¬contains draws (postr-bench position, seed 11) whose
-  // sides stay flat, so the MBQI loop decides them.
+  // Two ¬contains queries whose sides stay flat but do not share one
+  // primitive root, so the MBQI loop decides them. The Unsat one is
+  // footnote-10 draw #18 of postr-bench position seed 11 with z ∈ b*
+  // appended to the haystack; the Sat one is draw #70 of the same seed.
   lia::MbqiStats UnsatSt;
   solver::SolveResult Unsat = solveCounted(R"(
     (declare-fun x1 () String)
     (declare-fun x2 () String)
     (declare-fun x3 () String)
+    (declare-fun z () String)
     (assert (str.in_re x1 (re.* (str.to_re "a"))))
     (assert (str.in_re x2 (re.* (str.to_re "a"))))
     (assert (str.in_re x3 (re.* (str.to_re "a"))))
-    (assert (not (str.contains (str.++ x1 x2 x2 x3 x1) (str.++ x3 x1 x1 x2))))
+    (assert (str.in_re z (re.* (str.to_re "b"))))
+    (assert (not (str.contains (str.++ x1 x2 x2 x3 x1 z) (str.++ x3 x1 x1 x2))))
     (check-sat))",
                                            UnsatSt);
   EXPECT_EQ(Unsat.V, Verdict::Unsat);
@@ -227,6 +231,50 @@ solver::SolveResult solveCertified(const char *Smt2) {
   O.StepLimit = StepCap;
   O.CertifyUnsat = true;
   return P ? solver::solveProblem(*P, O) : solver::SolveResult();
+}
+
+/// Expects \p R to be an Unsat that never reached MBQI, whose
+/// certificate the kernel accepts as one checked refutation resting on
+/// one rewritten predicate and no trusted rule.
+void expectMonoRootUnsat(const solver::SolveResult &R) {
+  EXPECT_EQ(R.V, Verdict::Unsat);
+  EXPECT_FALSE(R.Stats.UsedMbqi);
+  EXPECT_EQ(R.Stats.UnsatsCertified, 1u);
+  Result<proof::Certificate> C = proof::parse(R.CertText);
+  ASSERT_TRUE(C) << C.error();
+  proof::CheckOutcome CO = proof::checkCertificate(*C);
+  EXPECT_TRUE(CO.Ok) << CO.Error;
+  EXPECT_EQ(CO.Stats.CheckedRefutations, 1u);
+  EXPECT_EQ(CO.Stats.TrustedRules, 0u);
+  EXPECT_EQ(CO.Stats.MonoRootAtoms, 1u);
+}
+
+TEST(GateTest, MonoRootFootnote10DrawsAreCheckedLengthAtoms) {
+  // Draw #18 of postr-bench position seed 11 as recorded: every variable
+  // ranges over a*, so the ¬contains becomes |needle| > |haystack| and
+  // never reaches MBQI; its Unsat is a clause trace the kernel checks.
+  solver::SolveResult Draw18 = solveCertified(R"(
+    (declare-fun x1 () String)
+    (declare-fun x2 () String)
+    (declare-fun x3 () String)
+    (assert (str.in_re x1 (re.* (str.to_re "a"))))
+    (assert (str.in_re x2 (re.* (str.to_re "a"))))
+    (assert (str.in_re x3 (re.* (str.to_re "a"))))
+    (assert (not (str.contains (str.++ x1 x2 x2 x3 x1) (str.++ x3 x1 x1 x2))))
+    (check-sat))");
+  expectMonoRootUnsat(Draw18);
+  EXPECT_EQ(Draw18.Stats.MpCalls, 1u);
+
+  // Draw #103 of seed 12: the deadline fixture
+  // tests/deadline/notcontains_mixed_root.smt2 without its z.
+  solver::SolveResult Draw103 = solveCertified(R"(
+    (declare-fun x1 () String)
+    (declare-fun x2 () String)
+    (assert (str.in_re x1 (re.* (str.to_re "ab"))))
+    (assert (str.in_re x2 (re.* (str.to_re "ab"))))
+    (assert (not (str.contains (str.++ x2 x1 x1 x2) (str.++ x1 x2 x2))))
+    (check-sat))");
+  expectMonoRootUnsat(Draw103);
 }
 
 TEST(GateTest, StrAtFootnote10DrawsTakeTheWalkSearch) {

@@ -18,6 +18,7 @@
 #include "lia/Solver.h"
 #include "proof/Check.h"
 #include "proof/Proof.h"
+#include "smtlib/Reader.h"
 #include "solver/PositionSolver.h"
 
 #include <gtest/gtest.h>
@@ -243,6 +244,147 @@ TEST(ProofWalkTest, TruncatedRecordRejected) {
   // And a record cut off mid-way.
   Short = Text.substr(0, Text.find("t 2 0 0"));
   EXPECT_FALSE(static_cast<bool>(proof::parse(Short)));
+}
+
+//===----------------------------------------------------------------------===//
+// Mono-root rewrites: a predicate over powers of one primitive word
+// became a length atom, and the trace refutes the disjunct with it.
+//===----------------------------------------------------------------------===//
+
+/// The parsed certificate of \p Smt2, an Unsat the pipeline refutes
+/// through one mono-root rewrite.
+proof::Certificate monoRootCert(const char *Smt2) {
+  Result<Problem> P = smtlib::parseString(Smt2);
+  EXPECT_TRUE(static_cast<bool>(P)) << P.error();
+  solver::SolveOptions O;
+  O.TimeoutMs = 20000;
+  O.CertifyUnsat = true;
+  solver::SolveResult R = solver::solveProblem(*P, O);
+  EXPECT_EQ(R.V, Verdict::Unsat);
+  Result<proof::Certificate> C = proof::parse(R.CertText);
+  EXPECT_TRUE(static_cast<bool>(C)) << C.error();
+  EXPECT_TRUE(C && C->Disjuncts.size() == 1 &&
+              C->Disjuncts[0].Rewrite.has_value())
+      << R.CertText;
+  return C ? *C : proof::Certificate();
+}
+
+/// ¬prefixof(x·y, y·x·x) over (ab)*: |x·y| > |y·x·x| is −|x| > 0.
+const char *NotPrefixMonoRoot = R"(
+  (declare-fun x () String)
+  (declare-fun y () String)
+  (assert (str.in_re x (re.* (str.to_re "ab"))))
+  (assert (str.in_re y (re.* (str.to_re "ab"))))
+  (assert (not (str.prefixof (str.++ x y) (str.++ y x x))))
+  (check-sat))";
+
+/// x·x ≠ y·y over a* with |x| = |y|: 2|x| − 2|y| ≠ 0 clashes with it.
+const char *DiseqMonoRoot = R"(
+  (declare-fun x () String)
+  (declare-fun y () String)
+  (assert (str.in_re x (re.* (str.to_re "a"))))
+  (assert (str.in_re y (re.* (str.to_re "a"))))
+  (assert (= (str.len x) (str.len y)))
+  (assert (not (= (str.++ x x) (str.++ y y))))
+  (check-sat))";
+
+proof::MonoRootAtom &onlyAtom(proof::Certificate &C) {
+  return C.Disjuncts[0].Rewrite->Atoms.at(0);
+}
+
+TEST(ProofMonoRootTest, RewriteRoundTripsAndVerifies) {
+  for (const char *Smt2 : {NotPrefixMonoRoot, DiseqMonoRoot}) {
+    proof::Certificate C = monoRootCert(Smt2);
+    ASSERT_EQ(C.Disjuncts.size(), 1u);
+    std::string Text = proof::serialize(C);
+    EXPECT_NE(Text.find("\nmono "), std::string::npos) << Text;
+    EXPECT_NE(Text.find("\nlen "), std::string::npos) << Text;
+    Result<proof::Certificate> Parsed = proof::parse(Text);
+    ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.error();
+    EXPECT_EQ(proof::serialize(*Parsed), Text);
+    proof::CheckOutcome Out = proof::checkCertificate(*Parsed);
+    EXPECT_TRUE(Out.Ok) << Out.Error;
+    EXPECT_EQ(Out.Stats.CheckedRefutations, 1u);
+    EXPECT_EQ(Out.Stats.TrustedRules, 0u);
+    EXPECT_EQ(Out.Stats.MonoRootAtoms, 1u);
+  }
+}
+
+TEST(ProofMonoRootTest, GoalFoldedToFalseCertifies) {
+  // Two shapes whose LIA goal folds to false before any atom is defined:
+  // a false integer atom beside a mono-root ¬prefixof, and a ground-false
+  // mono-root ¬contains(s, s) beside a mono-root ≠ whose atom is not
+  // ground. Only atoms that folded may then be in the rewrite record.
+  for (const char *Smt2 : {R"(
+         (declare-fun s () String)
+         (declare-fun n () Int)
+         (assert (not (str.prefixof "" (str.++ s s))))
+         (assert (= (+ (* 2 n) (* -2 n)) -2))
+         (check-sat))",
+                           R"(
+         (declare-fun s () String)
+         (assert (not (= "b" (str.++ s s))))
+         (assert (str.in_re s (str.to_re "")))
+         (assert (not (str.contains s s)))
+         (check-sat))"}) {
+    Result<Problem> P = smtlib::parseString(Smt2);
+    ASSERT_TRUE(static_cast<bool>(P)) << P.error();
+    solver::SolveOptions O;
+    O.TimeoutMs = 20000;
+    O.CertifyUnsat = true;
+    solver::SolveResult R = solver::solveProblem(*P, O);
+    EXPECT_EQ(R.V, Verdict::Unsat) << R.Validation.Detail;
+    EXPECT_EQ(R.Stats.UnsatsCertified, 1u);
+  }
+}
+
+TEST(ProofMonoRootTest, NotPrefixMappedToGeRejected) {
+  proof::Certificate C = monoRootCert(NotPrefixMonoRoot);
+  ASSERT_EQ(C.Disjuncts.size(), 1u);
+  ASSERT_EQ(onlyAtom(C).K, proof::MonoRootAtom::Kind::NotPrefix);
+  onlyAtom(C).Cmp = proof::MonoRootAtom::Op::Ge;
+  proof::CheckOutcome Out = proof::checkCertificate(C);
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_NE(Out.Error.find("comparison"), std::string::npos) << Out.Error;
+}
+
+TEST(ProofMonoRootTest, DiseqMappedToGtRejected) {
+  proof::Certificate C = monoRootCert(DiseqMonoRoot);
+  ASSERT_EQ(C.Disjuncts.size(), 1u);
+  ASSERT_EQ(onlyAtom(C).K, proof::MonoRootAtom::Kind::Diseq);
+  onlyAtom(C).Cmp = proof::MonoRootAtom::Op::Gt;
+  proof::CheckOutcome Out = proof::checkCertificate(C);
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_NE(Out.Error.find("comparison"), std::string::npos) << Out.Error;
+}
+
+TEST(ProofMonoRootTest, RootThatIsNotPrimitiveRejected) {
+  proof::Certificate C = monoRootCert(NotPrefixMonoRoot);
+  ASSERT_EQ(C.Disjuncts.size(), 1u);
+  std::vector<uint32_t> &Root = onlyAtom(C).Root;
+  ASSERT_EQ(Root.size(), 2u);
+  Root.insert(Root.end(), Root.begin(), Root.end()); // (ab)(ab)
+  proof::CheckOutcome Out = proof::checkCertificate(C);
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_NE(Out.Error.find("primitive"), std::string::npos) << Out.Error;
+}
+
+TEST(ProofMonoRootTest, AtomOffItsPredicateOrTraceRejected) {
+  // Coefficients that are not occurrence counts of the sides.
+  proof::Certificate C = monoRootCert(NotPrefixMonoRoot);
+  ASSERT_EQ(C.Disjuncts.size(), 1u);
+  onlyAtom(C).Coeffs.at(0).second += 1;
+  proof::CheckOutcome Out = proof::checkCertificate(C);
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_NE(Out.Error.find("image"), std::string::npos) << Out.Error;
+
+  // A length term under which the atom is not the trace's.
+  C = monoRootCert(NotPrefixMonoRoot);
+  ASSERT_EQ(C.Disjuncts.size(), 1u);
+  C.Disjuncts[0].Rewrite->Lens.at(0).Coeffs.at(0).second += 1;
+  Out = proof::checkCertificate(C);
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_NE(Out.Error.find("trace"), std::string::npos) << Out.Error;
 }
 
 //===----------------------------------------------------------------------===//

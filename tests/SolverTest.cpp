@@ -377,6 +377,102 @@ TEST(PipelineTest, NotContainsRotationUnsatEndToEnd) {
   EXPECT_EQ(solve(P).V, Verdict::Unsat);
 }
 
+TEST(PipelineTest, MonoRootRewriteMatchesEnumAndTheLiaPath) {
+  // Near-mono-root languages for x, y, z: conjugate roots, a root beside
+  // its square, r* beside r+, ε-only languages, one variable off the
+  // root. Every predicate reads all three, so it is mono-root exactly
+  // when the shape is. The default pipeline's verdict must agree with the
+  // enumeration baseline (a Sat it finds is a certified model), and on a
+  // mono-root predicate with the UseOcaFastPath = false path; a mono-root
+  // Unsat must be a checked refutation with no trusted rule. Off-root
+  // predicates take the one-counter walk or MBQI, which may not settle
+  // within the step limit.
+  struct Shape {
+    const char *X, *Y, *Z;
+    bool MonoRoot;
+  };
+  const Shape Shapes[] = {
+      {"(ab)*", "(ba)*", "(ab)*", false},
+      {"(abcbb)*", "(abcbbabcbb)*", "(abcbb)+", true},
+      {"(ab)*", "(ab)+", "", true},
+      {"", "", "", true},
+      {"a*", "(aa)*", "a+", true},
+      {"(ab)*", "(ab)+", "(ab)*a", false},
+      {"(ab)*", "(ab)*", "(ab)*b(ab)*", false},
+  };
+  const std::pair<const char *, const char *> Sides[] = {
+      {"xyz", "zyx"}, {"xy", "yxz"}, {"zx", "yzx"},
+      {"yxx", "xyz"}, {"z", "xyz"},  {"xxz", "zy"},
+  };
+  const AssertKind Kinds[] = {AssertKind::Diseq, AssertKind::NotPrefixof,
+                              AssertKind::NotSuffixof,
+                              AssertKind::NotContains};
+  uint32_t MonoSat = 0, MonoUnsat = 0, OffDecided = 0;
+  for (const Shape &Sh : Shapes)
+    for (const auto &[L, R] : Sides)
+      for (AssertKind Kind : Kinds) {
+        Problem P;
+        VarId Vars[] = {P.strVar("x"), P.strVar("y"), P.strVar("z")};
+        P.assertInRe(Vars[0], Sh.X);
+        P.assertInRe(Vars[1], Sh.Y);
+        P.assertInRe(Vars[2], Sh.Z);
+        auto Seq = [&](const char *Text) {
+          StrSeq Out;
+          for (const char *C = Text; *C; ++C)
+            Out.push_back(StrElem::var(Vars[*C - 'x']));
+          return Out;
+        };
+        if (Kind == AssertKind::Diseq)
+          P.assertDiseq(Seq(L), Seq(R));
+        else
+          P.assertPred(Kind, Seq(L), Seq(R));
+        std::string Where = std::string(Sh.X) + " " + Sh.Y + " " + Sh.Z +
+                            ": " + L + " / " + R + " kind " +
+                            std::to_string(static_cast<int>(Kind));
+
+        SolveOptions O;
+        O.StepLimit = 5'000;
+        O.CertifyUnsat = true;
+        SolveResult Res = solver::solveProblem(P, O);
+        if (Sh.MonoRoot) {
+          ASSERT_NE(Res.V, Verdict::Unknown) << Where;
+          EXPECT_FALSE(Res.Stats.UsedMbqi) << Where;
+          EXPECT_EQ(Res.Stats.FastPathDecisions, 0u) << Where;
+          SolveOptions Slow = O;
+          Slow.UseOcaFastPath = false;
+          EXPECT_EQ(solver::solveProblem(P, Slow).V, Res.V) << Where;
+          ++(Res.V == Verdict::Sat ? MonoSat : MonoUnsat);
+        } else if (Res.V != Verdict::Unknown) {
+          ++OffDecided;
+        } else {
+          continue;
+        }
+        if (Res.V == Verdict::Unsat) {
+          Result<proof::Certificate> C = proof::parse(Res.CertText);
+          ASSERT_TRUE(static_cast<bool>(C)) << C.error();
+          proof::CheckOutcome CO = proof::checkCertificate(*C);
+          EXPECT_TRUE(CO.Ok) << Where << ": " << CO.Error;
+          if (Sh.MonoRoot) {
+            EXPECT_EQ(CO.Stats.TrustedRules, 0u) << Where;
+            EXPECT_EQ(CO.Stats.MonoRootAtoms, 1u) << Where;
+          }
+        } else {
+          EXPECT_EQ(Res.Stats.ModelsValidated, 1u) << Where;
+        }
+        solver::EnumOptions EO;
+        EO.MaxWordLen = 4;
+        EO.TimeoutMs = 5000;
+        Verdict Enum = solver::solveEnum(P, EO).V;
+        if (Enum == Verdict::Sat)
+          EXPECT_EQ(Res.V, Verdict::Sat) << Where;
+        if (Res.V == Verdict::Unsat)
+          EXPECT_NE(Enum, Verdict::Sat) << Where;
+      }
+  EXPECT_GT(MonoSat, 0u);
+  EXPECT_GT(MonoUnsat, 0u);
+  EXPECT_GT(OffDecided, 0u);
+}
+
 //===----------------------------------------------------------------------===
 // Baselines
 //===----------------------------------------------------------------------===

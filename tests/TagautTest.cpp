@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "base/Budget.h"
+#include "counter/OneCounter.h"
 #include "regex/Regex.h"
 #include "solver/BruteForce.h"
 #include "solver/Semantics.h"
@@ -487,6 +489,95 @@ TEST(NotContainsTest, NonFlatReportsUnknown) {
 }
 
 //===----------------------------------------------------------------------===
+// Mono-root predicates: length atoms exactly where one root holds
+//===----------------------------------------------------------------------===
+
+/// Languages of x, y, z beside the roots they share, if any: conjugate
+/// roots, a root beside its square, r* beside r+, ε-only languages, and
+/// one variable off the root. A predicate over all three is mono-root
+/// exactly when the shape is.
+struct RootShape {
+  const char *X, *Y, *Z;
+  bool MonoRoot;
+};
+const RootShape RootShapes[] = {
+    {"(ab)*", "(ba)*", "(ab)*", false},            // conjugates ab, ba
+    {"(abcbb)*", "(abcbbabcbb)*", "(abcbb)+", true}, // r, r², r+
+    {"(ab)*", "(ab)+", "", true},                  // r*, r+, ε only
+    {"", "", "", true},                            // ε only
+    {"a*", "(aa)*", "a+", true},                   // unary r, r², r+
+    {"(ab)*", "(ab)+", "(ab)*a", false},           // z off the root
+    {"(ab)*", "(ab)*", "(ab)*b(ab)*", false},      // z off the root
+};
+/// Sides over x = 0, y = 1, z = 2; each pair reads all three.
+const std::pair<std::vector<VarId>, std::vector<VarId>> RootSides[] = {
+    {{0, 1, 2}, {2, 1, 0}}, {{0, 1}, {1, 0, 2}},    {{2, 0}, {1, 2, 0}},
+    {{1, 0, 0}, {0, 1, 2}}, {{2}, {0, 1, 2}},       {{0, 0, 2}, {2, 1}},
+};
+const PredKind RootKinds[] = {PredKind::Diseq, PredKind::NotPrefix,
+                              PredKind::NotSuffix, PredKind::NotContains};
+
+TEST(MonoRootTest, RewriteFiresExactlyOnOneRootAndAgreesWithOracles) {
+  // Each shape, side pair and kind. The rewrite must fire exactly on the
+  // mono-root shapes. A mono-root predicate must be decided (its length
+  // atom is exact) without MBQI; every Sat model must satisfy it
+  // (Mp::solve checks evalSystem), an Unsat must survive the brute-force
+  // oracle, and ≠ / ¬prefixof / ¬suffixof must agree with the one-counter
+  // search wherever it decides. Off-root ¬contains goes through MBQI on a
+  // step limit, and its decided verdicts face the same checks; off-root
+  // ≠ / ¬prefixof / ¬suffixof are the one-counter fast path's, and the
+  // full encoding runs for seconds on them.
+  uint32_t MonoSat = 0, MonoUnsat = 0, OffDecided = 0;
+  for (const RootShape &Shape : RootShapes)
+    for (const auto &[Lhs, Rhs] : RootSides)
+      for (PredKind Kind : RootKinds) {
+        Mp M;
+        M.var(Shape.X);
+        M.var(Shape.Y);
+        M.var(Shape.Z);
+        M.Preds.push_back({Kind, Lhs, Rhs, {}});
+        M.finalize();
+        std::string Where = std::string(Shape.X) + " " + Shape.Y + " " +
+                            Shape.Z + " kind " +
+                            std::to_string(static_cast<int>(Kind)) +
+                            " sides " + std::to_string(Lhs.size()) + "/" +
+                            std::to_string(Rhs.size());
+        ASSERT_EQ(monoRoot(M.Langs, M.Preds[0]).has_value(), Shape.MonoRoot)
+            << Where;
+        if (!Shape.MonoRoot && Kind != PredKind::NotContains)
+          continue;
+        Budget Bud(Budget::Limits{0, 0, 10'000, nullptr});
+        MpOptions Opts;
+        Opts.Budget = &Bud;
+        MpResult R = M.solve(Opts);
+        if (Shape.MonoRoot) {
+          ASSERT_NE(R.V, Verdict::Unknown) << Where;
+          EXPECT_FALSE(R.UsedMbqi) << Where;
+          ++(R.V == Verdict::Sat ? MonoSat : MonoUnsat);
+        } else if (R.V != Verdict::Unknown) {
+          ++OffDecided;
+        }
+        if (R.V == Verdict::Unsat) {
+          BruteForceOptions BfOpts;
+          BfOpts.MaxWordLen = 4;
+          EXPECT_NE(solveBruteForce(M.Langs, M.Preds, BfOpts).V, Verdict::Sat)
+              << Where;
+        }
+        if (Kind != PredKind::NotContains) {
+          counter::OneCounterOptions OcOpts;
+          OcOpts.NodeBudget = 50'000;
+          counter::OneCounterResult Oc = counter::decideSinglePredicate(
+              M.Langs, M.Preds[0], M.Sigma.size(), OcOpts);
+          if (Oc.V != Verdict::Unknown)
+            EXPECT_EQ(Oc.V, R.V) << Where;
+        }
+      }
+  EXPECT_GT(MonoSat, 0u);
+  EXPECT_GT(MonoUnsat, 0u);
+  EXPECT_GT(OffDecided, 0u);
+}
+
+//===----------------------------------------------------------------------===
 // Randomized differential suite against the brute-force oracle
 //===----------------------------------------------------------------------===
 
@@ -497,6 +588,10 @@ struct DiffParams {
 };
 
 class MpDifferentialTest : public ::testing::TestWithParam<DiffParams> {};
+
+/// Step limit of one sweep iteration's solveMP: about 4x the most any
+/// iteration of the seeds below needs.
+constexpr uint64_t SweepStepLimit = 2'000'000;
 
 /// Small regex pool over {a,b} whose languages are all flat, so that the
 /// sweep can include ¬contains.
@@ -569,7 +664,10 @@ TEST_P(MpDifferentialTest, AgreesWithBruteForce) {
 
     M.finalize();
     lia::Arena A;
-    Budget Bud(Budget::Limits{30000, 0, 0, nullptr});
+    // A step limit, not a wall clock, so the outcome does not depend on
+    // the build: the most any iteration takes is 514977 steps (seed 203),
+    // and steps are counted identically in every build type.
+    Budget Bud(Budget::Limits{0, 0, SweepStepLimit, nullptr});
     MpOptions Opts;
     Opts.Budget = &Bud;
     MpResult R = solveMP(A, M.Langs, M.Preds, M.Sigma.size(), nullptr,

@@ -93,11 +93,12 @@ int main(int Argc, char **Argv) {
     if (Verbose)
       std::printf(
           "  refutations=%u trusted_rules=%u rup_checks=%llu "
-          "farkas_leaves=%llu walk_states=%llu\n",
+          "farkas_leaves=%llu walk_states=%llu mono_root_atoms=%u\n",
           Out.Stats.CheckedRefutations, Out.Stats.TrustedRules,
           static_cast<unsigned long long>(Out.Stats.RupChecks),
           static_cast<unsigned long long>(Out.Stats.FarkasLeaves),
-          static_cast<unsigned long long>(Out.Stats.WalkStates));
+          static_cast<unsigned long long>(Out.Stats.WalkStates),
+          Out.Stats.MonoRootAtoms);
   }
   return Failures == 0 ? 0 : 1;
 }
