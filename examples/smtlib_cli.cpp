@@ -109,12 +109,12 @@ int main(int Argc, char **Argv) {
   std::printf("; stats {\"stop_reason\": \"%s\", \"stop_site\": %s, "
               "\"disjuncts\": %u, \"mp_calls\": %u, "
               "\"fastpath_decisions\": %u, "
-              "\"budget_trips\": %u, \"degraded_retries\": %u, "
+              "\"budget_trips\": %u, "
               "\"models_validated\": %u, \"validation_failures\": %u, "
               "\"paranoid_checks\": %u, \"proof_counters\": "
               "{\"unsats_certified\": %u, \"certification_failures\": %u}}\n",
               stopReasonName(R.Stop), Site.c_str(), R.Stats.Disjuncts,
-              R.Stats.MpCalls, R.Stats.FastPathDecisions, R.Stats.BudgetTrips, R.Stats.DegradedRetries,
+              R.Stats.MpCalls, R.Stats.FastPathDecisions, R.Stats.BudgetTrips,
               R.Stats.ModelsValidated, R.Stats.ValidationFailures,
               R.Stats.ParanoidChecks, R.Stats.UnsatsCertified,
               R.Stats.CertificationFailures);

@@ -195,6 +195,13 @@ Budget::Limits Budget::childLimits(uint64_t MemBytes, uint64_t Steps) const {
   return L;
 }
 
+Budget::Limits callLimits(const Budget *Shared, uint64_t TimeoutMs) {
+  Budget::Limits L = Shared ? Shared->childLimits() : Budget::Limits{};
+  if (TimeoutMs && (!L.TimeoutMs || TimeoutMs < L.TimeoutMs))
+    L.TimeoutMs = TimeoutMs;
+  return L;
+}
+
 uint64_t Budget::remainingMs() const {
   if (!Lim.TimeoutMs)
     return ~0ull;

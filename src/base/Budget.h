@@ -137,8 +137,8 @@ public:
   uint64_t remainingMs() const;
 
   /// Limits for a child budget derived from this one — the single place
-  /// deadline-propagation math lives (per-disjunct budgets and degraded
-  /// retries call this instead of open-coding min/remaining juggling).
+  /// deadline-propagation math lives (per-disjunct and per-baseline
+  /// budgets call this instead of open-coding min/remaining juggling).
   /// The child's wall-clock allowance is the parent's remaining time
   /// (none when the parent has no deadline). Memory/step limits are
   /// inherited unless \p MemBytes / \p Steps override them (nonzero =
@@ -172,6 +172,12 @@ private:
   std::atomic<uint64_t> MemUsed{0};
   std::atomic<uint64_t> StepsUsed{0};
 };
+
+/// Limits for the one budget of a call that takes both a caller-shared
+/// budget and its own deadline: \p Shared's childLimits() (none when
+/// null), with the deadline tightened to \p TimeoutMs (0 = none). Both
+/// stop the call; the tighter limit wins.
+Budget::Limits callLimits(const Budget *Shared, uint64_t TimeoutMs);
 
 /// Deterministic fault injection: arms the n-th probe of one named site to
 /// trip the current budget with a reason derived from (seed, site). Armed

@@ -19,6 +19,12 @@ using namespace postr::lia;
 
 namespace {
 
+/// Outer candidate models tried before answering Unknown.
+constexpr uint32_t MaxCandidates = 64;
+/// Enumerated offsets per candidate beyond which the loop answers
+/// Unknown (guards degenerate models).
+constexpr int64_t MaxOffsets = 4096;
+
 /// Shared per-run plumbing of both MBQI implementations: the resource
 /// budget, the per-query option derivation, and the fair size-bound
 /// schedule.
@@ -120,7 +126,7 @@ Verdict solveMbqiScratch(Arena &A, const MbqiQuery &Q,
   MbqiRun R(A, Q, Opts);
 
   std::vector<FormulaId> Blockers;
-  for (uint32_t Cand = 0; Cand < Opts.MaxCandidates; ++Cand) {
+  for (uint32_t Cand = 0; Cand < MaxCandidates; ++Cand) {
     if (R.stopped())
       return Verdict::Unknown;
 
@@ -161,7 +167,7 @@ Verdict solveMbqiScratch(Arena &A, const MbqiQuery &Q,
     bool AllBlocksHold = true;
     for (const ForallBlock &B : Q.Blocks) {
       int64_t Upper = B.Upper.eval(Outer.Model);
-      if (Upper > Opts.MaxOffsets)
+      if (Upper > MaxOffsets)
         return Verdict::Unknown;
       for (int64_t K = 0; K <= Upper && AllBlocksHold; ++K) {
         if (R.stopped())
@@ -220,7 +226,7 @@ Verdict solveMbqiIncremental(Arena &A, const MbqiQuery &Q,
   std::map<std::pair<Var, int64_t>, FormulaId> PinMemo;
   std::vector<std::map<int64_t, FormulaId>> KEqMemo(Q.Blocks.size());
 
-  for (uint32_t Cand = 0; Cand < Opts.MaxCandidates; ++Cand) {
+  for (uint32_t Cand = 0; Cand < MaxCandidates; ++Cand) {
     if (R.stopped())
       return Verdict::Unknown;
 
@@ -277,7 +283,7 @@ Verdict solveMbqiIncremental(Arena &A, const MbqiQuery &Q,
     for (size_t BI = 0; BI < Q.Blocks.size(); ++BI) {
       const ForallBlock &B = Q.Blocks[BI];
       int64_t Upper = B.Upper.eval(OuterR.Model);
-      if (Upper > Opts.MaxOffsets)
+      if (Upper > MaxOffsets)
         return Verdict::Unknown;
       if (!Inner[BI]) {
         Inner[BI] = std::make_unique<IncrementalContext>(A, R.subQf());
@@ -336,8 +342,7 @@ Verdict postr::lia::solveMbqi(Arena &A, const MbqiQuery &Q,
                               const MbqiOptions &Opts) {
   // Every query this loop issues — the outer Parikh formula under
   // blockers/lemmas and the pinned per-offset inner instances — is
-  // Parikh/length-pin shaped, so it keeps SparsestRow pivots; only the
-  // degraded profile sets Opts.Qf.BlandPivots.
+  // Parikh/length-pin shaped, so it keeps SparsestRow pivots.
   return Opts.Incremental ? solveMbqiIncremental(A, Q, ModelOut, Opts)
                           : solveMbqiScratch(A, Q, ModelOut, Opts);
 }

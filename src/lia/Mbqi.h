@@ -63,10 +63,6 @@ struct MbqiOptions {
   /// Options of every outer and inner sub-solve. Qf.Budget governs the
   /// whole loop (null: a fresh unlimited budget per call).
   QfOptions Qf;
-  /// Max outer candidate models to try before answering Unknown.
-  uint32_t MaxCandidates = 64;
-  /// Max enumerated offsets per candidate (guards degenerate models).
-  int64_t MaxOffsets = 4096;
   /// Run on persistent IncrementalContexts (the default): one outer
   /// context accumulates blockers and instantiation lemmas, per-block
   /// inner contexts keep their encoding and pop only the pin/offset

@@ -480,12 +480,11 @@ bool Simplex::checkRational() {
   ++Stats.Checks;
   // Leaving variable: the violated basic with the fewest row nonzeros
   // (SparsestRow), or the smallest violated index on a Bland-order
-  // tableau (word-equation and position contexts, and the degraded
-  // profile; docs/BENCH.md has the A/B behind the split). Entering
-  // variable: the eligible column with the fewest tableau nonzeros
-  // (anti-fill-in) while the run is short. Past BlandFallbackPivots every
-  // selection falls back to Bland's smallest-index order, which
-  // terminates unconditionally.
+  // tableau (position-predicate contexts; docs/BENCH.md has the A/B
+  // behind the split). Entering variable: the eligible column with the
+  // fewest tableau nonzeros (anti-fill-in) while the run is short. Past
+  // BlandFallbackPivots every selection falls back to Bland's
+  // smallest-index order, which terminates unconditionally.
   uint64_t PivotsThisCheck = 0;
   for (;;) {
     // A single feasibility restoration can pivot for a long time on

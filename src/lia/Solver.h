@@ -46,9 +46,8 @@ namespace lia {
 /// framework emits.
 struct QfOptions {
   /// Runs this context's Simplex on Bland's leaving order instead of
-  /// SparsestRow (lia/Simplex.h). Set by tagaut/MpSolver for formulas
-  /// with position predicates, by solver/PositionSolver for word-equation
-  /// splits, and by the degraded profile; docs/BENCH.md has the A/B.
+  /// SparsestRow (lia/Simplex.h). Set only by tagaut/MpSolver, for
+  /// formulas with position predicates; docs/BENCH.md has the A/B.
   bool BlandPivots = false;
   /// Resource budget (deadline / memory cap / step limit / cancel flag,
   /// see base/Budget.h): the CDCL core, Simplex, and the clause DB probe
@@ -84,7 +83,6 @@ struct QfSearchStats {
   uint64_t DenNormalizations = 0; ///< row gcd passes that reduced
   uint64_t TheoryConflicts = 0;
   uint64_t BudgetTrips = 0;     ///< solves stopped by a resource budget
-  uint64_t DegradedRetries = 0; ///< disjuncts re-run in degraded config
 
   QfSearchStats &operator+=(const QfSearchStats &O) {
     Conflicts += O.Conflicts;
@@ -102,7 +100,6 @@ struct QfSearchStats {
     DenNormalizations += O.DenNormalizations;
     TheoryConflicts += O.TheoryConflicts;
     BudgetTrips += O.BudgetTrips;
-    DegradedRetries += O.DegradedRetries;
     return *this;
   }
 };

@@ -136,8 +136,6 @@ std::string encodeRequest(const Request &R) {
     appendHeader(Out, "no-cache", "1");
   if (R.TestAbort)
     appendHeader(Out, "x-test-abort", "1");
-  if (R.Degraded)
-    appendHeader(Out, "x-degraded", "1");
   Out += '\n';
   Out += R.Smt2;
   return Out;
@@ -157,8 +155,6 @@ std::string encodeResponse(const Response &R) {
     appendHeader(Out, "x-publishable", "1");
   if (R.SelfCheckFailed)
     appendHeader(Out, "x-selfcheck-failed", "1");
-  appendHeaderU64(Out, "x-budget-trips", R.BudgetTrips);
-  appendHeaderU64(Out, "x-degraded-retries", R.DegradedRetries);
   if (R.FaultFired)
     appendHeader(Out, "x-fault-fired", "1");
   Out += '\n';
@@ -191,8 +187,6 @@ Result<Request> decodeRequest(const std::string &Payload) {
       R.NoCache = V == "1";
     else if (K == "x-test-abort")
       R.TestAbort = V == "1";
-    else if (K == "x-degraded")
-      R.Degraded = V == "1";
     // Unknown keys are skipped so the protocol can grow.
   }
   R.Smt2 = std::move(P->Body);
@@ -232,10 +226,6 @@ Result<Response> decodeResponse(const std::string &Payload) {
       R.Publishable = V == "1";
     else if (K == "x-selfcheck-failed")
       R.SelfCheckFailed = V == "1";
-    else if (K == "x-budget-trips" && parseU64(V, U))
-      R.BudgetTrips = static_cast<uint32_t>(U);
-    else if (K == "x-degraded-retries" && parseU64(V, U))
-      R.DegradedRetries = static_cast<uint32_t>(U);
     else if (K == "x-fault-fired")
       R.FaultFired = V == "1";
   }

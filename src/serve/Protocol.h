@@ -61,9 +61,6 @@ struct Request {
   /// `AllowTestAbort`): the worker hard-exits mid-solve, simulating a
   /// crash, so recovery paths can be driven deterministically from CI.
   bool TestAbort = false;
-  /// Daemon ↔ worker only: this is the post-quarantine retry — solve
-  /// with degraded options (Bland pivoting, reduced MBQI bounds).
-  bool Degraded = false;
   /// SMT-LIB script to solve (Solve requests).
   std::string Smt2;
 };
@@ -98,9 +95,6 @@ struct Response {
   /// The worker's own self-check (model validation / certification)
   /// rejected the verdict — a quarantine trigger.
   bool SelfCheckFailed = false;
-  /// A budget trip or degraded retry happened inside the solve.
-  uint32_t BudgetTrips = 0;
-  uint32_t DegradedRetries = 0;
   /// An armed fault injector fired during this query.
   bool FaultFired = false;
 };

@@ -294,9 +294,10 @@ Response unknownReply(const std::string &Id, const std::string &Reason,
   return R;
 }
 
-/// Does this reply end the containment ladder? A determinate validated
-/// verdict is always served; everything else on the trigger list gets
-/// the one degraded retry.
+/// Does this reply quarantine its worker? A failed self-check or a fault
+/// that left no verdict does, and the query gets the one retry. A budget
+/// stop (timeout, memout, stepbudget) does not: the budget unwound
+/// cleanly, and a rerun with the same options would stop the same way.
 bool isQuarantineTrigger(const Response &R, std::string &Reason,
                          int &ExitCode) {
   if (R.SelfCheckFailed) {
@@ -307,16 +308,6 @@ bool isQuarantineTrigger(const Response &R, std::string &Reason,
   if (R.FaultFired && R.Verdict != "sat" && R.Verdict != "unsat") {
     Reason = "fault-injected";
     ExitCode = 2;
-    return true;
-  }
-  if (R.Reason == "memout") {
-    Reason = "memout";
-    ExitCode = 5;
-    return true;
-  }
-  if (R.Reason == "stepbudget") {
-    Reason = "stepbudget";
-    ExitCode = 6;
     return true;
   }
   return false;
@@ -372,13 +363,12 @@ Response Server::solveAdmitted(const Request &Req, uint64_t EffTimeoutMs) {
     quarantine(*Slot);
   }
 
-  if (Retry && !Eff.Degraded) {
+  if (Retry) {
     {
       std::lock_guard<std::mutex> L(Mu);
-      ++St.DegradedRetries;
+      ++St.Retries;
     }
     Request RetryReq = Eff;
-    RetryReq.Degraded = true;
     RetryReq.TestAbort = false; // the simulated crash happened; recover
     bool Crashed2 = false, Killed2 = false;
     Response R2 = runOnWorker(*Slot, RetryReq, Crashed2, Killed2);
@@ -407,12 +397,6 @@ Response Server::solveAdmitted(const Request &Req, uint64_t EffTimeoutMs) {
     } else {
       R = R2;
     }
-  } else if (Retry) {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      ++St.Exhausted;
-    }
-    R = unknownReply(Req.Id, FailReason, FailCode);
   }
 
   releaseSlot(Slot);
@@ -530,8 +514,6 @@ Response Server::submit(const Request &Req) {
   Out.Publishable = false;
   Out.SelfCheckFailed = false;
   Out.FaultFired = false;
-  Out.BudgetTrips = 0;
-  Out.DegradedRetries = 0;
   return Out;
 }
 
@@ -570,7 +552,7 @@ std::string Server::statsJson() const {
   Field("quarantines", S.Quarantines);
   Field("worker_crashes", S.WorkerCrashes);
   Field("worker_kills", S.WorkerKills);
-  Field("degraded_retries", S.DegradedRetries);
+  Field("retries", S.Retries);
   Field("exhausted", S.Exhausted);
   J += "\"cache\": {";
   Field("hits", C.Hits);

@@ -24,13 +24,13 @@
 ///    and answers structurally. Used by the `postr_serve` daemon.
 ///
 /// Containment ladder (both modes): a worker that crashes, fails the
-/// solver's self-check, trips an injected fault, or stops on
-/// MemOut/StepBudget is *quarantined* — a forked child is killed and
-/// respawned on next use; an in-process worker holds no state across
-/// queries, so there it is only counted — and the query is retried once
-/// on a clean worker with degraded options (Bland pivoting, reduced MBQI
-/// bounds). A second failure returns a structured
-/// `unknown (reason)`, never a crash and never a wrong verdict.
+/// solver's self-check, or trips an injected fault is *quarantined* — a
+/// forked child is killed and respawned on next use; an in-process
+/// worker holds no state across queries, so there it is only counted —
+/// and the query is retried once, as sent, on a clean worker. A second
+/// failure returns a structured `unknown (reason)`, never a crash and
+/// never a wrong verdict. A budget stop (timeout, memout, stepbudget) is
+/// an answer, not a failure: it is served as `unknown (reason)` at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,8 +119,8 @@ struct ServerStats {
   uint64_t WorkerCrashes = 0;
   /// Forked workers SIGKILLed for overrunning deadline + grace.
   uint64_t WorkerKills = 0;
-  /// Queries re-run once on a clean worker with degraded options.
-  uint64_t DegradedRetries = 0;
+  /// Queries re-run once on a clean worker after a quarantine.
+  uint64_t Retries = 0;
   /// Replies answered `unknown` after the retry also failed.
   uint64_t Exhausted = 0;
 };

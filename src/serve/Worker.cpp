@@ -54,8 +54,6 @@ Response solveRequest(const Request &Req, const ServeOptions &Opts,
 
   solver::SolveOptions SOpts;
   SOpts.Budget = &Bud;
-  if (Req.Degraded)
-    solver::applyDegraded(SOpts.Mp);
   if (Opts.MutateSolveOptions)
     Opts.MutateSolveOptions(SOpts);
 
@@ -95,8 +93,6 @@ Response solveRequest(const Request &Req, const ServeOptions &Opts,
   }
 
   Resp.SelfCheckFailed = R.Validation.Failed;
-  Resp.BudgetTrips = R.Stats.BudgetTrips;
-  Resp.DegradedRetries = R.Stats.DegradedRetries;
   Resp.FaultFired = FaultFired;
   Resp.Publishable =
       R.V != Verdict::Unknown && !R.Validation.Failed && !FaultFired;

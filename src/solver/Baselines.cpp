@@ -38,19 +38,17 @@ struct Branch {
 class EqReducer {
 public:
   EqReducer(const Problem &P, const EqReductionOptions &Opts)
-      : P(P), Opts(Opts),
-        LocalBud(Budget::Limits{Opts.TimeoutMs, 0, 0, nullptr}),
-        Bud(Opts.Budget ? Opts.Budget : &LocalBud) {}
+      : P(P), Opts(Opts), Bud(callLimits(Opts.Budget, Opts.TimeoutMs)) {}
 
   SolveResult run();
 
 private:
   /// Budget probe between branch systems; records the first reason.
   bool stopped() {
-    if (Bud->checkpoint("solver.disjunct"))
+    if (Bud.checkpoint("solver.disjunct"))
       return false;
     if (Stop == StopReason::None)
-      Stop = Bud->reason();
+      Stop = Bud.reason();
     return true;
   }
 
@@ -82,8 +80,8 @@ private:
 
   const Problem &P;
   EqReductionOptions Opts;
-  Budget LocalBud; ///< used when Opts.Budget is null
-  Budget *Bud;
+  /// The call's one budget: TimeoutMs within Opts.Budget.
+  Budget Bud;
   StopReason Stop = StopReason::None;
   NormalForm NF;
   VarId NextFresh = 0;
@@ -235,7 +233,7 @@ Verdict EqReducer::solveBranchSystem(
   VarId Next = NextFresh;
   eq::StabilizeOptions StabOpts = Opts.Stabilize;
   if (!StabOpts.Budget)
-    StabOpts.Budget = Bud;
+    StabOpts.Budget = &Bud;
   eq::StabilizeResult Stab = eq::stabilize(Langs, Eqs, Next, StabOpts);
   bool AnyUnknown = !Stab.Complete;
   if (!Stab.Complete && Stop == StopReason::None)
@@ -266,7 +264,7 @@ Verdict EqReducer::solveBranchSystem(
     };
     tagaut::MpOptions MpOpts = Opts.Mp;
     if (!MpOpts.Budget)
-      MpOpts.Budget = Bud;
+      MpOpts.Budget = &Bud;
     tagaut::MpResult R =
         tagaut::solveMP(A, D.Langs, {}, NF.Sigma.size(), IntBuilder, MpOpts);
     if (R.V == Verdict::Sat)
@@ -394,21 +392,9 @@ SolveResult postr::solver::solveEqReduction(const Problem &P,
 
 SolveResult postr::solver::solveEnum(const Problem &P,
                                      const EnumOptions &Opts) {
-  // TimeoutMs and a caller-shared Budget compose: both are probed and
-  // the tighter limit wins (a set Budget used to replace TimeoutMs).
-  Budget Local(Budget::Limits{Opts.TimeoutMs, 0, 0, nullptr});
-  Budget *Shared = Opts.Budget;
-  Budget *MemBud = Shared ? Shared : &Local;
-  auto Probe = [&](const char *Site) {
-    if (Shared && !Shared->checkpoint(Site))
-      return false;
-    return Local.checkpoint(Site);
-  };
-  auto Reason = [&] {
-    if (Shared && Shared->reason() != StopReason::None)
-      return Shared->reason();
-    return Local.reason();
-  };
+  // TimeoutMs and a caller-shared Budget compose in one budget; the
+  // tighter limit wins.
+  Budget Bud(callLimits(Opts.Budget, Opts.TimeoutMs));
 
   SolveResult Result;
   NormalForm NF = normalize(P);
@@ -435,16 +421,16 @@ SolveResult postr::solver::solveEnum(const Problem &P,
     if (!Fin || *Fin > Opts.MaxWordLen)
       Exhaustive = false;
     std::vector<Word> Words = Lang.enumerateWords(Opts.MaxWordLen);
-    MemBud->chargeMem(Words.size() * (sizeof(Word) + 8));
+    Bud.chargeMem(Words.size() * (sizeof(Word) + 8));
     if (Words.empty()) {
       // Non-empty language, but no word within the bound.
       Result.V = Verdict::Unknown;
       Result.Stop = StopReason::StepBudget;
       return Result;
     }
-    if (!Probe("solver.enum")) {
+    if (!Bud.checkpoint("solver.enum")) {
       Result.V = Verdict::Unknown;
-      Result.Stop = Reason();
+      Result.Stop = Bud.reason();
       return Result;
     }
     std::stable_sort(Words.begin(), Words.end(),
@@ -471,9 +457,9 @@ SolveResult postr::solver::solveEnum(const Problem &P,
     for (;;) {
       // Shared-budget probe (deadline, cancel, memory, steps) every 64
       // evaluations; the old code polled only the deadline, every 256.
-      if ((++Steps & 63) == 0 && !Probe("solver.enum")) {
+      if ((++Steps & 63) == 0 && !Bud.checkpoint("solver.enum")) {
         Result.V = Verdict::Unknown;
-        Result.Stop = Reason();
+        Result.Stop = Bud.reason();
         return Result;
       }
       std::map<IntVarId, int64_t> Ints;

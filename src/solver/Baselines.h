@@ -38,8 +38,9 @@ struct EqReductionOptions {
   /// Hard cap on expanded predicate branches (the cross product over
   /// predicates); beyond it the solver answers Unknown.
   uint32_t MaxBranches = 4096;
-  /// Optional shared resource budget; when null one is built from
-  /// TimeoutMs. Threaded into stabilization and every branch solve.
+  /// Optional shared resource budget. Composes with TimeoutMs: the call
+  /// runs on one child of it whose deadline is the tighter of the two.
+  /// That budget is threaded into stabilization and every branch solve.
   postr::Budget *Budget = nullptr;
   eq::StabilizeOptions Stabilize;
   tagaut::MpOptions Mp;
@@ -58,8 +59,8 @@ struct EnumOptions {
   int64_t MaxIntValue = 16;
   uint32_t MaxIntVars = 2;
   /// Optional shared resource budget, probed every 64 evaluation steps
-  /// ("solver.enum"). Composes with TimeoutMs: both are probed, the
-  /// tighter limit wins.
+  /// ("solver.enum"). Composes with TimeoutMs: the call runs on one
+  /// child of it whose deadline is the tighter of the two.
   postr::Budget *Budget = nullptr;
 };
 

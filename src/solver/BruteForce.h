@@ -40,7 +40,8 @@ struct BruteForceOptions {
   /// Optional shared resource budget (base/Budget.h), probed every 64
   /// evaluations ("solver.bruteforce") — covers cancellation and
   /// step/memory limits, which the bare TimeoutMs poll never did.
-  /// Composes with TimeoutMs: both are probed, the tighter limit wins.
+  /// Composes with TimeoutMs: the call runs on one child of it whose
+  /// deadline is the tighter of the two.
   postr::Budget *Budget = nullptr;
 };
 

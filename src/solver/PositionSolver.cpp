@@ -176,9 +176,6 @@ private:
   /// disjunct whose child budget is born tripped (the root's deadline
   /// passed, or its cancel flag was raised) reaches neither the
   /// one-counter fast path nor solveMP.
-  /// A disjunct stopping on MemOut or StepBudget is retried once in
-  /// degraded mode — Bland pivoting, reduced MBQI bounds — on a fresh
-  /// child budget before giving up.
   Verdict solveDisjunct(const eq::Decomposition &D, SolveResult &Result,
                         proof::DisjunctCert *CertOut);
   /// A disjunct's Sat: projects \p Assignment (words of the disjunct's
@@ -491,15 +488,6 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
 
   tagaut::MpOptions MpOpts = Opts.Mp;
   MpOpts.Certify = CertOut != nullptr;
-  // A decomposition whose substitution split or renamed a variable came
-  // out of word-equation solving (the thefuck/django shapes), whose
-  // tableaus run on Bland's order (docs/BENCH.md); identity
-  // decompositions leave the choice to tagaut/MpSolver.
-  for (const auto &[X, Rep] : D.Subst)
-    if (Rep.size() != 1 || Rep.front() != X) {
-      MpOpts.Qf.BlandPivots = true;
-      break;
-    }
 
   // Length-first ≠. A second predicate or an integer atom keeps the
   // one-counter fast path out, and solveMP encodes each ≠ through 2K+1
@@ -538,43 +526,17 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   }
 
   ++Stats.MpCalls;
-  tagaut::IntConstraintBuilder IntBuilder = IntBuilderFor(H, ApproxLenGt);
   MpOpts.Budget = &Child;
   tagaut::MpResult R =
-      tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, MpOpts);
+      tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(),
+                      IntBuilderFor(H, ApproxLenGt), MpOpts);
   Stats.UsedMbqi |= R.UsedMbqi;
-  const char *StopSite = Child.tripSite();
   // Root-level accounting: the disjunct's cumulative charges count
   // against the root cap too (the run loop's probe notices the trip).
   Root->chargeMem(Child.memCharged());
-
-  // Graceful degradation: a disjunct stopping on MemOut/StepBudget gets
-  // one cheaper shot — Bland pivoting (bounded fill-in) and reduced MBQI
-  // bounds — on a fresh child budget. Timeout/Cancelled are not retried:
-  // there is no time left to spend, or no caller left to answer.
-  if (R.V == Verdict::Unknown &&
-      (R.Stop == StopReason::MemOut || R.Stop == StopReason::StepBudget)) {
-    ++Stats.DegradedRetries;
-    tagaut::MpOptions Deg = MpOpts;
-    applyDegraded(Deg);
-    // Fresh limits: the root's remaining time has shrunk by the first
-    // attempt, so re-derive rather than reuse. Born tripped once the
-    // root's deadline has passed: then the stop is that one.
-    Budget RetryBud(childLimits());
-    if (RetryBud.exceeded()) {
-      R.Stop = RetryBud.reason();
-      StopSite = "solver.disjunct";
-    } else {
-      Deg.Budget = &RetryBud;
-      R = tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(), IntBuilder, Deg);
-      Stats.UsedMbqi |= R.UsedMbqi;
-      StopSite = RetryBud.tripSite();
-      Root->chargeMem(RetryBud.memCharged());
-    }
-  }
   if (R.V == Verdict::Unknown && R.Stop != StopReason::None) {
     ++Stats.BudgetTrips;
-    Stop.note(R.Stop, StopSite);
+    Stop.note(R.Stop, Child.tripSite());
   }
 
   if (R.V == Verdict::Sat)
@@ -702,13 +664,6 @@ SolveResult postr::solver::solveProblem(const Problem &P,
                                         const SolveOptions &Opts) {
   Pipeline Pipe(P, Opts);
   return Pipe.run();
-}
-
-void postr::solver::applyDegraded(tagaut::MpOptions &O) {
-  O.Qf.BlandPivots = true;
-  O.Mbqi.Qf.BlandPivots = true;
-  O.Mbqi.MaxCandidates = std::min<uint32_t>(O.Mbqi.MaxCandidates, 16);
-  O.Mbqi.MaxOffsets = std::min<int64_t>(O.Mbqi.MaxOffsets, 512);
 }
 
 int postr::solver::exitCodeFor(const SolveResult &R) {

@@ -106,11 +106,9 @@ struct SolveStats {
   uint32_t FastPathDecisions = 0;
   /// solveMP calls, a length-first ≠ attempt included.
   uint32_t MpCalls = 0;
-  /// Disjuncts whose final answer was a budget-tripped Unknown (after
-  /// any degraded retry).
+  /// Disjuncts whose answer was a budget-tripped Unknown.
   uint32_t BudgetTrips = 0;
-  /// Disjuncts re-run once in degraded mode (Bland pivoting, reduced
-  /// MBQI bounds) after stopping on MemOut/StepBudget.
+  /// Always 0: each disjunct is solved once (kept for postr-bench).
   uint32_t DegradedRetries = 0;
   /// A solveMP call reached the MBQI loop.
   bool UsedMbqi = false;
@@ -170,13 +168,6 @@ struct SolveResult {
 /// Decides a conjunction of string assertions.
 SolveResult solveProblem(const strings::Problem &P,
                          const SolveOptions &Opts = {});
-
-/// Switches \p O to the degraded profile: Bland pivoting (slow but
-/// convergence-guaranteed) and tightened MBQI bounds (at most 16
-/// candidates and 512 offsets). The pipeline retries a disjunct that
-/// stopped on MemOut/StepBudget under it, and postr_serve re-runs a
-/// quarantined query under it.
-void applyDegraded(tagaut::MpOptions &O);
 
 /// Process exit code of a solve result, shared by smtlib_cli and
 /// postr_serve so one-shot and served replies agree: 0 sat/unsat,

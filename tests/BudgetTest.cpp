@@ -800,4 +800,24 @@ TEST(BudgetTest, EnumTimeoutComposesWithSharedBudget) {
   EXPECT_EQ(R.Stop, StopReason::Timeout);
 }
 
+TEST(BudgetTest, EqReductionTimeoutComposesWithSharedBudget) {
+  // Regression: a caller-supplied Budget used to replace TimeoutMs in
+  // solveEqReduction. xy ≠ yx over (a|b)* takes the reduction over a
+  // second to answer Sat, so only the 1 ms deadline can stop it early.
+  strings::Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y");
+  P.assertInRe(X, "(a|b)*");
+  P.assertInRe(Y, "(a|b)*");
+  P.assertDiseq({strings::StrElem::var(X), strings::StrElem::var(Y)},
+                {strings::StrElem::var(Y), strings::StrElem::var(X)});
+
+  Budget Unlimited(Budget::Limits{0, 0, 0, nullptr});
+  solver::EqReductionOptions O;
+  O.TimeoutMs = 1;
+  O.Budget = &Unlimited;
+  solver::SolveResult R = solver::solveEqReduction(P, O);
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stop, StopReason::Timeout);
+}
+
 } // namespace

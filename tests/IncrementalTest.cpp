@@ -522,12 +522,13 @@ struct PivotPinParams {
 class PivotSelectionSweep : public ::testing::TestWithParam<PivotPinParams> {
 };
 
-/// The selection pins: forcing SparsestRow everywhere turns django/97/2
-/// from a 3.7 s Sat into a timeout (docs/BENCH.md), which is why
-/// word-equation and position contexts run on Bland. Pin the default
-/// selection to the verdicts of the all-Bland pivots of the degraded
-/// profile — if the selection regresses, the verdicts (or a blown
-/// deadline) catch it.
+/// The selection pins: forcing SparsestRow everywhere once turned
+/// django/97/2 from a 3.7 s Sat into a timeout (docs/BENCH.md), which
+/// justified running word-equation contexts on Bland. Since length-first
+/// ≠ that instance is decided in 0 ms under either rule, and only
+/// position-predicate contexts run on Bland. Pin the default selection
+/// to the verdicts of Bland pivots everywhere — if the selection
+/// regresses, the verdicts (or a blown deadline) catch it.
 TEST_P(PivotSelectionSweep, DefaultMatchesAllBland) {
   PivotPinParams P = GetParam();
   strings::Problem Prob = bench::generate(P.F, P.Seed, P.Index);
@@ -551,9 +552,9 @@ TEST_P(PivotSelectionSweep, DefaultMatchesAllBland) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    // Django indices chosen to decide well inside the deadline under
-    // Bland (0–2 Sat in ~1–4 s, 5 Unsat; 3/4/6/7 are ≥10 s-hard under
-    // *every* rule and only ever time out).
+    // Django indices chosen when they decided well inside the deadline
+    // under Bland (0–2 Sat in ~1–4 s, 5 Unsat) and 3/4/6/7 timed out
+    // under every rule; since length-first ≠ all six take 0 ms.
     Sweep, PivotSelectionSweep,
     ::testing::Values(PivotPinParams{bench::Family::Django, 97, 0, true},
                       PivotPinParams{bench::Family::Django, 97, 1, true},

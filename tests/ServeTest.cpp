@@ -6,7 +6,7 @@
 // In-process coverage of the postr-serve stack: wire protocol round
 // trips and framing hardening, the result cache (LRU/eviction, validated
 // insertion), the server's containment ladder (simulated crash →
-// quarantine → degraded retry), the poisoned-entry gate (a
+// quarantine → one retry), the poisoned-entry gate (a
 // self-check-failing result must never be served from the cache), and a
 // randomized concurrent soak mixing sat/unsat/malformed/timeout traffic
 // whose served verdicts are checked against one-shot solves. Everything
@@ -47,7 +47,6 @@ TEST(ServeProtocolTest, RequestRoundTrip) {
   R.TimeoutMs = 1234;
   R.NoCache = true;
   R.TestAbort = true;
-  R.Degraded = true;
   R.Smt2 = "(declare-fun x () String)\n(check-sat)\n";
   Result<Request> D = serve::decodeRequest(serve::encodeRequest(R));
   ASSERT_TRUE(static_cast<bool>(D)) << D.error();
@@ -56,7 +55,6 @@ TEST(ServeProtocolTest, RequestRoundTrip) {
   EXPECT_EQ(D->TimeoutMs, 1234u);
   EXPECT_TRUE(D->NoCache);
   EXPECT_TRUE(D->TestAbort);
-  EXPECT_TRUE(D->Degraded);
   EXPECT_EQ(D->Smt2, R.Smt2);
 
   // Header values are sanitized: an id cannot desynchronize the header
@@ -80,8 +78,6 @@ TEST(ServeProtocolTest, ResponseRoundTrip) {
   R.Body = "; x has length 4\n";
   R.Publishable = true;
   R.SelfCheckFailed = true;
-  R.BudgetTrips = 2;
-  R.DegradedRetries = 1;
   R.FaultFired = true;
   Result<Response> D = serve::decodeResponse(serve::encodeResponse(R));
   ASSERT_TRUE(static_cast<bool>(D)) << D.error();
@@ -94,8 +90,6 @@ TEST(ServeProtocolTest, ResponseRoundTrip) {
   EXPECT_EQ(D->Body, R.Body);
   EXPECT_TRUE(D->Publishable);
   EXPECT_TRUE(D->SelfCheckFailed);
-  EXPECT_EQ(D->BudgetTrips, 2u);
-  EXPECT_EQ(D->DegradedRetries, 1u);
   EXPECT_TRUE(D->FaultFired);
 }
 
@@ -331,14 +325,13 @@ TEST(ServeServerTest, SimulatedCrashQuarantinesRebuildsAndRetries) {
   Q.TestAbort = true;
   Q.Smt2 = "(declare-fun x () String)(assert (= x \"ab\"))(check-sat)";
   Response R = S.submit(Q);
-  // The crash is contained: the retry (degraded options) still produces
-  // the right verdict.
+  // The crash is contained: the retry still produces the right verdict.
   ASSERT_EQ(R.S, Response::Ok) << R.Message;
   EXPECT_EQ(R.Verdict, "sat");
   serve::ServerStats St = S.stats();
   EXPECT_EQ(St.Quarantines, 1u);
   EXPECT_EQ(St.WorkerCrashes, 1u);
-  EXPECT_EQ(St.DegradedRetries, 1u);
+  EXPECT_EQ(St.Retries, 1u);
   EXPECT_EQ(St.Exhausted, 0u);
 
   // Without AllowTestAbort the flag is inert (a hostile client cannot
@@ -352,7 +345,27 @@ TEST(ServeServerTest, SimulatedCrashQuarantinesRebuildsAndRetries) {
   EXPECT_EQ(S2.stats().WorkerCrashes, 0u);
 }
 
-TEST(ServeServerTest, ResourceTripQuarantinesRetriesThenAnswersStructured) {
+TEST(ServeServerTest, ClientDegradedHeaderCannotDisableTheCrashRetry) {
+  // The degraded-retry header, once sent by a client, switched the first
+  // attempt to the degraded profile and so skipped the crash retry. The
+  // key is now unknown and ignored, and the crash is retried as any
+  // other.
+  Result<Request> Q = serve::decodeRequest(
+      "postr-serve/1 solve\nid: d\nx-degraded: 1\nx-test-abort: 1\n\n"
+      "(declare-fun x () String)(assert (= x \"ab\"))(check-sat)");
+  ASSERT_TRUE(static_cast<bool>(Q)) << Q.error();
+  serve::ServeOptions O;
+  O.Workers = 1;
+  O.AllowTestAbort = true;
+  serve::Server S(O);
+  Response R = S.submit(*Q);
+  ASSERT_EQ(R.S, Response::Ok) << R.Message;
+  EXPECT_EQ(R.Verdict, "sat") << R.Reason;
+  EXPECT_EQ(S.stats().WorkerCrashes, 1u);
+  EXPECT_EQ(S.stats().Retries, 1u);
+}
+
+TEST(ServeServerTest, ResourceTripIsAnsweredWithoutQuarantineOrRetry) {
   // Establish the assumption: under a 1-step budget this problem trips
   // one-shot (so the serve-path behavior below is deterministic).
   const char *Text = "(declare-fun x () String)"
@@ -370,9 +383,9 @@ TEST(ServeServerTest, ResourceTripQuarantinesRetriesThenAnswersStructured) {
   ASSERT_EQ(OS.V, Verdict::Unknown);
   ASSERT_EQ(OS.Stop, StopReason::StepBudget);
 
-  // The hook swaps the serve-wired budget for a 50-step one, putting the
-  // worker on the same MemOut/StepBudget containment rung as a real
-  // memory blow-up, deterministically.
+  // The hook swaps the serve-wired budget for a 1-step one, so the worker
+  // stops on StepBudget as it would on a real memory blow-up (MemOut),
+  // deterministically.
   serve::ServeOptions O;
   O.Workers = 1;
   O.MutateSolveOptions = [](solver::SolveOptions &SO) {
@@ -390,11 +403,11 @@ TEST(ServeServerTest, ResourceTripQuarantinesRetriesThenAnswersStructured) {
   EXPECT_EQ(R.Reason, "stepbudget");
   EXPECT_EQ(R.ExitCode, 6);
   serve::ServerStats St = S.stats();
-  // First attempt trips → quarantine + degraded retry; the retry trips
-  // under the same budget → exhausted, structured unknown.
-  EXPECT_EQ(St.Quarantines, 2u);
-  EXPECT_EQ(St.DegradedRetries, 1u);
-  EXPECT_EQ(St.Exhausted, 1u);
+  // The budget unwound cleanly and a rerun would trip the same way: the
+  // stop is the answer, with no quarantine and no retry.
+  EXPECT_EQ(St.Quarantines, 0u);
+  EXPECT_EQ(St.Retries, 0u);
+  EXPECT_EQ(St.Exhausted, 0u);
   // Resource-tripped results are never published.
   EXPECT_EQ(S.cacheStats().Entries, 0u);
 }
@@ -420,7 +433,7 @@ TEST(ServeServerTest, PoisonedEntriesAreNeverServed) {
   Q.Smt2 = "(declare-fun x () String)(assert (= x \"ab\"))(check-sat)";
 
   // The self-check rejects the tampered model on both the first attempt
-  // and the degraded retry: structured unknown, exit code 7, and —
+  // and the retry: structured unknown, exit code 7, and —
   // critically — nothing published to the cache.
   Response R = S.submit(Q);
   ASSERT_EQ(R.S, Response::Ok);
@@ -429,7 +442,7 @@ TEST(ServeServerTest, PoisonedEntriesAreNeverServed) {
   EXPECT_EQ(R.ExitCode, 7);
   serve::ServerStats St = S.stats();
   EXPECT_EQ(St.Quarantines, 2u);
-  EXPECT_EQ(St.DegradedRetries, 1u);
+  EXPECT_EQ(St.Retries, 1u);
   EXPECT_EQ(St.Exhausted, 1u);
   EXPECT_EQ(S.cacheStats().Entries, 0u);
 

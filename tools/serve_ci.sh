@@ -80,6 +80,9 @@ want=$("$CLI" "$F" | head -1)
 # the retry still answers correctly.
 got=$("$CLIENT" --socket "$SOCK" --no-cache --test-abort "$F" | head -1)
 [ "$got" = "$want" ] || fail "test-abort recovery: got '$got', want '$want'"
+STATS=$("$CLIENT" --socket "$SOCK" --stats)
+echo "$STATS" | grep -q '"retries": [1-9]' ||
+  fail "stats did not record the test-abort retry: $STATS"
 
 # (b) SIGKILL a live worker child from the outside, then query: the
 # daemon must notice the corpse, respawn, and answer.
