@@ -6,8 +6,8 @@
 // Appendix A substrate check: construction + satisfiability time of the
 // Parikh formula PF(A) as the automaton grows, for both connectivity
 // disciplines (eager φ_Span vs the lazy CEGAR cuts the MP solver uses).
-// Supports the DESIGN.md claim that the lazy discipline keeps the
-// boolean abstraction near-conjunctive.
+// Supports the claim (docs/ARCHITECTURE.md, "Connectivity CEGAR") that
+// the lazy discipline keeps the boolean abstraction near-conjunctive.
 //
 //===----------------------------------------------------------------------===//
 

@@ -96,7 +96,6 @@ public:
     return static_cast<uint32_t>(Delta.size());
   }
   uint32_t alphabetSize() const { return AlphabetSz; }
-  void setAlphabetSize(uint32_t N) { AlphabetSz = N; }
 
   bool isInitial(State Q) const { return IsInitial[Q]; }
   bool isFinal(State Q) const { return IsFinal[Q]; }

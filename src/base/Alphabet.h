@@ -22,7 +22,6 @@
 
 #include <array>
 #include <optional>
-#include <string>
 #include <string_view>
 
 namespace postr {
@@ -70,30 +69,6 @@ public:
 
   /// Number of symbols interned so far (= the alphabet size for automata).
   uint32_t size() const { return static_cast<uint32_t>(SymToChar.size()); }
-
-  /// True if \p S has a character representation.
-  bool hasChar(Symbol S) const { return SymToChar[S] >= 0; }
-
-  /// The character of \p S; asserts that it has one.
-  char charOf(Symbol S) const {
-    assert(S < size() && SymToChar[S] >= 0 && "symbol has no character");
-    return static_cast<char>(SymToChar[S]);
-  }
-
-  /// Renders a word; fresh symbols print as `<#N>`.
-  std::string render(const Word &W) const {
-    std::string Out;
-    for (Symbol S : W) {
-      if (hasChar(S)) {
-        Out.push_back(charOf(S));
-      } else {
-        Out += "<#";
-        Out += std::to_string(S);
-        Out += ">";
-      }
-    }
-    return Out;
-  }
 
 private:
   std::array<Symbol, 256> CharToSym;

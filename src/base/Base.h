@@ -56,8 +56,8 @@ inline const char *verdictName(Verdict V) {
 }
 
 /// Minimal fallible result: either a value or a human-readable error.
-/// PosTr library code does not use exceptions (see DESIGN.md), so parsers
-/// and fallible constructors return `Result<T>`.
+/// PosTr library code does not use exceptions, so parsers and fallible
+/// constructors return `Result<T>`.
 template <typename T> class Result {
 public:
   /// Constructs a success value.

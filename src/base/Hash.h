@@ -32,14 +32,6 @@ inline uint64_t mix64(uint64_t X) {
   return X ^ (X >> 31);
 }
 
-/// Hash of a run of 64-bit words (sequence-length seeded).
-inline uint64_t hashWords(const uint64_t *Begin, size_t N) {
-  uint64_t H = mix64(N);
-  for (size_t I = 0; I < N; ++I)
-    H = mix64(H ^ Begin[I]);
-  return H;
-}
-
 /// Hash functor for std::vector of a 32-bit integral type (determinize
 /// subset keys).
 struct U32VecHash {

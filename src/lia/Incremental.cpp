@@ -80,7 +80,6 @@ public:
   // Bookkeeping shared with the public wrapper.
   std::vector<uint32_t> Selectors; ///< scope selector SAT vars (LIFO)
   std::vector<uint32_t> UnsatAssumps;
-  QfSearchStats Cumulative;
   uint64_t Solves = 0;
 #ifndef NDEBUG
   /// Original (unlowered) assertions per scope frame, for Sat-model
@@ -766,7 +765,6 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
     Out.V = Verdict::Unknown;
     Out.Stop = Stop;
     Out.Stats.BudgetTrips = 1;
-    Cumulative += Out.Stats;
     return Out;
   };
   // Finish any assertion an earlier stop left unencoded; a stop there is
@@ -865,7 +863,6 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
   Out.Stats.TheoryConflicts = TheoryConflicts;
   if (Out.V == Verdict::Unknown && Out.Stop != StopReason::None)
     Out.Stats.BudgetTrips = 1;
-  Cumulative += Out.Stats;
 
   if (std::getenv("POSTR_SIMPLEX_STATS"))
     std::fprintf(stderr,
@@ -934,10 +931,6 @@ QfResult IncrementalContext::solve(const std::vector<FormulaId> &Assumptions,
 
 const std::vector<uint32_t> &IncrementalContext::unsatAssumptions() const {
   return I->UnsatAssumps;
-}
-
-const QfSearchStats &IncrementalContext::cumulativeStats() const {
-  return I->Cumulative;
 }
 
 uint64_t IncrementalContext::numSolves() const { return I->Solves; }

@@ -89,8 +89,6 @@ public:
   /// active assertions are unsatisfiable on their own).
   const std::vector<uint32_t> &unsatAssumptions() const;
 
-  /// Search-core counters accumulated over every solve of this context.
-  const QfSearchStats &cumulativeStats() const;
   uint64_t numSolves() const;
 
 private:

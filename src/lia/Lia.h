@@ -69,12 +69,6 @@ public:
   /// in transition order); O(n) insert otherwise.
   LinTerm &addMonomial(Var V, int64_t K);
 
-  /// Adds \p K to the constant in place.
-  LinTerm &addConstant(int64_t K) {
-    Const += K;
-    return *this;
-  }
-
   LinTerm operator+(const LinTerm &O) const {
     LinTerm R = *this;
     R += O;

@@ -60,15 +60,9 @@ struct MbqiStats {
 };
 
 struct MbqiOptions {
-  /// Options of every outer and inner sub-solve. Qf.Budget governs the
-  /// whole loop (null: a fresh unlimited budget per call).
-  QfOptions Qf;
-  /// Run on persistent IncrementalContexts (the default): one outer
-  /// context accumulates blockers and instantiation lemmas, per-block
-  /// inner contexts keep their encoding and pop only the pin/offset
-  /// between offsets. false = re-encode every query from scratch — kept
-  /// as the oracle for the incremental-vs-scratch property tests.
-  bool Incremental = true;
+  /// Resource budget of the whole loop and of every outer and inner
+  /// sub-solve (null: a fresh unlimited budget per call).
+  postr::Budget *Budget = nullptr;
   /// Optional counter sink, incremented without synchronization.
   MbqiStats *Stats = nullptr;
 };

@@ -72,8 +72,6 @@ public:
   /// is set (Bland's order; see checkRational).
   explicit Simplex(uint32_t NumProblemVars, bool BlandPivots = false);
 
-  uint32_t numProblemVars() const { return NumProblemVars; }
-
   /// Sets an intrinsic bound on an original variable (e.g. Parikh
   /// counters are >= 0). INT64_MIN / INT64_MAX mean unbounded.
   void setIntrinsicBounds(Var V, int64_t Lo, int64_t Hi);

@@ -284,10 +284,6 @@ public:
       if (P.Steps[I - 1].K == ClauseStep::Kind::Final)
         P.Steps.erase(P.Steps.begin() + static_cast<ptrdiff_t>(I - 1));
   }
-  /// True once a Final refutation event is recorded.
-  bool finalized() const {
-    return !P.Steps.empty() && P.Steps.back().K == ClauseStep::Kind::Final;
-  }
   void reset() {
     P = QfProof();
     Pending = -1;

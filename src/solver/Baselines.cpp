@@ -232,8 +232,7 @@ Verdict EqReducer::solveBranchSystem(
     const std::map<VarId, Nfa> &Langs) {
   VarId Next = NextFresh;
   eq::StabilizeOptions StabOpts = Opts.Stabilize;
-  if (!StabOpts.Budget)
-    StabOpts.Budget = &Bud;
+  StabOpts.Budget = &Bud;
   eq::StabilizeResult Stab = eq::stabilize(Langs, Eqs, Next, StabOpts);
   bool AnyUnknown = !Stab.Complete;
   if (!Stab.Complete && Stop == StopReason::None)
@@ -262,9 +261,8 @@ Verdict EqReducer::solveBranchSystem(
         Parts.push_back(Ar.cmp(ToLin(Atom.Lhs), Atom.Op, ToLin(Atom.Rhs)));
       return Ar.conj(std::move(Parts));
     };
-    tagaut::MpOptions MpOpts = Opts.Mp;
-    if (!MpOpts.Budget)
-      MpOpts.Budget = &Bud;
+    tagaut::MpOptions MpOpts;
+    MpOpts.Budget = &Bud;
     tagaut::MpResult R =
         tagaut::solveMP(A, D.Langs, {}, NF.Sigma.size(), IntBuilder, MpOpts);
     if (R.V == Verdict::Sat)

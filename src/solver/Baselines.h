@@ -42,8 +42,9 @@ struct EqReductionOptions {
   /// runs on one child of it whose deadline is the tighter of the two.
   /// That budget is threaded into stabilization and every branch solve.
   postr::Budget *Budget = nullptr;
+  /// Stabilization's fuel and disjunct caps; its Budget is overwritten
+  /// with the call's.
   eq::StabilizeOptions Stabilize;
-  tagaut::MpOptions Mp;
 };
 
 /// Classical eq-reduction baseline.

@@ -620,8 +620,7 @@ SolveResult Pipeline::runImpl() {
   // Stabilization runs directly on the root budget (its growth — automata
   // products, subset constructions — is charged there).
   eq::StabilizeOptions StabOpts = Opts.Stabilize;
-  if (!StabOpts.Budget)
-    StabOpts.Budget = Root;
+  StabOpts.Budget = Root;
   eq::StabilizeResult Stab =
       eq::stabilize(NF.Langs, NF.Equations, NF.NextFresh, StabOpts);
   Stats.Disjuncts = static_cast<uint32_t>(Stab.Disjuncts.size());

@@ -67,7 +67,11 @@ struct SolveOptions {
   /// StepLimit: its deadline governs the pipeline, and per-disjunct child
   /// budgets are derived from its remaining time and its limits.
   postr::Budget *Budget = nullptr;
+  /// Stabilization's fuel and disjunct caps. Its Budget is overwritten
+  /// with the root budget, so StepLimit/TimeoutMs/Budget govern it.
   eq::StabilizeOptions Stabilize;
+  /// solveMP's options. The pipeline sets Budget (each disjunct's child)
+  /// and Certify (from CertifyUnsat); only Mbqi.Stats is the caller's.
   tagaut::MpOptions Mp;
   /// Use the PTime one-counter path when eligible (Thm. 7.1). Its Sat
   /// answers carry the walk they found as the model.

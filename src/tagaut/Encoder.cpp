@@ -470,8 +470,14 @@ SystemEncoding postr::tagaut::encodeSystem(
   bool AnyNotContains = std::any_of(
       Preds.begin(), Preds.end(),
       [](const PosPredicate &P) { return P.Kind == PredKind::NotContains; });
-  Enc.Span = AnyNotContains ? SpanMode::Eager : Opts.Span;
-  Enc.Pf = buildParikhFormula(Enc.Ta, A, "o.", Enc.Span, Bud);
+  // The outer Parikh formula's connectivity (φ_Span) is Lazy — left to
+  // the QF solver's cut loop, which keeps the boolean abstraction near-
+  // conjunctive — unless a ¬contains block exists: the inner #2 instances
+  // sit under ∀κ where no cut loop sees their models, and EqualWords ties
+  // #1 to them transition by transition, so then it is Eager.
+  Enc.Pf = buildParikhFormula(Enc.Ta, A, "o.",
+                              AnyNotContains ? SpanMode::Eager : SpanMode::Lazy,
+                              Bud);
   if (!Probe())
     return Enc;
 

@@ -69,13 +69,6 @@ struct EncoderOptions {
   /// Emit copy (C) transitions/constraints; required for completeness
   /// with shared mismatches across >= 2 predicates (Sec. 5.3).
   bool EmitCopies = true;
-  /// Connectivity discipline for the outer Parikh formula. Lazy (the
-  /// default) keeps the boolean abstraction near-conjunctive and relies
-  /// on the solver's CEGAR cut loop; forced to Eager whenever a
-  /// ¬contains block is present (the inner #2 instances sit under ∀κ
-  /// where no cut loop can see their models, and EqualWords ties #1 to
-  /// them transition-by-transition).
-  SpanMode Span = SpanMode::Lazy;
   /// Optional shared resource budget (base/Budget.h), probed at the
   /// encoder's phase boundaries ("tagaut.encode") and threaded into the
   /// Parikh constructions ("tagaut.parikh"); tag-automaton and formula
@@ -102,10 +95,6 @@ struct SystemEncoding {
   std::map<VarId, lia::LinTerm> LenTerms;
   /// All #1 variables (for MBQI model blocking).
   std::vector<lia::Var> OuterVars;
-  /// The span mode the outer Parikh formula was actually built with
-  /// (Opts.Span, overridden to Eager when ¬contains blocks exist). When
-  /// Lazy, the solver must run the connectivity CEGAR loop.
-  SpanMode Span = SpanMode::Eager;
 
   /// Decodes a model of Outer (∧ the caller's I) into a string
   /// assignment by Euler-walking the transition counts.
@@ -122,6 +111,10 @@ struct SystemEncoding {
 /// and non-empty-language; every variable occurring in some predicate has
 /// a language; alphabet non-empty; every variable of a NotContains
 /// predicate has a flat language (check with `notContainsVarsFlat`).
+/// The outer Parikh formula's connectivity (φ_Span) is Eager iff a
+/// ¬contains block exists; otherwise Lazy, and a Sat model of Outer is
+/// only flow-consistent until `connectedComponentGap` finds no gap (the
+/// caller's cut loop, tagaut/Parikh.h).
 SystemEncoding encodeSystem(lia::Arena &A,
                             const std::map<VarId, automata::Nfa> &Langs,
                             const std::vector<PosPredicate> &Preds,

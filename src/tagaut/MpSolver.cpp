@@ -19,8 +19,8 @@ using namespace postr::tagaut;
 
 namespace {
 
-/// Cap on connectivity-CEGAR rounds under SpanMode::Lazy before the
-/// solver answers Unknown. Each round adds one cut; real workloads
+/// Cap on connectivity-CEGAR rounds (the QF path's Lazy span) before
+/// the solver answers Unknown. Each round adds one cut; real workloads
 /// converge in a handful.
 constexpr uint32_t MaxCutRounds = 4096;
 
@@ -302,9 +302,8 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     Out.V = Verdict::Unknown;
     return Out;
   }
-  EncoderOptions EncOpts = Opts.Encoder;
-  if (!EncOpts.Budget)
-    EncOpts.Budget = Bud;
+  EncoderOptions EncOpts;
+  EncOpts.Budget = Bud;
   SystemEncoding Enc = encodeSystem(A, Langs, Rest, AlphabetSize, EncOpts);
   // A tripped encoder returns a partial encoding — discard it.
   if (Stopped()) {
@@ -322,7 +321,8 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
   lia::FormulaId Goal = A.conj(std::move(GoalParts));
 
   if (Enc.Blocks.empty()) {
-    lia::QfOptions Qf = Opts.Qf;
+    lia::QfOptions Qf;
+    Qf.Budget = Bud;
     // Clause-trace recording for the quantifier-free path: the whole
     // DPLL(T) search is mirrored into the builder, and an Unsat verdict
     // hands the trace to the caller as this call's certificate.
@@ -332,11 +332,9 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     // Position predicates encode the 2K+1-copy mismatch structure, whose
     // tableaus run on Bland's order; a bare membership + length system is
     // the Parikh load where SparsestRow halves the fill-in (docs/BENCH.md).
-    if (!Rest.empty())
-      Qf.BlandPivots = true;
-    if (!Qf.Budget)
-      Qf.Budget = Bud;
-    // Connectivity CEGAR: under SpanMode::Lazy every Sat model is only
+    Qf.BlandPivots = !Rest.empty();
+    // Connectivity CEGAR: without ¬contains blocks the outer Parikh
+    // formula is built Lazy (tagaut/Encoder.h), so every Sat model is only
     // flow-consistent; disconnected pseudo-runs are refuted by cuts fed
     // back through the solver's refinement hook (which keeps learned
     // clauses across episodes). Unsat/Unknown are final — cuts only
@@ -346,8 +344,6 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     lia::ModelRefiner Refine =
         [&](lia::Arena &Ar,
             const std::vector<int64_t> &Model) -> std::optional<lia::FormulaId> {
-      if (Enc.Span != SpanMode::Lazy)
-        return std::nullopt;
       std::vector<uint32_t> Gap = connectedComponentGap(Enc.Ta, Enc.Pf, Model);
       if (Gap.empty())
         return std::nullopt;
@@ -411,8 +407,7 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
   Q.Blocks = Enc.Blocks;
   Q.BlockTerms = Enc.BlockTerms;
   lia::MbqiOptions Mb = Opts.Mbqi;
-  if (!Mb.Qf.Budget)
-    Mb.Qf.Budget = Bud;
+  Mb.Budget = Bud;
   std::vector<int64_t> Model;
   Out.UsedMbqi = true;
   Out.V = lia::solveMbqi(A, Q, &Model, Mb);

@@ -31,7 +31,8 @@ namespace postr {
 namespace tagaut {
 
 struct MpOptions {
-  lia::QfOptions Qf;
+  /// The MBQI loop's options. Its Budget is overwritten with this call's
+  /// budget; only the Stats sink is the caller's.
   lia::MbqiOptions Mbqi;
   /// Resource budget (deadline / memory cap / step limit / cancel flag,
   /// see base/Budget.h) governing the whole solve: the encoder, the
@@ -39,7 +40,6 @@ struct MpOptions {
   /// it or an ancestor stops the solve at the next probe. Null runs the
   /// call under a fresh unlimited budget.
   postr::Budget *Budget = nullptr;
-  EncoderOptions Encoder;
   /// Record an Unsat certificate into MpResult::Cert: the QF-LIA path
   /// logs a full DRUP + Farkas clause trace checkable by the independent
   /// kernel (proof/Check.h), while the automata-level short-circuits and

@@ -55,9 +55,6 @@ struct ParikhFormula {
     return lia::LinTerm::sum(Vars);
   }
 
-  /// True if any transition carries \p T.
-  bool tagOccurs(TagId T) const { return TagUses.count(T) != 0; }
-
   std::map<TagId, std::vector<uint32_t>> TagUses;
 };
 

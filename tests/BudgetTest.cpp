@@ -820,4 +820,30 @@ TEST(BudgetTest, EqReductionTimeoutComposesWithSharedBudget) {
   EXPECT_EQ(R.Stop, StopReason::Timeout);
 }
 
+TEST(BudgetTest, StepLimitGovernsStabilizationBesideItsOwnBudget) {
+  // Regression: a Budget set in SolveOptions::Stabilize used to replace
+  // the root budget for stabilization, so StepLimit (and TimeoutMs) no
+  // longer reached it. The pipeline now always hands stabilization its
+  // root budget. Steps are counted deterministically: the first seven go
+  // to the first branch node and its automata products, so an 8-step
+  // limit stops the search at its branch probe.
+  strings::Problem P;
+  VarId U = P.strVar("u"), V = P.strVar("v");
+  P.assertInRe(U, "a*");
+  P.assertInRe(V, "a*");
+  P.assertWordEq({strings::StrElem::var(U), strings::StrElem::var(V)},
+                 {strings::StrElem::var(V), strings::StrElem::var(U)});
+  P.assertDiseq({strings::StrElem::var(U)}, {strings::StrElem::var(V)});
+
+  Budget Unlimited(Budget::Limits{0, 0, 0, nullptr});
+  solver::SolveOptions O;
+  O.StepLimit = 8;
+  O.Stabilize.Budget = &Unlimited;
+  solver::SolveResult R = solver::solveProblem(P, O);
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stop, StopReason::StepBudget);
+  EXPECT_EQ(R.StopSite, "eq.stabilize");
+  EXPECT_TRUE(R.Stats.StabilizationIncomplete);
+}
+
 } // namespace

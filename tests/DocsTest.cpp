@@ -209,4 +209,29 @@ TEST(KnobCoverageTest, EngineOptionsTakeOnlyABudget) {
   }
 }
 
+// Fields deleted on purpose stay deleted. Each set a value that no
+// caller varied: the scratch MBQI loop, nested sub-solve options whose
+// Budget would cut a sub-solve off from the solve's deadline, and a span
+// mode the encoder derives from the predicates.
+TEST(KnobCoverageTest, DeletedEngineFieldsStayOut) {
+  const struct {
+    const char *Header;
+    const char *Name;
+    std::vector<std::string> Dead;
+  } Structs[] = {
+      {"src/lia/Mbqi.h", "MbqiOptions", {"Incremental", "Qf"}},
+      {"src/tagaut/MpSolver.h", "MpOptions", {"Qf", "Encoder"}},
+      {"src/tagaut/Encoder.h", "EncoderOptions", {"Span"}},
+  };
+  for (const auto &S : Structs) {
+    std::vector<std::string> Fields = structFields(Root / S.Header, S.Name);
+    EXPECT_FALSE(Fields.empty())
+        << S.Name << " parsed to zero fields — parser or header changed?";
+    for (const std::string &F : Fields)
+      for (const std::string &D : S.Dead)
+        EXPECT_NE(F, D) << S.Name << "::" << F << " (" << S.Header
+                        << ") was deleted but is declared again";
+  }
+}
+
 } // namespace

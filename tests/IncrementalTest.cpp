@@ -5,11 +5,10 @@
 //
 // Property tests for the PR-4 incrementality layer: IncrementalContext
 // push/pop + solve-under-assumptions against scratch `solveQF` under
-// randomized assertion/pop/solve sequences, MBQI incremental-vs-scratch
-// (and both against a brute-force expansion of the quantified query),
-// and a Sweep/* verdict-equality pass over the bench workload
-// generators (compiled in directly so the suite does not depend on
-// POSTR_BUILD_BENCH).
+// randomized assertion/pop/solve sequences, MBQI against a brute-force
+// expansion of the quantified query, and Sweep/* passes over the bench
+// workload generators (compiled in directly so the suite does not depend
+// on POSTR_BUILD_BENCH).
 //
 //===----------------------------------------------------------------------===//
 
@@ -302,12 +301,12 @@ TEST(IncrementalContextTest, StopMidEncodingResumesOnNextSolve) {
 }
 
 //===----------------------------------------------------------------------===
-// MBQI: incremental vs scratch vs brute-force expansion
+// MBQI vs brute-force expansion
 //===----------------------------------------------------------------------===
 
 /// Brute-force decision of an MbqiQuery whose variables all live in the
 /// box [0, Box]: enumerate outer assignments, and for each offset κ the
-/// inner existentials. The oracle for both MBQI implementations.
+/// inner existentials. The oracle for the MBQI loop.
 Verdict bruteForceMbqi(Arena &A, const MbqiQuery &Q, int64_t Box,
                        int64_t MaxOffsets) {
   std::vector<int64_t> M(A.numVars(), 0);
@@ -355,7 +354,7 @@ Verdict bruteForceMbqi(Arena &A, const MbqiQuery &Q, int64_t Box,
   return Verdict::Unsat;
 }
 
-TEST(MbqiIncrementalTest, MatchesScratchAndBruteForce) {
+TEST(MbqiIncrementalTest, MatchesBruteForce) {
   std::mt19937 Rng(4251);
   const int64_t Box = 3;
   int SatSeen = 0, UnsatSeen = 0;
@@ -387,30 +386,22 @@ TEST(MbqiIncrementalTest, MatchesScratchAndBruteForce) {
     }
 
     Verdict Expected = bruteForceMbqi(A, Q, Box, /*MaxOffsets=*/4096);
-    uint32_t QueryVars = A.numVars(); // both solvers mint lemma vars later
+    uint32_t QueryVars = A.numVars(); // the loop mints lemma vars later
 
-    MbqiOptions Inc;
-    Inc.Incremental = true;
-    std::vector<int64_t> IncModel;
-    Verdict VInc = solveMbqi(A, Q, &IncModel, Inc);
-
-    MbqiOptions Scratch;
-    Scratch.Incremental = false;
-    Verdict VScratch = solveMbqi(A, Q, nullptr, Scratch);
-
-    ASSERT_EQ(VInc, Expected) << "incremental diverged, iteration " << Iter;
-    ASSERT_EQ(VScratch, Expected) << "scratch diverged, iteration " << Iter;
+    std::vector<int64_t> Model;
+    Verdict V = solveMbqi(A, Q, &Model);
+    ASSERT_EQ(V, Expected) << "MBQI diverged, iteration " << Iter;
     (Expected == Verdict::Sat ? SatSeen : UnsatSeen) += 1;
 
-    if (VInc == Verdict::Sat) {
-      // The incremental model must satisfy the outer part and survive
-      // the brute-force ∀κ∃inner check for every block.
-      ASSERT_GE(IncModel.size(), QueryVars);
-      EXPECT_TRUE(A.eval(Q.Outer, IncModel));
-      std::vector<int64_t> M = IncModel;
+    if (V == Verdict::Sat) {
+      // The model must satisfy the outer part and survive the
+      // brute-force ∀κ∃inner check for every block.
+      ASSERT_GE(Model.size(), QueryVars);
+      EXPECT_TRUE(A.eval(Q.Outer, Model));
+      std::vector<int64_t> M = Model;
       M.resize(A.numVars(), 0);
       for (const ForallBlock &B : Q.Blocks) {
-        int64_t Upper = B.Upper.eval(IncModel);
+        int64_t Upper = B.Upper.eval(Model);
         for (int64_t K = 0; K <= Upper; ++K) {
           M[B.Kappa] = K;
           bool Witness = false;
@@ -464,9 +455,17 @@ TEST(MbqiIncrementalTest, StatsCountersAdvance) {
 }
 
 //===----------------------------------------------------------------------===
-// Workload-generator sweep: incremental vs scratch through the full
-// pipeline (slow — registered under the Sweep/* label)
+// Workload-generator sweeps through the full pipeline (slow — registered
+// under the Sweep/* label, so the default ctest set stays fast; CI runs
+// them in its slow pass). Both run on a step limit, so a failure is
+// changed behaviour, never host speed: steps are counted identically in
+// every build type.
 //===----------------------------------------------------------------------===
+
+/// Step limit of one sweep solve: about 4x the most steps any pinned
+/// instance below needs (204, on every Sat pin; the paranoid Unsat
+/// cross-check runs on a budget of its own).
+constexpr uint64_t SweepStepLimit = 800;
 
 struct WlParams {
   bench::Family F;
@@ -476,100 +475,78 @@ struct WlParams {
 
 class MbqiWorkloadSweep : public ::testing::TestWithParam<WlParams> {};
 
-TEST_P(MbqiWorkloadSweep, IncrementalMatchesScratch) {
+/// Every pinned instance is decided, and both self-checks accept the
+/// answer: a Sat model is evaluated against the concrete semantics, an
+/// Unsat is cross-checked against the bounded enumeration oracle. Either
+/// rejection would demote the verdict to Unknown with Validation set.
+TEST_P(MbqiWorkloadSweep, DecidedAndSelfChecked) {
   WlParams P = GetParam();
   strings::Problem Prob = bench::generate(P.F, P.Seed, P.Index);
 
   solver::SolveOptions O;
-  O.TimeoutMs = 30000;
-  O.ValidateModels = false;
+  O.StepLimit = SweepStepLimit;
+  O.ValidateModels = true;
+  O.ParanoidUnsatCheck = true;
+  solver::SolveResult R = solver::solveProblem(Prob, O);
 
-  O.Mp.Mbqi.Incremental = true;
-  solver::SolveResult Inc = solver::solveProblem(Prob, O);
-
-  O.Mp.Mbqi.Incremental = false;
-  solver::SolveResult Scratch = solver::solveProblem(Prob, O);
-
-  // Both are decision procedures over the same query: whenever both
-  // decide, they must agree (resource-outs aside, which differ only in
-  // where the budgets land).
-  if (Inc.V != Verdict::Unknown && Scratch.V != Verdict::Unknown)
-    EXPECT_EQ(Inc.V, Scratch.V)
-        << bench::familyName(P.F) << " seed " << P.Seed << " index "
-        << P.Index;
-  EXPECT_NE(Inc.V, Verdict::Unknown)
-      << "incremental path resource-out where the bench expects a verdict";
+  std::string Where = std::string(bench::familyName(P.F)) + " seed " +
+                      std::to_string(P.Seed) + " index " +
+                      std::to_string(P.Index);
+  EXPECT_FALSE(R.Validation.Failed) << Where << ": " << R.Validation.Detail;
+  EXPECT_NE(R.V, Verdict::Unknown) << Where << ": resource-out";
 }
 
 //===----------------------------------------------------------------------===
-// Pivot-selection regression pins over the workload generators
-// (workload-level solves — registered under the Sweep/* label like the
-// other generator-driven tests, so the default ctest set stays fast and
-// CI's unoptimized build can't flake on the deadlines; CI runs them in
-// its slow pass)
+// Pivot-selection pins over the workload generators
 //===----------------------------------------------------------------------===
 
 struct PivotPinParams {
   bench::Family F;
   uint32_t Seed;
   uint32_t Index;
-  /// Require a decided (non-Unknown) verdict: set on instances measured
-  /// to decide well inside the deadline under Bland, so a SparsestRow
-  /// stall can't hide behind "both timed out".
-  bool RequireDecided;
+  Verdict Want;
 };
 
 class PivotSelectionSweep : public ::testing::TestWithParam<PivotPinParams> {
 };
 
-/// The selection pins: forcing SparsestRow everywhere once turned
-/// django/97/2 from a 3.7 s Sat into a timeout (docs/BENCH.md), which
-/// justified running word-equation contexts on Bland. Since length-first
-/// ≠ that instance is decided in 0 ms under either rule, and only
-/// position-predicate contexts run on Bland. Pin the default selection
-/// to the verdicts of Bland pivots everywhere — if the selection
-/// regresses, the verdicts (or a blown deadline) catch it.
-TEST_P(PivotSelectionSweep, DefaultMatchesAllBland) {
+/// tagaut/MpSolver runs a QF context with position predicates on Bland's
+/// leaving order and every other one on SparsestRow. These position-hard
+/// instances are decided in milliseconds under that split and are still
+/// Unknown after 2 s with SparsestRow everywhere (docs/BENCH.md, pivot
+/// A/B), so a lost split shows here as a resource-out.
+TEST_P(PivotSelectionSweep, SplitDecides) {
   PivotPinParams P = GetParam();
   strings::Problem Prob = bench::generate(P.F, P.Seed, P.Index);
 
   solver::SolveOptions O;
-  O.TimeoutMs = 30000;
-  O.ValidateModels = false;
-  solver::SolveResult Default = solver::solveProblem(Prob, O);
+  O.StepLimit = SweepStepLimit;
+  solver::SolveResult R = solver::solveProblem(Prob, O);
 
-  O.Mp.Qf.BlandPivots = true;
-  O.Mp.Mbqi.Qf.BlandPivots = true;
-  solver::SolveResult Bland = solver::solveProblem(Prob, O);
-
-  EXPECT_EQ(Default.V, Bland.V)
+  EXPECT_STREQ(verdictName(R.V), verdictName(P.Want))
       << bench::familyName(P.F) << " seed " << P.Seed << " index "
-      << P.Index << ": default selection flipped a verdict vs Bland";
-  if (P.RequireDecided)
-    EXPECT_NE(Default.V, Verdict::Unknown)
-        << bench::familyName(P.F) << " seed " << P.Seed << " index "
-        << P.Index << ": default selection resource-out where Bland decides";
+      << P.Index;
+}
+
+/// Test-name suffix of a generator instance.
+template <typename Params>
+std::string instanceName(const ::testing::TestParamInfo<Params> &Info) {
+  std::string Name = bench::familyName(Info.param.F);
+  for (char &C : Name)
+    if (C == '-')
+      C = '_';
+  return Name + "_s" + std::to_string(Info.param.Seed) + "_i" +
+         std::to_string(Info.param.Index);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    // Django indices chosen when they decided well inside the deadline
-    // under Bland (0–2 Sat in ~1–4 s, 5 Unsat) and 3/4/6/7 timed out
-    // under every rule; since length-first ≠ all six take 0 ms.
     Sweep, PivotSelectionSweep,
-    ::testing::Values(PivotPinParams{bench::Family::Django, 97, 0, true},
-                      PivotPinParams{bench::Family::Django, 97, 1, true},
-                      PivotPinParams{bench::Family::Django, 97, 2, true},
-                      PivotPinParams{bench::Family::Django, 97, 5, true},
-                      PivotPinParams{bench::Family::Thefuck, 131, 0, false},
-                      PivotPinParams{bench::Family::Thefuck, 131, 1, false}),
-    [](const ::testing::TestParamInfo<PivotPinParams> &Info) {
-      std::string Name = bench::familyName(Info.param.F);
-      for (char &C : Name)
-        if (C == '-')
-          C = '_';
-      return Name + "_s" + std::to_string(Info.param.Seed) + "_i" +
-             std::to_string(Info.param.Index);
-    });
+    ::testing::Values(
+        PivotPinParams{bench::Family::PositionHard, 3, 65, Verdict::Sat},
+        PivotPinParams{bench::Family::PositionHard, 3, 69, Verdict::Sat},
+        PivotPinParams{bench::Family::PositionHard, 3, 71, Verdict::Sat},
+        PivotPinParams{bench::Family::PositionHard, 11, 66, Verdict::Sat}),
+    instanceName<PivotPinParams>);
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MbqiWorkloadSweep,
@@ -581,13 +558,6 @@ INSTANTIATE_TEST_SUITE_P(
                       WlParams{bench::Family::Biopython, 97, 1},
                       WlParams{bench::Family::Django, 97, 2},
                       WlParams{bench::Family::Thefuck, 131, 0}),
-    [](const ::testing::TestParamInfo<WlParams> &Info) {
-      std::string Name = bench::familyName(Info.param.F);
-      for (char &C : Name)
-        if (C == '-')
-          C = '_';
-      return Name + "_s" + std::to_string(Info.param.Seed) + "_i" +
-             std::to_string(Info.param.Index);
-    });
+    instanceName<WlParams>);
 
 } // namespace

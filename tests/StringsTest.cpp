@@ -210,7 +210,7 @@ TEST(NormalizeTest, SentinelSymbolExtendsAlphabet) {
   // A disequality between variables over disjoint alphabets can only be
   // witnessed by length or by the letters themselves; the normal form
   // must keep the effective alphabet large enough for a fresh-letter
-  // witness (DESIGN.md "alphabet closure").
+  // witness (strings/Normalize.h, step (iv): the sentinel symbol).
   Problem P;
   VarId X = P.strVar("x");
   P.assertInRe(X, "a");
