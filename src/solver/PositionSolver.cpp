@@ -123,6 +123,19 @@ std::optional<int64_t> hayLenLowerBound(const NormalForm &NF,
   return static_cast<int64_t>(K);
 }
 
+/// Whether every variable occurs in \p Needle at least as often as in
+/// \p Hay, so that |Needle| ≥ |Hay| in every model.
+bool coversOccurrences(const std::vector<VarId> &Needle,
+                       const std::vector<VarId> &Hay) {
+  std::map<VarId, int64_t> Occ;
+  for (VarId X : Needle)
+    ++Occ[X];
+  for (VarId X : Hay)
+    if (--Occ[X] < 0)
+      return false;
+  return true;
+}
+
 class Pipeline {
 public:
   Pipeline(const Problem &P, const SolveOptions &Opts)
@@ -296,11 +309,17 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   lia::Arena A;
   Handles H = MintHandles(A);
 
-  // Substitute the decomposition into P; divert non-flat ¬contains into
-  // the |u| > |v| under-approximation (Sec. 8 heuristic), unless it is
-  // mono-root, where solveMP's rewrite to that same atom is exact.
+  // Substitute the decomposition into P. A ¬contains(h, n) that is not
+  // mono-root and whose needle covers its haystack (occ_n(x) ≥ occ_h(x)
+  // for every x) has |n| ≥ |h| in every model, while contains(h, n)
+  // forces |n| ≤ |h|; so it holds iff n ≠ h, and becomes that ≠. Divert
+  // the other non-flat, non-mono-root ¬contains into the |u| > |v|
+  // under-approximation (Sec. 8 heuristic).
   std::vector<PosPredicate> Preds;
   std::vector<tagaut::LenAtom> ApproxLenGt;
+  // Whether every predicate kept is mono-root: solveMP then rewrites each
+  // one to its length atom, exactly and with a checked refutation.
+  bool AllMonoRoot = true;
   for (const NormPred &NP : NF.Preds) {
     PosPredicate Pred;
     Pred.Kind = NP.Kind;
@@ -310,12 +329,16 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       EnsureNonEmptySeq(Pred.Lhs);
       Pred.AtPos = H.term(NP.AtPos);
     }
-    if (Pred.Kind == PredKind::NotContains &&
-        !tagaut::notContainsVarsFlat(Langs, {Pred}) &&
-        !tagaut::monoRoot(Langs, Pred)) {
-      ApproxLenGt.push_back({Pred.Lhs, lia::Cmp::Gt, Pred.Rhs});
-      continue;
+    bool MonoRoot = tagaut::monoRoot(Langs, Pred).has_value();
+    if (Pred.Kind == PredKind::NotContains && !MonoRoot) {
+      if (coversOccurrences(Pred.Lhs, Pred.Rhs)) {
+        Pred.Kind = PredKind::Diseq;
+      } else if (!tagaut::notContainsVarsFlat(Langs, {Pred})) {
+        ApproxLenGt.push_back({Pred.Lhs, lia::Cmp::Gt, Pred.Rhs});
+        continue;
+      }
     }
+    AllMonoRoot &= MonoRoot;
     Preds.push_back(std::move(Pred));
   }
   bool Approximated = !ApproxLenGt.empty();
@@ -391,13 +414,6 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     Stop.note(Child.reason(), "solver.disjunct");
     return Verdict::Unknown;
   }
-
-  // Whether every predicate is mono-root: solveMP then rewrites each one
-  // to its length atom, exactly and with a checked refutation.
-  bool AllMonoRoot =
-      std::all_of(Preds.begin(), Preds.end(), [&](const PosPredicate &Pred) {
-        return tagaut::monoRoot(Langs, Pred).has_value();
-      });
 
   // PTime fast path (Thm. 7.1): a single eligible predicate, no I part
   // except, for a numeral-index str.at, lower bounds |S| > k (k ≤ i) on

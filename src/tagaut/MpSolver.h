@@ -106,10 +106,13 @@ LenAtom monoRootAtom(const PosPredicate &P);
 /// Decides R′ ∧ I′ ∧ P′. The caller owns \p A and may have minted integer
 /// variables in it (e.g. for str.at position terms) before the call.
 /// A mono-root predicate (see `monoRoot`) leaves P′ and its length atom
-/// joins I′; the rewrite is exact, so both verdicts stand. Returns
-/// Unknown when a ¬contains predicate left after it ranges over a
-/// non-flat language (callers apply the Sec. 8 heuristics first) or on
-/// resource exhaustion.
+/// joins I′; the rewrite is exact, so both verdicts stand. A ¬contains
+/// left after it goes to the MBQI loop. The pipeline passes only those
+/// whose haystack can be strictly longer than the needle; it solves a
+/// ¬contains whose needle covers its haystack as the ≠ of its sides,
+/// which is exact. Returns Unknown when a ¬contains predicate left after
+/// the rewrite ranges over a non-flat language (callers apply the Sec. 8
+/// heuristics first) or on resource exhaustion.
 MpResult solveMP(lia::Arena &A,
                  const std::map<VarId, automata::Nfa> &Langs,
                  const std::vector<PosPredicate> &Preds,

@@ -185,7 +185,10 @@ TEST(GateTest, MbqiDecidesFootnote10Draws) {
   // Two ¬contains queries whose sides stay flat but do not share one
   // primitive root, so the MBQI loop decides them. The Unsat one is
   // footnote-10 draw #18 of postr-bench position seed 11 with z ∈ b*
-  // appended to the haystack; the Sat one is draw #70 of the same seed.
+  // appended to the haystack; the Sat one is draw #70 of the same seed
+  // with z ∈ c* appended to the haystack. Without z, #70's needle covers
+  // its haystack and the ¬contains is a ≠ that never reaches MBQI
+  // (CoveringNotContainsTakesTheDiseqFastPath).
   lia::MbqiStats UnsatSt;
   solver::SolveResult Unsat = solveCounted(R"(
     (declare-fun x1 () String)
@@ -211,16 +214,54 @@ TEST(GateTest, MbqiDecidesFootnote10Draws) {
     (declare-fun x1 () String)
     (declare-fun x2 () String)
     (declare-fun x3 () String)
+    (declare-fun z () String)
     (assert (str.in_re x1 (re.+ (str.to_re "bcb"))))
     (assert (str.in_re x2 (re.+ (str.to_re "bbc"))))
     (assert (str.in_re x3 (re.+ (str.to_re "a"))))
-    (assert (not (str.contains (str.++ x3 x1 x2) (str.++ x2 x3 x1))))
+    (assert (str.in_re z (re.* (str.to_re "c"))))
+    (assert (not (str.contains (str.++ x3 x1 x2 z) (str.++ x2 x3 x1))))
     (check-sat))",
                                          SatSt);
   EXPECT_EQ(Sat.V, Verdict::Sat);
   EXPECT_EQ(Sat.Stop, StopReason::None);
   EXPECT_TRUE(Sat.Stats.UsedMbqi);
   EXPECT_GT(SatSt.OuterSolves, 0u);
+}
+
+TEST(GateTest, CoveringNotContainsTakesTheDiseqFastPath) {
+  // Draws #70 and #108 of postr-bench position seed 11 as recorded: the
+  // needle is a permutation of the haystack, so both sides always have
+  // the same length and ¬contains(h, n) is n ≠ h. The lone ≠ is decided
+  // by the one-counter walk search, whose walk is the model; neither
+  // solveMP nor MBQI runs.
+  const char *Draws[] = {R"(
+    (declare-fun x1 () String)
+    (declare-fun x2 () String)
+    (declare-fun x3 () String)
+    (assert (str.in_re x1 (re.+ (str.to_re "bcb"))))
+    (assert (str.in_re x2 (re.+ (str.to_re "bbc"))))
+    (assert (str.in_re x3 (re.+ (str.to_re "a"))))
+    (assert (not (str.contains (str.++ x3 x1 x2) (str.++ x2 x3 x1))))
+    (check-sat))",
+                         R"(
+    (declare-fun x1 () String)
+    (declare-fun x2 () String)
+    (declare-fun x3 () String)
+    (assert (str.in_re x1 (re.+ (str.to_re "cbac"))))
+    (assert (str.in_re x2 (re.+ (str.to_re "c"))))
+    (assert (str.in_re x3 (re.+ (str.to_re "ac"))))
+    (assert (not (str.contains (str.++ x1 x3 x2) (str.++ x3 x2 x1))))
+    (check-sat))"};
+  for (const char *Draw : Draws) {
+    lia::MbqiStats St;
+    solver::SolveResult R = solveCounted(Draw, St);
+    EXPECT_EQ(R.V, Verdict::Sat) << Draw;
+    EXPECT_EQ(R.Stats.FastPathDecisions, 1u) << Draw;
+    EXPECT_EQ(R.Stats.MpCalls, 0u) << Draw;
+    EXPECT_EQ(R.Stats.ModelsValidated, 1u) << Draw;
+    EXPECT_FALSE(R.Stats.UsedMbqi) << Draw;
+    EXPECT_EQ(St.OuterSolves, 0u) << Draw;
+  }
 }
 
 /// Solves \p Smt2 under the step cap with certification on.

@@ -377,6 +377,25 @@ TEST(PipelineTest, NotContainsRotationUnsatEndToEnd) {
   EXPECT_EQ(solve(P).V, Verdict::Unsat);
 }
 
+TEST(PipelineTest, NonFlatCoveringNotContainsIsSat) {
+  // ¬contains(xy, yx) with x ∈ (a|b)+ non-flat: the needle yx covers the
+  // haystack xy, so both have the same length and the predicate is
+  // yx ≠ xy, which x = a, y = c satisfies. The |needle| > |haystack|
+  // under-approximation could never hold here and answered Unknown.
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y");
+  P.assertInRe(X, "(a|b)+");
+  P.assertInRe(Y, "c+");
+  P.assertPred(AssertKind::NotContains,
+               {StrElem::var(Y), StrElem::var(X)},
+               {StrElem::var(X), StrElem::var(Y)});
+  SolveResult R = solve(P);
+  EXPECT_EQ(R.V, Verdict::Sat);
+  EXPECT_EQ(R.Stats.ModelsValidated, 1u);
+  EXPECT_FALSE(R.Stats.UsedApproximation);
+  EXPECT_FALSE(R.Stats.UsedMbqi);
+}
+
 TEST(PipelineTest, MonoRootRewriteMatchesEnumAndTheLiaPath) {
   // Near-mono-root languages for x, y, z: conjugate roots, a root beside
   // its square, r* beside r+, ε-only languages, one variable off the
@@ -471,6 +490,131 @@ TEST(PipelineTest, MonoRootRewriteMatchesEnumAndTheLiaPath) {
   EXPECT_GT(MonoSat, 0u);
   EXPECT_GT(MonoUnsat, 0u);
   EXPECT_GT(OffDecided, 0u);
+}
+
+TEST(PipelineTest, CoveringNotContainsMatchesEnumAndTheDiseq) {
+  // A ¬contains whose needle covers its haystack (every variable occurs
+  // in the needle at least as often) is not mono-root here, so it is
+  // solved as the ≠ of its sides. It is decided without MBQI or the
+  // |needle| > |haystack| under-approximation, its verdict is that of the
+  // ≠ stated directly, and it never contradicts the enumeration baseline.
+  // With |x| + |z| ≤ 0 every covering pair is Unsat (both sides are y). The
+  // last side pair's haystack holds z, which its needle lacks, so it is
+  // not rewritten: over a non-flat language it stays approximated.
+  struct Shape {
+    const char *X, *Y, *Z;
+    bool Flat;
+  };
+  const Shape Shapes[] = {
+      {"(ab)*", "(ba)*", "(ab)*", true},
+      {"(a|b)+", "c+", "(ab)*", false},
+      {"(ab)*", "(a|b)*", "b*", false},
+      {"(ab|ba)*", "a", "(ab)+", false},
+  };
+  struct Sides {
+    const char *Needle, *Hay;
+    bool Covers;
+  };
+  const Sides Pairs[] = {
+      {"xyz", "zy", true},
+      {"yx", "xy", true},
+      {"xyz", "zyx", true},
+      {"yxx", "xy", true},
+      {"xy", "yxz", false},
+  };
+  auto Build = [](const Shape &Sh, const Sides &S, bool Pinned,
+                  bool AsDiseq) {
+    Problem P;
+    VarId Vars[] = {P.strVar("x"), P.strVar("y"), P.strVar("z")};
+    P.assertInRe(Vars[0], Sh.X);
+    P.assertInRe(Vars[1], Sh.Y);
+    P.assertInRe(Vars[2], Sh.Z);
+    auto Seq = [&](const char *Text) {
+      StrSeq Out;
+      for (const char *C = Text; *C; ++C)
+        Out.push_back(StrElem::var(Vars[*C - 'x']));
+      return Out;
+    };
+    if (AsDiseq)
+      P.assertDiseq(Seq(S.Needle), Seq(S.Hay));
+    else
+      P.assertPred(AssertKind::NotContains, Seq(S.Needle), Seq(S.Hay));
+    if (Pinned)
+      P.assertIntAtom(IntTerm::lenOf(Vars[0]) + IntTerm::lenOf(Vars[2]),
+                      lia::Cmp::Le, IntTerm::constant(0));
+    return P;
+  };
+  uint32_t Sat = 0, Unsat = 0;
+  for (const Shape &Sh : Shapes)
+    for (const Sides &S : Pairs)
+      for (bool Pinned : {false, true}) {
+        std::string Where = std::string(Sh.X) + " " + Sh.Y + " " + Sh.Z +
+                            ": " + S.Needle + " in " + S.Hay +
+                            (Pinned ? " pinned" : "");
+        SolveOptions O;
+        O.StepLimit = 5'000;
+        O.CertifyUnsat = true;
+        Problem P = Build(Sh, S, Pinned, false);
+        SolveResult Res = solver::solveProblem(P, O);
+        if (!S.Covers) {
+          EXPECT_EQ(Res.Stats.UsedApproximation, !Sh.Flat) << Where;
+          continue;
+        }
+        ASSERT_NE(Res.V, Verdict::Unknown) << Where;
+        EXPECT_FALSE(Res.Stats.UsedMbqi) << Where;
+        EXPECT_FALSE(Res.Stats.UsedApproximation) << Where;
+        EXPECT_EQ(solver::solveProblem(Build(Sh, S, Pinned, true), O).V,
+                  Res.V)
+            << Where;
+        if (Res.V == Verdict::Unsat) {
+          Result<proof::Certificate> C = proof::parse(Res.CertText);
+          ASSERT_TRUE(static_cast<bool>(C)) << C.error();
+          EXPECT_TRUE(proof::checkCertificate(*C).Ok) << Where;
+          ++Unsat;
+        } else {
+          EXPECT_EQ(Res.Stats.ModelsValidated, 1u) << Where;
+          ++Sat;
+        }
+        solver::EnumOptions EO;
+        EO.MaxWordLen = 4;
+        EO.TimeoutMs = 5000;
+        Verdict Enum = solver::solveEnum(P, EO).V;
+        if (Enum == Verdict::Sat)
+          EXPECT_EQ(Res.V, Verdict::Sat) << Where;
+        if (Res.V == Verdict::Unsat)
+          EXPECT_NE(Enum, Verdict::Sat) << Where;
+      }
+  EXPECT_GT(Sat, 0u);
+  EXPECT_GT(Unsat, 0u);
+}
+
+TEST(PipelineTest, MixedRootCoveringNotContainsUnsatIsChecked) {
+  // ¬contains(xxy, xyx) with |x| ≤ 0 over conjugate roots: x = ε makes
+  // both sides y, so it is Unsat. As the ≠ xyx ≠ xxy it takes
+  // length-first ≠ and then solveMP's ≠ encoding, never MBQI, and its
+  // refutation is a clause trace the kernel checks (through MBQI it was
+  // a trusted `mbqi` rule).
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y");
+  P.assertInRe(X, "(ab)*");
+  P.assertInRe(Y, "(ba)*");
+  P.assertIntAtom(IntTerm::lenOf(X), lia::Cmp::Le, IntTerm::constant(0));
+  P.assertPred(AssertKind::NotContains,
+               {StrElem::var(X), StrElem::var(Y), StrElem::var(X)},
+               {StrElem::var(X), StrElem::var(X), StrElem::var(Y)});
+  SolveOptions O;
+  O.StepLimit = 20'000;
+  O.CertifyUnsat = true;
+  SolveResult R = solver::solveProblem(P, O);
+  EXPECT_EQ(R.V, Verdict::Unsat);
+  EXPECT_FALSE(R.Stats.UsedMbqi);
+  EXPECT_EQ(R.Stats.UnsatsCertified, 1u);
+  Result<proof::Certificate> C = proof::parse(R.CertText);
+  ASSERT_TRUE(static_cast<bool>(C)) << C.error();
+  proof::CheckOutcome CO = proof::checkCertificate(*C);
+  EXPECT_TRUE(CO.Ok) << CO.Error;
+  EXPECT_EQ(CO.Stats.CheckedRefutations, 1u);
+  EXPECT_EQ(CO.Stats.TrustedRules, 0u);
 }
 
 //===----------------------------------------------------------------------===
