@@ -82,7 +82,6 @@ inline RunOutcome runSolver(const std::string &Name,
   if (Name == "postr-pos") {
     solver::SolveOptions O;
     O.TimeoutMs = TimeoutMs;
-    O.ValidateModels = false;
     V = solver::solveProblem(P, O).V;
   } else if (Name == "eq-reduction") {
     solver::EqReductionOptions O;

@@ -67,28 +67,14 @@ int main(int Argc, char **Argv) {
   // A scripted (set-option :timeout N) bounds the solve; the default
   // matches what the postr-serve daemon enforces as its per-request cap,
   // so one-shot and served behavior stay comparable.
-  Opts.TimeoutMs = P->timeoutMs() ? P->timeoutMs() : 60000;
+  Opts.TimeoutMs =
+      P->timeoutMs() ? P->timeoutMs() : solver::DefaultTimeoutMs;
   solver::SolveResult R = solver::solveProblem(*P, Opts);
-  switch (R.V) {
-  case Verdict::Sat:
-    std::printf("sat\n");
-    for (const auto &[X, W] : R.Words)
-      if (X < P->numStrVars())
-        std::printf("; %s has length %zu\n", P->strVarName(X).c_str(),
-                    W.size());
-    break;
-  case Verdict::Unsat:
-    std::printf("unsat\n");
-    break;
-  case Verdict::Unknown:
-    if (R.Validation.Failed)
-      std::printf("unknown (self-check failed)\n");
-    else if (R.Stop != StopReason::None)
-      std::printf("unknown (%s)\n", stopReasonName(R.Stop));
-    else
-      std::printf("unknown\n");
-    break;
-  }
+  if (R.V == Verdict::Unknown)
+    std::printf("unknown (%s)\n", solver::unknownReason(R));
+  else
+    std::printf("%s\n%s", verdictName(R.V),
+                solver::modelLines(R, *P).c_str());
   if (R.Validation.Failed)
     std::printf("; validation failure: %s\n", R.Validation.Detail.c_str());
   // In-protocol answer to a scripted (get-info :reason-unknown): the
@@ -98,26 +84,12 @@ int main(int Argc, char **Argv) {
     if (R.V != Verdict::Unknown)
       std::printf("(error \"reason-unknown: last check-sat was not "
                   "unknown\")\n");
-    else if (R.Validation.Failed)
-      std::printf("(:reason-unknown \"%s\")\n", R.Validation.Detail.c_str());
-    else if (R.Stop != StopReason::None)
-      std::printf("(:reason-unknown \"%s\")\n", stopReasonName(R.Stop));
     else
-      std::printf("(:reason-unknown \"incomplete\")\n");
+      std::printf("(:reason-unknown \"%s\")\n",
+                  R.Validation.Failed ? R.Validation.Detail.c_str()
+                                      : solver::unknownReason(R));
   }
-  std::string Site = R.StopSite.empty() ? "null" : "\"" + R.StopSite + "\"";
-  std::printf("; stats {\"stop_reason\": \"%s\", \"stop_site\": %s, "
-              "\"disjuncts\": %u, \"mp_calls\": %u, "
-              "\"fastpath_decisions\": %u, "
-              "\"budget_trips\": %u, "
-              "\"models_validated\": %u, \"validation_failures\": %u, "
-              "\"paranoid_checks\": %u, \"proof_counters\": "
-              "{\"unsats_certified\": %u, \"certification_failures\": %u}}\n",
-              stopReasonName(R.Stop), Site.c_str(), R.Stats.Disjuncts,
-              R.Stats.MpCalls, R.Stats.FastPathDecisions, R.Stats.BudgetTrips,
-              R.Stats.ModelsValidated, R.Stats.ValidationFailures,
-              R.Stats.ParanoidChecks, R.Stats.UnsatsCertified,
-              R.Stats.CertificationFailures);
+  std::fputs(solver::statsLine(R).c_str(), stdout);
   maybeWriteCert(R, Argc > 1 ? Argv[1] : nullptr);
   return solver::exitCodeFor(R);
 }

@@ -55,6 +55,42 @@ inline const char *verdictName(Verdict V) {
   return "?";
 }
 
+/// One JSON object in the `{"key": value, ...}` layout of the solve
+/// stats line and the daemon's counters. Keys and strings are written as
+/// given (callers pass identifiers), so nothing is escaped.
+class JsonObject {
+public:
+  JsonObject &num(const char *Key, uint64_t V) {
+    return field(Key, std::to_string(V));
+  }
+  /// A string field, or null when \p V is null.
+  JsonObject &str(const char *Key, const char *V) {
+    return field(Key, V ? '"' + std::string(V) + '"' : "null");
+  }
+  /// Opens a nested object under \p Key; close() ends it.
+  JsonObject &open(const char *Key) {
+    field(Key, "{");
+    First = true;
+    return *this;
+  }
+  JsonObject &close() {
+    Out += '}';
+    First = false;
+    return *this;
+  }
+  /// The text, with the outermost object closed.
+  std::string text() const { return Out + '}'; }
+
+private:
+  JsonObject &field(const char *Key, const std::string &V) {
+    Out += (First ? "\"" : ", \"") + std::string(Key) + "\": " + V;
+    First = false;
+    return *this;
+  }
+  std::string Out = "{";
+  bool First = true;
+};
+
 /// Minimal fallible result: either a value or a human-readable error.
 /// PosTr library code does not use exceptions, so parsers and fallible
 /// constructors return `Result<T>`.

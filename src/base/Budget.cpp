@@ -195,8 +195,10 @@ Budget::Limits Budget::childLimits(uint64_t MemBytes, uint64_t Steps) const {
   return L;
 }
 
-Budget::Limits callLimits(const Budget *Shared, uint64_t TimeoutMs) {
-  Budget::Limits L = Shared ? Shared->childLimits() : Budget::Limits{};
+Budget::Limits callLimits(const Budget *Shared, uint64_t TimeoutMs,
+                          uint64_t MemBytes, uint64_t Steps) {
+  Budget::Limits L = Shared ? Shared->childLimits(MemBytes, Steps)
+                            : Budget::Limits{0, MemBytes, Steps, nullptr};
   if (TimeoutMs && (!L.TimeoutMs || TimeoutMs < L.TimeoutMs))
     L.TimeoutMs = TimeoutMs;
   return L;

@@ -174,10 +174,11 @@ private:
 };
 
 /// Limits for the one budget of a call that takes both a caller-shared
-/// budget and its own deadline: \p Shared's childLimits() (none when
-/// null), with the deadline tightened to \p TimeoutMs (0 = none). Both
-/// stop the call; the tighter limit wins.
-Budget::Limits callLimits(const Budget *Shared, uint64_t TimeoutMs);
+/// budget and its own limits: \p Shared's childLimits(\p MemBytes,
+/// \p Steps) (just those caps when null), with the deadline tightened to
+/// \p TimeoutMs (0 = none). Both stop the call; the tighter limit wins.
+Budget::Limits callLimits(const Budget *Shared, uint64_t TimeoutMs,
+                          uint64_t MemBytes = 0, uint64_t Steps = 0);
 
 /// Deterministic fault injection: arms the n-th probe of one named site to
 /// trip the current budget with a reason derived from (seed, site). Armed

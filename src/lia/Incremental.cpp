@@ -14,9 +14,6 @@
 #include "proof/Proof.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -26,7 +23,6 @@ using namespace postr;
 using namespace postr::lia;
 
 namespace {
-using Clock = std::chrono::steady_clock;
 
 /// Branch-and-bound node budget per full-model integrality check;
 /// exhaustion falls back to splitting-on-demand.
@@ -209,33 +205,6 @@ private:
   /// so a trip (fault injection) never outlives the call.
   std::optional<Budget> LocalBud;
   StopReason Stop = StopReason::None; ///< per-solve first stop reason
-  // Triage counters (printed under POSTR_QF_STATS).
-  /// POSTR_QF_STATS as read at the start of the current solve; the
-  /// per-assignment trace tests this instead of calling getenv.
-  bool StatsOn = false;
-  uint64_t NumOnAssign = 0, NumRationalChecks = 0, NumFinalChecks = 0,
-           NumSplits = 0;
-  Clock::time_point Start = Clock::now();
-  Clock::time_point LastTrace = Clock::now();
-
-  void trace(const char *Where, size_t TrailSize) {
-    if (!StatsOn)
-      return;
-    Clock::time_point Now = Clock::now();
-    if (Now - LastTrace < std::chrono::seconds(1))
-      return;
-    LastTrace = Now;
-    std::fprintf(stderr,
-                 "[qf-trace] %s assign=%llu lp=%llu piv=%llu scan=%llu "
-                 "final=%llu split=%llu tconf=%u trail=%zu asserted=%zu\n",
-                 Where, (unsigned long long)NumOnAssign,
-                 (unsigned long long)NumRationalChecks,
-                 (unsigned long long)(Theory ? Theory->numPivots() : 0),
-                 (unsigned long long)(Theory ? Theory->numChecks() : 0),
-                 (unsigned long long)NumFinalChecks,
-                 (unsigned long long)NumSplits, TheoryConflicts, TrailSize,
-                 Asserted.size());
-  }
 };
 
 void IncrementalContext::Impl::stageConflictCert() {
@@ -610,8 +579,6 @@ IncrementalContext::Impl::onAssign(const std::vector<Lit> &Trail, size_t From,
                                    std::vector<Lit> &ConflictOut) {
   if (stopped("lia.sat"))
     return TRes::Abort;
-  ++NumOnAssign;
-  trace("assign", Trail.size());
   bool Changed = false;
   for (size_t I = From; I < Trail.size(); ++I) {
     Lit L = Trail[I];
@@ -644,8 +611,6 @@ IncrementalContext::Impl::onAssign(const std::vector<Lit> &Trail, size_t From,
       return TRes::Conflict;
     }
   }
-  if (Changed)
-    ++NumRationalChecks;
   if (Changed && !Theory->checkRational()) {
     ++TheoryConflicts;
     if (TheoryConflicts > MaxTheoryConflicts) {
@@ -678,8 +643,6 @@ IncrementalContext::Impl::onFinalModel(std::vector<Lit> &ConflictOut) {
   if (stopped("lia.sat"))
     return TRes::Abort;
   // Rational feasibility holds by construction; look for an integer model.
-  ++NumFinalChecks;
-  trace("final", 0);
   TheoryResult R = Theory->checkInteger(FinalModel, BranchNodesPerCheck);
   if (stopped("lia.sat"))
     return TRes::Abort; // cancel/deadline interrupted branch-and-bound
@@ -732,7 +695,6 @@ IncrementalContext::Impl::onFinalModel(std::vector<Lit> &ConflictOut) {
   // downward branch (x ≤ ⌊β⌋): counts are bounded below by 0, so downward
   // split chains terminate, whereas upward chains can ascend forever.
   Sat.setPolarity(SplitVar, true);
-  ++NumSplits;
   ConflictOut.push_back(Lit(SplitVar, false));
   ConflictOut.push_back(Lit(SplitVar, true));
   return TRes::Conflict;
@@ -741,13 +703,11 @@ IncrementalContext::Impl::onFinalModel(std::vector<Lit> &ConflictOut) {
 QfResult
 IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
                                 const ModelRefiner &Refine) {
-  StatsOn = std::getenv("POSTR_QF_STATS") != nullptr;
-  Start = Clock::now();
-  LastTrace = Start;
   TheoryConflicts = 0;
   UnsatAssumps.clear();
   ++Solves;
   QfResult Out;
+  Out.Stats.Solves = 1;
 
   // Resolve the active budget for this solve: the caller's when set,
   // otherwise a fresh unlimited one. The context stays reusable after a
@@ -861,35 +821,10 @@ IncrementalContext::Impl::solve(const std::vector<FormulaId> &Assumptions,
   Out.Stats.DenNormalizations =
       TS.DenNormalizations - TheoryBefore.DenNormalizations;
   Out.Stats.TheoryConflicts = TheoryConflicts;
+  Out.Stats.BlandSolves = Theory->blandPivots();
+  Out.Stats.Atoms = Atoms.size();
   if (Out.V == Verdict::Unknown && Out.Stop != StopReason::None)
     Out.Stats.BudgetTrips = 1;
-
-  if (std::getenv("POSTR_SIMPLEX_STATS"))
-    std::fprintf(stderr,
-                 "[simplex] pivots=%llu checks=%llu fill=%llu maxnnz=%llu "
-                 "dennorm=%llu bland=%d elim=%llu merged=%llu\n",
-                 (unsigned long long)TS.Pivots, (unsigned long long)TS.Checks,
-                 (unsigned long long)TS.RowFillIn,
-                 (unsigned long long)TS.MaxRowNnz,
-                 (unsigned long long)TS.DenNormalizations,
-                 static_cast<int>(Theory->blandPivots()),
-                 (unsigned long long)TS.RowsEliminated,
-                 (unsigned long long)TS.EntriesMerged);
-  if (StatsOn)
-    std::fprintf(
-        stderr,
-        "[qf] v=%d atoms=%zu satvars=%u scopes=%zu assume=%zu tconf=%u "
-        "confl=%llu prop=%llu dec=%llu piv=%llu ms=%lld\n",
-        static_cast<int>(Out.V), Atoms.size(), Sat.numVars(),
-        Selectors.size(), Assume.size(), TheoryConflicts,
-        (unsigned long long)Out.Stats.Conflicts,
-        (unsigned long long)Out.Stats.Propagations,
-        (unsigned long long)Out.Stats.Decisions,
-        (unsigned long long)Out.Stats.Pivots,
-        static_cast<long long>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                Clock::now() - Start)
-                .count()));
 
 #ifndef NDEBUG
   if (Out.V == Verdict::Sat) {

@@ -210,8 +210,6 @@ public:
 
   /// Cumulative tableau counters (perf triage).
   const SimplexStats &stats() const { return Stats; }
-  uint64_t numPivots() const { return Stats.Pivots; }
-  uint64_t numChecks() const { return Stats.Checks; }
 
   /// True when this tableau picks leaving variables in Bland's order.
   bool blandPivots() const { return BlandPivots; }

@@ -66,7 +66,8 @@ struct QfOptions {
   proof::QfTraceBuilder *Proof = nullptr;
 };
 
-/// Search-core counters of one QF_LIA solve, for benchmarks and triage.
+/// Search-core counters of one QF_LIA solve, or summed over several
+/// (MaxRowNnz and Atoms combine by max), for benchmarks and triage.
 struct QfSearchStats {
   uint64_t Conflicts = 0;      ///< CDCL conflicts (boolean + theory)
   uint64_t Propagations = 0;   ///< unit propagations
@@ -83,6 +84,9 @@ struct QfSearchStats {
   uint64_t DenNormalizations = 0; ///< row gcd passes that reduced
   uint64_t TheoryConflicts = 0;
   uint64_t BudgetTrips = 0;     ///< solves stopped by a resource budget
+  uint64_t Solves = 0;          ///< QF solves these counters cover
+  uint64_t BlandSolves = 0;     ///< of those, solves on Bland's order
+  uint64_t Atoms = 0;           ///< largest atom table of those solves
 
   QfSearchStats &operator+=(const QfSearchStats &O) {
     Conflicts += O.Conflicts;
@@ -100,6 +104,9 @@ struct QfSearchStats {
     DenNormalizations += O.DenNormalizations;
     TheoryConflicts += O.TheoryConflicts;
     BudgetTrips += O.BudgetTrips;
+    Solves += O.Solves;
+    BlandSolves += O.BlandSolves;
+    Atoms = Atoms > O.Atoms ? Atoms : O.Atoms;
     return *this;
   }
 };

@@ -533,37 +533,29 @@ ResultCacheStats Server::cacheStats() const {
 std::string Server::statsJson() const {
   ServerStats S = stats();
   ResultCacheStats C = cacheStats();
-  std::string J = "{";
-  auto Field = [&J](const char *K, uint64_t V, bool Last = false) {
-    J += "\"";
-    J += K;
-    J += "\": ";
-    J += std::to_string(V);
-    if (!Last)
-      J += ", ";
-  };
-  Field("requests", S.Requests);
-  Field("solved", S.Solved);
-  Field("parse_errors", S.ParseErrors);
-  Field("sat", S.Sat);
-  Field("unsat", S.Unsat);
-  Field("unknown", S.Unknown);
-  Field("shed", S.Shed);
-  Field("quarantines", S.Quarantines);
-  Field("worker_crashes", S.WorkerCrashes);
-  Field("worker_kills", S.WorkerKills);
-  Field("retries", S.Retries);
-  Field("exhausted", S.Exhausted);
-  J += "\"cache\": {";
-  Field("hits", C.Hits);
-  Field("misses", C.Misses);
-  Field("evictions", C.Evictions);
-  Field("poisoned_rejects", C.PoisonedRejects);
-  Field("paranoid_mismatches", C.ParanoidMismatches);
-  Field("entries", C.Entries);
-  Field("bytes", C.Bytes, /*Last=*/true);
-  J += "}}";
-  return J;
+  return JsonObject()
+      .num("requests", S.Requests)
+      .num("solved", S.Solved)
+      .num("parse_errors", S.ParseErrors)
+      .num("sat", S.Sat)
+      .num("unsat", S.Unsat)
+      .num("unknown", S.Unknown)
+      .num("shed", S.Shed)
+      .num("quarantines", S.Quarantines)
+      .num("worker_crashes", S.WorkerCrashes)
+      .num("worker_kills", S.WorkerKills)
+      .num("retries", S.Retries)
+      .num("exhausted", S.Exhausted)
+      .open("cache")
+      .num("hits", C.Hits)
+      .num("misses", C.Misses)
+      .num("evictions", C.Evictions)
+      .num("poisoned_rejects", C.PoisonedRejects)
+      .num("paranoid_mismatches", C.ParanoidMismatches)
+      .num("entries", C.Entries)
+      .num("bytes", C.Bytes)
+      .close()
+      .text();
 }
 
 } // namespace serve

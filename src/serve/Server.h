@@ -66,7 +66,7 @@ struct ServeOptions {
   /// Server-side per-request wall-clock cap in ms. A client budget
   /// (header or scripted `:timeout`) is intersected with it; absent any
   /// client budget this is the deadline. Env POSTR_SERVE_MAX_TIMEOUT_MS.
-  uint64_t MaxTimeoutMs = 60000;
+  uint64_t MaxTimeoutMs = solver::DefaultTimeoutMs;
   /// Per-request solver memory budget in bytes (0 = none); exceeding it
   /// is a quarantine trigger. Env POSTR_SERVE_MEM_LIMIT_BYTES.
   uint64_t MemLimitBytes = 0;

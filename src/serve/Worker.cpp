@@ -22,7 +22,8 @@ uint64_t effectiveTimeoutMs(uint64_t HeaderMs, uint64_t ScriptMs,
                             const ServeOptions &Opts) {
   // The server cap always applies (a 0 cap falls back to the smtlib_cli
   // default so one-shot and served behavior stay comparable).
-  uint64_t Eff = Opts.MaxTimeoutMs ? Opts.MaxTimeoutMs : 60000;
+  uint64_t Eff =
+      Opts.MaxTimeoutMs ? Opts.MaxTimeoutMs : solver::DefaultTimeoutMs;
   if (HeaderMs)
     Eff = std::min(Eff, HeaderMs);
   if (ScriptMs)
@@ -67,30 +68,10 @@ Response solveRequest(const Request &Req, const ServeOptions &Opts,
 
   Resp.S = Response::Ok;
   Resp.ExitCode = solver::exitCodeFor(R);
-  switch (R.V) {
-  case Verdict::Sat: {
-    Resp.Verdict = "sat";
-    std::string Body;
-    for (const auto &[X, W] : R.Words)
-      if (X < P->numStrVars())
-        Body += "; " + P->strVarName(X) + " has length " +
-                std::to_string(W.size()) + "\n";
-    Resp.Body = std::move(Body);
-    break;
-  }
-  case Verdict::Unsat:
-    Resp.Verdict = "unsat";
-    break;
-  case Verdict::Unknown:
-    Resp.Verdict = "unknown";
-    if (R.Validation.Failed)
-      Resp.Reason = "self-check failed";
-    else if (R.Stop != StopReason::None)
-      Resp.Reason = stopReasonName(R.Stop);
-    else
-      Resp.Reason = "incomplete";
-    break;
-  }
+  Resp.Verdict = verdictName(R.V);
+  if (R.V == Verdict::Unknown)
+    Resp.Reason = solver::unknownReason(R);
+  Resp.Body = solver::modelLines(R, *P);
 
   Resp.SelfCheckFailed = R.Validation.Failed;
   Resp.FaultFired = FaultFired;

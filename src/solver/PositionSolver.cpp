@@ -140,9 +140,8 @@ class Pipeline {
 public:
   Pipeline(const Problem &P, const SolveOptions &Opts)
       : P(P), Opts(Opts),
-        RootBud(Budget::Limits{Opts.TimeoutMs, Opts.MemLimitBytes,
-                               Opts.StepLimit, nullptr}),
-        Root(Opts.Budget ? Opts.Budget : &RootBud) {}
+        Root(callLimits(Opts.Budget, Opts.TimeoutMs, Opts.MemLimitBytes,
+                        Opts.StepLimit)) {}
 
   SolveResult run();
 
@@ -159,20 +158,11 @@ private:
   /// Root budget probe between disjuncts; notes the first trip reason
   /// and site.
   bool stopped() {
-    if (Root->checkpoint("solver.disjunct"))
+    if (Root.checkpoint("solver.disjunct"))
       return false;
-    Stop.note(Root->reason(), Root->tripSite());
+    Stop.note(Root.reason(), Root.tripSite());
     return true;
   }
-  /// Limits of one disjunct's child budget: the root's remaining time,
-  /// the full memory/step allowance (disjunct state is independent and
-  /// freed when the disjunct finishes), and a parent link so a root trip
-  /// or cancel stops the disjunct mid-solve. All the deadline math lives
-  /// in Budget::childLimits.
-  Budget::Limits childLimits() const {
-    return Root->childLimits(Opts.MemLimitBytes, Opts.StepLimit);
-  }
-
   /// Applies a decomposition's substitution to an occurrence sequence.
   static std::vector<VarId> substSeq(const eq::Decomposition &D,
                                      const std::vector<VarId> &Occs) {
@@ -201,8 +191,8 @@ private:
 
   const Problem &P;
   SolveOptions Opts;
-  Budget RootBud; ///< used when Opts.Budget is null
-  Budget *Root;
+  /// The solve's own budget, a child of Opts.Budget when one is shared.
+  Budget Root;
   NormalForm NF;
   SolveStats Stats;
   /// The first resource stop across stabilization and all disjuncts.
@@ -238,21 +228,19 @@ Verdict Pipeline::acceptSat(const eq::Decomposition &D,
   // Always-on self-check: every Sat model is re-validated against the
   // concrete semantics before it leaves the pipeline. An invalid model
   // is demoted to a structured Unknown (never a silent wrong answer).
-  if (Opts.ValidateModels) {
-    ++Stats.ModelsValidated;
-    const ConcreteEvaluator &E = evaluator();
-    for (size_t I = 0; I < P.assertions().size(); ++I) {
-      if (E.evalOne(I, Result.Words, Result.Ints))
-        continue;
-      ++Stats.ValidationFailures;
-      if (!FirstFail.Failed) {
-        FirstFail.Failed = true;
-        FirstFail.AssertionIndex = static_cast<uint32_t>(I);
-        FirstFail.Detail = "Sat model falsifies assertion #" +
-                           std::to_string(I);
-      }
-      return Verdict::Unknown;
+  ++Stats.ModelsValidated;
+  const ConcreteEvaluator &E = evaluator();
+  for (size_t I = 0; I < P.assertions().size(); ++I) {
+    if (E.evalOne(I, Result.Words, Result.Ints))
+      continue;
+    ++Stats.ValidationFailures;
+    if (!FirstFail.Failed) {
+      FirstFail.Failed = true;
+      FirstFail.AssertionIndex = static_cast<uint32_t>(I);
+      FirstFail.Detail = "Sat model falsifies assertion #" +
+                         std::to_string(I);
     }
+    return Verdict::Unknown;
   }
   return Verdict::Sat;
 }
@@ -405,10 +393,12 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     return Accept({}, ZeroInts());
 
   // Child budget: the root's remaining time plus the full memory/step
-  // allowance. Born tripped once the root's deadline has passed or its
-  // cancel flag was raised: then neither the fast path nor solveMP starts
-  // after the stop.
-  Budget Child(childLimits());
+  // allowance (disjunct state is independent and freed when the disjunct
+  // finishes), with a parent link so a root trip or cancel stops the
+  // disjunct mid-solve. Born tripped once the root's deadline has passed
+  // or its cancel flag was raised: then neither the fast path nor solveMP
+  // starts after the stop.
+  Budget Child(Root.childLimits());
   if (Child.exceeded()) {
     ++Stats.BudgetTrips;
     Stop.note(Child.reason(), "solver.disjunct");
@@ -521,7 +511,7 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     ++Stats.MpCalls;
     lia::Arena LenArena;
     Handles LenH = MintHandles(LenArena);
-    Budget LenBud(childLimits());
+    Budget LenBud(Root.childLimits());
     tagaut::MpOptions LenOpts = MpOpts;
     LenOpts.Certify = false;
     LenOpts.Budget = &LenBud;
@@ -531,7 +521,8 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     tagaut::MpResult R =
         tagaut::solveMP(LenArena, Langs, {}, NF.Sigma.size(),
                         IntBuilderFor(LenH, LenAtoms), LenOpts);
-    Root->chargeMem(LenBud.memCharged());
+    Stats.Qf += R.Qf;
+    Root.chargeMem(LenBud.memCharged());
     if (R.V == Verdict::Sat)
       return Accept(std::move(R.Assignment), IntsOf(LenH, R.Model));
     if (R.Stop == StopReason::Timeout || R.Stop == StopReason::Cancelled) {
@@ -547,9 +538,10 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
       tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(),
                       IntBuilderFor(H, ApproxLenGt), MpOpts);
   Stats.UsedMbqi |= R.UsedMbqi;
+  Stats.Qf += R.Qf;
   // Root-level accounting: the disjunct's cumulative charges count
   // against the root cap too (the run loop's probe notices the trip).
-  Root->chargeMem(Child.memCharged());
+  Root.chargeMem(Child.memCharged());
   if (R.V == Verdict::Unknown && R.Stop != StopReason::None) {
     ++Stats.BudgetTrips;
     Stop.note(R.Stop, Child.tripSite());
@@ -636,7 +628,7 @@ SolveResult Pipeline::runImpl() {
   // Stabilization runs directly on the root budget (its growth — automata
   // products, subset constructions — is charged there).
   eq::StabilizeOptions StabOpts = Opts.Stabilize;
-  StabOpts.Budget = Root;
+  StabOpts.Budget = &Root;
   eq::StabilizeResult Stab =
       eq::stabilize(NF.Langs, NF.Equations, NF.NextFresh, StabOpts);
   Stats.Disjuncts = static_cast<uint32_t>(Stab.Disjuncts.size());
@@ -646,7 +638,7 @@ SolveResult Pipeline::runImpl() {
   if (CertifyOn)
     Certs.assign(Stab.Disjuncts.size(), proof::DisjunctCert());
   if (!Stab.Complete && Stab.Stop != StopReason::None)
-    Stop.note(Stab.Stop, Root->tripSite());
+    Stop.note(Stab.Stop, Root.tripSite());
 
   // The decompositions are decided one after another (Sec. 8): the first
   // Sat answers, and Unsat needs every disjunct refuted.
@@ -699,4 +691,61 @@ int postr::solver::exitCodeFor(const SolveResult &R) {
     return 6;
   }
   return 2;
+}
+
+const char *postr::solver::unknownReason(const SolveResult &R) {
+  if (R.Validation.Failed)
+    return "self-check failed";
+  return R.Stop != StopReason::None ? stopReasonName(R.Stop) : "incomplete";
+}
+
+std::string postr::solver::modelLines(const SolveResult &R,
+                                      const Problem &P) {
+  std::string Out;
+  if (R.V == Verdict::Sat)
+    for (const auto &[X, W] : R.Words)
+      if (X < P.numStrVars())
+        Out += "; " + P.strVarName(X) + " has length " +
+               std::to_string(W.size()) + "\n";
+  return Out;
+}
+
+std::string postr::solver::statsLine(const SolveResult &R) {
+  const SolveStats &S = R.Stats;
+  const lia::QfSearchStats &Q = S.Qf;
+  JsonObject J;
+  J.str("stop_reason", stopReasonName(R.Stop))
+      .str("stop_site", R.StopSite.empty() ? nullptr : R.StopSite.c_str())
+      .num("disjuncts", S.Disjuncts)
+      .num("mp_calls", S.MpCalls)
+      .num("fastpath_decisions", S.FastPathDecisions)
+      .num("budget_trips", S.BudgetTrips)
+      .num("models_validated", S.ModelsValidated)
+      .num("validation_failures", S.ValidationFailures)
+      .num("paranoid_checks", S.ParanoidChecks)
+      .open("proof_counters")
+      .num("unsats_certified", S.UnsatsCertified)
+      .num("certification_failures", S.CertificationFailures)
+      .close()
+      .open("qf")
+      .num("solves", Q.Solves)
+      .num("bland_solves", Q.BlandSolves)
+      .num("atoms", Q.Atoms)
+      .num("conflicts", Q.Conflicts)
+      .num("propagations", Q.Propagations)
+      .num("decisions", Q.Decisions)
+      .num("restarts", Q.Restarts)
+      .num("reductions", Q.Reductions)
+      .num("clauses_deleted", Q.ClausesDeleted)
+      .num("theory_conflicts", Q.TheoryConflicts)
+      .num("pivots", Q.Pivots)
+      .num("checks", Q.Checks)
+      .num("row_fill_in", Q.RowFillIn)
+      .num("max_row_nnz", Q.MaxRowNnz)
+      .num("rows_eliminated", Q.RowsEliminated)
+      .num("entries_merged", Q.EntriesMerged)
+      .num("den_normalizations", Q.DenNormalizations)
+      .num("budget_trips", Q.BudgetTrips)
+      .close();
+  return "; stats " + J.text() + "\n";
 }

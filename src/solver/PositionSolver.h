@@ -62,10 +62,10 @@ struct SolveOptions {
   /// the engines consumes one step, giving a deterministic, wall-clock-
   /// independent resource bound (useful for tests and reproducible runs).
   uint64_t StepLimit = 0;
-  /// Optional caller-owned shared budget (base/Budget.h). When set it
-  /// REPLACES the root budget built from TimeoutMs/MemLimitBytes/
-  /// StepLimit: its deadline governs the pipeline, and per-disjunct child
-  /// budgets are derived from its remaining time and its limits.
+  /// Optional caller-owned shared budget (base/Budget.h). The pipeline's
+  /// root budget is its child (callLimits): TimeoutMs, MemLimitBytes and
+  /// StepLimit tighten what it inherits, and a trip or a raised cancel
+  /// flag up the chain stops the solve at its next probe.
   postr::Budget *Budget = nullptr;
   /// Stabilization's fuel and disjunct caps. Its Budget is overwritten
   /// with the root budget, so StepLimit/TimeoutMs/Budget govern it.
@@ -76,12 +76,6 @@ struct SolveOptions {
   /// Use the PTime one-counter path when eligible (Thm. 7.1). Its Sat
   /// answers carry the walk they found as the model.
   bool UseOcaFastPath = true;
-  /// Re-validate every Sat model against the concrete semantics before
-  /// returning it (always on, all build types). An invalid model is
-  /// demoted to Unknown with SolveResult::Validation filled in — the
-  /// solver never silently returns a wrong Sat. Every Sat path, the
-  /// one-counter fast path included, produces a model to check.
-  bool ValidateModels = true;
   /// Cross-check every Unsat against the bounded enumeration oracle
   /// (solver::solveEnum). If the oracle finds a certified model, the
   /// Unsat is demoted to Unknown with a ValidationFailure diagnostic.
@@ -118,7 +112,9 @@ struct SolveStats {
   bool UsedMbqi = false;
   bool UsedApproximation = false;
   bool StabilizationIncomplete = false;
-  /// Sat models run through the concrete-evaluation self-check.
+  /// Sat models run through the concrete-evaluation self-check, which
+  /// every Sat path takes; an invalid model is demoted to Unknown with
+  /// SolveResult::Validation filled in.
   uint32_t ModelsValidated = 0;
   /// Self-check rejections: invalid Sat models caught (and demoted to
   /// Unknown), plus paranoid Unsat cross-checks that found a model.
@@ -131,6 +127,10 @@ struct SolveStats {
   /// Unsat verdicts demoted to Unknown because the checker kernel
   /// rejected the certificate.
   uint32_t CertificationFailures = 0;
+  /// Counters of the quantifier-free LIA solves, summed over every
+  /// solveMP call (a length-first ≠ attempt included). MBQI sub-solves
+  /// are not in them (MbqiOptions::Stats collects those).
+  lia::QfSearchStats Qf;
 };
 
 /// Structured self-check diagnostic. When Failed, the accompanying
@@ -173,13 +173,30 @@ struct SolveResult {
 SolveResult solveProblem(const strings::Problem &P,
                          const SolveOptions &Opts = {});
 
-/// Process exit code of a solve result, shared by smtlib_cli and
-/// postr_serve so one-shot and served replies agree: 0 sat/unsat,
-/// 2 unknown with no recorded reason, then one per resource stop
-/// (3 timeout, 4 cancelled, 5 memout, 6 stepbudget), and 7 when the
-/// self-check rejected the solver's own answer. Code 1 (parse error) is
-/// the front ends' own.
+// The solve report. smtlib_cli and postr_serve render a SolveResult
+// only through these, so one-shot and served replies agree.
+
+/// Wall-clock cap of a solve whose caller sets none: smtlib_cli's
+/// default and postr_serve's default per-request cap.
+constexpr uint64_t DefaultTimeoutMs = 60000;
+
+/// Process exit code of a solve result: 0 sat/unsat, 2 unknown with no
+/// recorded reason, then one per resource stop (3 timeout, 4 cancelled,
+/// 5 memout, 6 stepbudget), and 7 when the self-check rejected the
+/// solver's own answer. Code 1 (parse error) is the front ends' own.
 int exitCodeFor(const SolveResult &R);
+
+/// Why an Unknown is unknown: "self-check failed", the stop reason's
+/// name, or "incomplete" when nothing ran out.
+const char *unknownReason(const SolveResult &R);
+
+/// The `; <var> has length N` lines of a Sat model, one per declared
+/// string variable of \p P; empty for other verdicts.
+std::string modelLines(const SolveResult &R, const strings::Problem &P);
+
+/// The `; stats {...}` comment line: stop reason and site, the SolveStats
+/// counters, and the QF search counters under "qf".
+std::string statsLine(const SolveResult &R);
 
 } // namespace solver
 } // namespace postr

@@ -355,6 +355,7 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     };
     lia::QfResult R = lia::solveQF(A, Goal, Qf, Refine);
     Out.V = ExceededCuts ? Verdict::Unknown : R.V;
+    Out.Qf = R.Stats;
     if (Opts.Certify && Out.V == Verdict::Unsat) {
       Out.Cert.Proof = std::move(Trace.P);
       // The rewrite the trace rests on: every rewritten predicate and the

@@ -68,6 +68,10 @@ struct MpResult {
   /// True when the call reached the MBQI loop (a ¬contains predicate was
   /// left after the mono-root rewrite).
   bool UsedMbqi = false;
+  /// The quantifier-free solve's counters, whatever its verdict; zero
+  /// when no QF solve ran (a rule decided the call, or the MBQI loop did,
+  /// whose counters MbqiOptions::Stats collects).
+  lia::QfSearchStats Qf;
 };
 
 /// Builds the I′ part: invoked after encoding with the per-variable

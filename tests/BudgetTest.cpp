@@ -658,7 +658,8 @@ TEST(BudgetTest, DeadlineStopsTheOneCounterWalk) {
   // x1x2x3x4z ≠ x4x3x2x1z with x_i ∈ (abcbb)* and z ∈ c*: not mono-root,
   // so the fast path takes it, and the solve is still undecided after
   // 30 s. Under a 10 ms cap the walk search's own probe notices the
-  // deadline, and no solveMP starts.
+  // deadline, and no solveMP starts. An unlimited shared Budget beside
+  // the cap must not lift it (it used to replace the cap's root budget).
   strings::Problem P;
   strings::StrSeq L, R;
   for (int I = 1; I <= 4; ++I) {
@@ -672,14 +673,18 @@ TEST(BudgetTest, DeadlineStopsTheOneCounterWalk) {
   L.push_back(strings::StrElem::var(Z));
   R.push_back(strings::StrElem::var(Z));
   P.assertDiseq(L, R);
-  solver::SolveOptions O;
-  O.TimeoutMs = 10;
-  solver::SolveResult Res = solver::solveProblem(P, O);
-  EXPECT_EQ(Res.V, Verdict::Unknown);
-  EXPECT_EQ(Res.Stop, StopReason::Timeout);
-  EXPECT_EQ(Res.StopSite, "counter.walk");
-  EXPECT_EQ(Res.Stats.MpCalls, 0u);
-  EXPECT_EQ(Res.Stats.FastPathDecisions, 0u);
+  Budget Unlimited(Budget::Limits{0, 0, 0, nullptr});
+  for (Budget *Shared : {static_cast<Budget *>(nullptr), &Unlimited}) {
+    solver::SolveOptions O;
+    O.TimeoutMs = 10;
+    O.Budget = Shared;
+    solver::SolveResult Res = solver::solveProblem(P, O);
+    EXPECT_EQ(Res.V, Verdict::Unknown) << "shared: " << !!Shared;
+    EXPECT_EQ(Res.Stop, StopReason::Timeout) << "shared: " << !!Shared;
+    EXPECT_EQ(Res.StopSite, "counter.walk") << "shared: " << !!Shared;
+    EXPECT_EQ(Res.Stats.MpCalls, 0u);
+    EXPECT_EQ(Res.Stats.FastPathDecisions, 0u);
+  }
 }
 
 //===----------------------------------------------------------------------===
@@ -821,12 +826,13 @@ TEST(BudgetTest, EqReductionTimeoutComposesWithSharedBudget) {
 }
 
 TEST(BudgetTest, StepLimitGovernsStabilizationBesideItsOwnBudget) {
-  // Regression: a Budget set in SolveOptions::Stabilize used to replace
-  // the root budget for stabilization, so StepLimit (and TimeoutMs) no
-  // longer reached it. The pipeline now always hands stabilization its
-  // root budget. Steps are counted deterministically: the first seven go
-  // to the first branch node and its automata products, so an 8-step
-  // limit stops the search at its branch probe.
+  // Regression: a Budget set in SolveOptions::Stabilize, or a shared
+  // SolveOptions::Budget, used to replace the root budget for
+  // stabilization, so StepLimit (and TimeoutMs) no longer reached it.
+  // The pipeline now always hands stabilization its own root budget.
+  // Steps are counted deterministically: the first seven go to the first
+  // branch node and its automata products, so an 8-step limit stops the
+  // search at its branch probe.
   strings::Problem P;
   VarId U = P.strVar("u"), V = P.strVar("v");
   P.assertInRe(U, "a*");
@@ -836,14 +842,16 @@ TEST(BudgetTest, StepLimitGovernsStabilizationBesideItsOwnBudget) {
   P.assertDiseq({strings::StrElem::var(U)}, {strings::StrElem::var(V)});
 
   Budget Unlimited(Budget::Limits{0, 0, 0, nullptr});
-  solver::SolveOptions O;
-  O.StepLimit = 8;
-  O.Stabilize.Budget = &Unlimited;
-  solver::SolveResult R = solver::solveProblem(P, O);
-  EXPECT_EQ(R.V, Verdict::Unknown);
-  EXPECT_EQ(R.Stop, StopReason::StepBudget);
-  EXPECT_EQ(R.StopSite, "eq.stabilize");
-  EXPECT_TRUE(R.Stats.StabilizationIncomplete);
+  for (bool Shared : {false, true}) {
+    solver::SolveOptions O;
+    O.StepLimit = 8;
+    (Shared ? O.Budget : O.Stabilize.Budget) = &Unlimited;
+    solver::SolveResult R = solver::solveProblem(P, O);
+    EXPECT_EQ(R.V, Verdict::Unknown) << "shared: " << Shared;
+    EXPECT_EQ(R.Stop, StopReason::StepBudget) << "shared: " << Shared;
+    EXPECT_EQ(R.StopSite, "eq.stabilize") << "shared: " << Shared;
+    EXPECT_TRUE(R.Stats.StabilizationIncomplete) << "shared: " << Shared;
+  }
 }
 
 } // namespace

@@ -171,7 +171,9 @@ TEST(KnobCoverageTest, EveryOptionsStructFieldIsInKnobsDoc) {
 // The Simplex pivot-rule override forced one rule process-wide; the pivot
 // selection is now computed from the input (docs/BENCH.md). The serve
 // automata-op cache lost to recomputation on serve-replay and went with
-// its capacity knob; the MBQI tag-transition guard is a constant.
+// its capacity knob; the MBQI tag-transition guard is a constant. The two
+// stderr stats printers of the QF engine gave way to SolveStats::Qf and
+// the `; stats` line.
 TEST(KnobCoverageTest, DeletedEnvKnobsStayOut) {
   std::set<std::string> Knobs;
   collectEnvKnobs(Root / "src", Knobs);
@@ -183,7 +185,11 @@ TEST(KnobCoverageTest, DeletedEnvKnobsStayOut) {
                            "POSTR_SERVE_"
                            "OPCACHE_BYTES",
                            "POSTR_MBQI_"
-                           "MAX_TA_TRANSITIONS"})
+                           "MAX_TA_TRANSITIONS",
+                           "POSTR_QF_"
+                           "STATS",
+                           "POSTR_SIMPLEX_"
+                           "STATS"})
     EXPECT_FALSE(Knobs.count(Dead)) << Dead << " was deleted but is read again";
 }
 
@@ -211,8 +217,9 @@ TEST(KnobCoverageTest, EngineOptionsTakeOnlyABudget) {
 
 // Fields deleted on purpose stay deleted. Each set a value that no
 // caller varied: the scratch MBQI loop, nested sub-solve options whose
-// Budget would cut a sub-solve off from the solve's deadline, and a span
-// mode the encoder derives from the predicates.
+// Budget would cut a sub-solve off from the solve's deadline, a span
+// mode the encoder derives from the predicates, and a switch for the
+// Sat-model self-check, which is unconditional.
 TEST(KnobCoverageTest, DeletedEngineFieldsStayOut) {
   const struct {
     const char *Header;
@@ -222,6 +229,7 @@ TEST(KnobCoverageTest, DeletedEngineFieldsStayOut) {
       {"src/lia/Mbqi.h", "MbqiOptions", {"Incremental", "Qf"}},
       {"src/tagaut/MpSolver.h", "MpOptions", {"Qf", "Encoder"}},
       {"src/tagaut/Encoder.h", "EncoderOptions", {"Span"}},
+      {"src/solver/PositionSolver.h", "SolveOptions", {"ValidateModels"}},
   };
   for (const auto &S : Structs) {
     std::vector<std::string> Fields = structFields(Root / S.Header, S.Name);

@@ -158,6 +158,7 @@ TEST(GateTest, PipelineVerdicts) {
       {Family::Thefuck, {S, U, U, U}},
       {Family::PositionHard, {U, U, U, U}},
   };
+  lia::QfSearchStats Qf;
   for (const auto &Row : Rows)
     for (uint32_t Rep = 0; Rep <= 3; ++Rep) {
       solver::SolveOptions O;
@@ -168,7 +169,23 @@ TEST(GateTest, PipelineVerdicts) {
           << bench::familyName(Row.F) << " rep " << Rep;
       EXPECT_EQ(R.Stop, StopReason::None)
           << bench::familyName(Row.F) << " rep " << Rep;
+      Qf += R.Stats.Qf;
     }
+  // The QF solves' summed counters (SolveStats::Qf).
+  EXPECT_EQ(Qf.Solves, 5u);
+  EXPECT_EQ(Qf.BlandSolves, 0u);
+  EXPECT_EQ(Qf.Atoms, 43u);
+  EXPECT_EQ(Qf.Conflicts, 0u);
+  EXPECT_EQ(Qf.Propagations, 0u);
+  EXPECT_EQ(Qf.Decisions, 0u);
+  EXPECT_EQ(Qf.TheoryConflicts, 0u);
+  EXPECT_EQ(Qf.Pivots, 2u);
+  EXPECT_EQ(Qf.Checks, 2u);
+  EXPECT_EQ(Qf.RowFillIn, 3u);
+  EXPECT_EQ(Qf.MaxRowNnz, 49u);
+  EXPECT_EQ(Qf.RowsEliminated, 3u);
+  EXPECT_EQ(Qf.EntriesMerged, 22u);
+  EXPECT_EQ(Qf.DenNormalizations, 0u);
 }
 
 /// Solves \p Smt2 under the step cap, accumulating MBQI counters in \p St.

@@ -485,7 +485,6 @@ TEST_P(MbqiWorkloadSweep, DecidedAndSelfChecked) {
 
   solver::SolveOptions O;
   O.StepLimit = SweepStepLimit;
-  O.ValidateModels = true;
   O.ParanoidUnsatCheck = true;
   solver::SolveResult R = solver::solveProblem(Prob, O);
 

@@ -30,6 +30,10 @@ using strings::StrSeq;
 
 namespace {
 
+/// Step cap for m3 (SolveReportTest): the full encoding's search runs
+/// into it well before a second of work.
+constexpr uint64_t M3Steps = 2000;
+
 SolveResult solve(const Problem &P, uint64_t TimeoutMs = 20000) {
   SolveOptions Opts;
   Opts.TimeoutMs = TimeoutMs;
@@ -347,7 +351,7 @@ TEST(PipelineTest, ModelValidatesAgainstConcreteSemantics) {
                {StrElem::var(X)});
   SolveResult R = solve(P);
   ASSERT_EQ(R.V, Verdict::Sat);
-  // solveProblem(ValidateModels=true by default) already cross-checks;
+  // solveProblem already cross-checks every Sat model;
   // re-validate explicitly through the public evaluator.
   strings::NormalForm N = strings::normalize(P);
   strings::ConcreteEvaluator Eval(P, N.Sigma);
@@ -814,6 +818,80 @@ TEST(SelfCheckTest, ParanoidCrossCheckKeepsTrueUnsat) {
   EXPECT_EQ(R.V, Verdict::Unsat);
   EXPECT_FALSE(R.Validation.Failed);
   EXPECT_EQ(R.Stats.ParanoidChecks, 1u);
+}
+
+//===----------------------------------------------------------------------===
+// The solve report: SolveStats::Qf and the writer
+//===----------------------------------------------------------------------===
+
+TEST(SolveReportTest, BothQfSolvesOfADisjunctAreCounted) {
+  // m3: x, z ∈ (ab)*, y ∈ (ba)*, xyz ≠ zyx ∧ xy ≠ yz. Two predicates keep
+  // the one-counter fast path out; the length-first ≠ attempt (a bare
+  // length system, SparsestRow) cannot hold, and the full encoding (the
+  // position predicates, on Bland's order) runs until the step cap.
+  Result<Problem> P = smtlib::parseString(R"(
+    (declare-fun x () String)
+    (declare-fun y () String)
+    (declare-fun z () String)
+    (assert (str.in_re x (re.* (str.to_re "ab"))))
+    (assert (str.in_re z (re.* (str.to_re "ab"))))
+    (assert (str.in_re y (re.* (str.to_re "ba"))))
+    (assert (not (= (str.++ x y z) (str.++ z y x))))
+    (assert (not (= (str.++ x y) (str.++ y z))))
+    (check-sat))");
+  ASSERT_TRUE(P) << P.error();
+  SolveOptions Opts;
+  Opts.StepLimit = M3Steps;
+  SolveResult R = solver::solveProblem(*P, Opts);
+  ASSERT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stop, StopReason::StepBudget);
+  EXPECT_STREQ(solver::unknownReason(R), "stepbudget");
+  EXPECT_EQ(R.Stats.MpCalls, 2u);
+  EXPECT_EQ(R.Stats.Qf.Solves, 2u);
+  EXPECT_EQ(R.Stats.Qf.BlandSolves, 1u);
+  EXPECT_GT(R.Stats.Qf.Pivots, 0u);
+  EXPECT_GT(R.Stats.Qf.Atoms, 0u);
+  std::string Line = solver::statsLine(R);
+  EXPECT_NE(Line.find("\"qf\": {\"solves\": 2, \"bland_solves\": 1, "),
+            std::string::npos)
+      << Line;
+  // Step budgets make the counters deterministic.
+  EXPECT_EQ(solver::statsLine(solver::solveProblem(*P, Opts)), Line);
+}
+
+TEST(SolveReportTest, MembershipAndLengthSolveIsNotOnBland) {
+  // No position predicate: solveMP's QF context runs on SparsestRow.
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y");
+  P.assertInRe(X, "(ab)*");
+  P.assertInRe(Y, "(ba)*c");
+  P.assertIntAtom(IntTerm::lenOf(X) + IntTerm::lenOf(Y), lia::Cmp::Eq,
+                  IntTerm::constant(7));
+  SolveResult R = solve(P);
+  ASSERT_EQ(R.V, Verdict::Sat);
+  EXPECT_EQ(R.Stats.Qf.Solves, 1u);
+  EXPECT_EQ(R.Stats.Qf.BlandSolves, 0u);
+}
+
+TEST(SolveReportTest, UnknownWithoutAStopIsIncomplete) {
+  // ¬contains(xy, x) over non-flat languages, whose needle lacks y: the
+  // Sec. 8 under-approximation |x| > |xy| cannot hold, and its Unsat
+  // proves nothing. That is incompleteness, not a resource stop: no stop
+  // reason, exit code 2, reason "incomplete".
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y");
+  P.assertInRe(X, "(a|b)*");
+  P.assertInRe(Y, "(a|c)*");
+  P.assertPred(AssertKind::NotContains, {StrElem::var(X)},
+               {StrElem::var(X), StrElem::var(Y)});
+  SolveResult R = solve(P);
+  ASSERT_EQ(R.V, Verdict::Unknown);
+  EXPECT_TRUE(R.Stats.UsedApproximation);
+  EXPECT_EQ(R.Stop, StopReason::None);
+  EXPECT_STREQ(solver::unknownReason(R), "incomplete");
+  EXPECT_EQ(solver::exitCodeFor(R), 2);
+  EXPECT_NE(solver::statsLine(R).find("\"stop_site\": null"),
+            std::string::npos);
 }
 
 } // namespace
