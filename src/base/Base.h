@@ -67,6 +67,9 @@ public:
   JsonObject &str(const char *Key, const char *V) {
     return field(Key, V ? '"' + std::string(V) + '"' : "null");
   }
+  JsonObject &flag(const char *Key, bool V) {
+    return field(Key, V ? "true" : "false");
+  }
   /// Opens a nested object under \p Key; close() ends it.
   JsonObject &open(const char *Key) {
     field(Key, "{");

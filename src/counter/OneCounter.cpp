@@ -297,45 +297,65 @@ private:
   unsigned Shift = 64 - InitialLog2;
 };
 
-/// State shared by the walk searches of one decision: the expansion
-/// budget, the probe cadence, and the search storage reused across them.
-struct WalkSearch {
-  /// One discovered (node, value) state; Parent indexes the FIFO, Edge
-  /// the graph (both NoIdx on start states).
-  struct State {
-    int64_t Value;
-    uint32_t Node, Parent, Edge;
-  };
-
+/// The expansion budget shared by the walk searches of one decision, and
+/// the cadence of its `counter.walk` probe.
+struct ExpansionBudget {
   uint64_t NodesLeft;
   postr::Budget *Bud;
   uint64_t Expansions = 0;
   /// Set once a probe of Bud answered stop.
   bool Tripped = false;
-  std::vector<State> Fifo;
-  VisitedSet Seen;
 
-  explicit WalkSearch(const OneCounterOptions &Opts)
+  explicit ExpansionBudget(const OneCounterOptions &Opts)
       : NodesLeft(Opts.NodeBudget), Bud(Opts.Budget) {}
 
-  /// The walk from a start state to Fifo[Head], read off the parent
-  /// links.
-  Walk walkTo(size_t Head) const {
+  /// Takes one expansion: false once NodeBudget is spent or the probe, on
+  /// the first expansion and every 64th after it, trips.
+  bool take() {
+    if (NodesLeft == 0)
+      return false;
+    if ((Expansions++ & 63) == 0 && Bud && !Bud->checkpoint("counter.walk")) {
+      Tripped = true;
+      return false;
+    }
+    --NodesLeft;
+    return true;
+  }
+};
+
+/// The (node, value) states one FIFO walk search discovered, in discovery
+/// order: Fifo[Head..] is the queue, Fifo[..Head] the expanded states,
+/// kept for the parent links.
+struct Discovered {
+  /// Parent indexes Fifo, Edge the graph (both NoIdx on start states).
+  struct State {
+    int64_t Value;
+    uint32_t Node, Parent, Edge;
+  };
+  std::vector<State> Fifo;
+  VisitedSet Seen;
+  size_t Head = 0;
+
+  void seed(uint32_t Node, int64_t Value) {
+    Seen.insert(Node, Value);
+    Fifo.push_back({Value, Node, NoIdx, NoIdx});
+  }
+  /// Records (\p Node, \p Value), reached from Fifo[Head] over \p Edge,
+  /// unless it was seen before.
+  void reach(uint32_t Node, int64_t Value, uint32_t Edge) {
+    if (!Seen.insert(Node, Value))
+      return;
+    assert(Head < NoIdx && "walk search outgrew its parent links");
+    Fifo.push_back({Value, Node, static_cast<uint32_t>(Head), Edge});
+  }
+  /// The walk from a start state to Fifo[I], read off the parent links.
+  Walk walkTo(size_t I) const {
     Walk W;
-    for (uint32_t I = static_cast<uint32_t>(Head); Fifo[I].Parent != NoIdx;
-         I = Fifo[I].Parent)
-      W.push_back(Fifo[I].Edge);
+    for (uint32_t K = static_cast<uint32_t>(I); Fifo[K].Parent != NoIdx;
+         K = Fifo[K].Parent)
+      W.push_back(Fifo[K].Edge);
     std::reverse(W.begin(), W.end());
     return W;
-  }
-
-  /// The probe of one expansion: `counter.walk` on the first expansion
-  /// and every 64th after it.
-  bool mayExpand() {
-    if ((Expansions++ & 63) != 0 || !Bud || Bud->checkpoint("counter.walk"))
-      return true;
-    Tripped = true;
-    return false;
   }
 };
 
@@ -343,23 +363,56 @@ struct WalkSearch {
 /// \p Test is one of: =0, >=1, <=-1 (encoded by Mode).
 enum class WalkMode { ExactZero, AtLeastOne, AtMostMinusOne };
 
-/// Exact decision for the monotone modes; for ExactZero a clamped BFS
-/// with a quadratic excursion bound (see file header). Returns Unknown
-/// on NodeBudget exhaustion in the clamped BFS, on a budget trip
-/// (S.Tripped), and when an ExactZero search whose bound had to be capped
-/// below the excursion bound runs dry: that search proves nothing. On
-/// Sat, \p Witness receives the walk found, or stays empty when no
-/// signed cycle could be pumped into one.
-Verdict existsWalk(const WeightedGraph &G, WalkMode Mode, WalkSearch &S,
-                   std::optional<Walk> &Witness) {
-  Witness.reset();
+/// A step() slice with no limit.
+constexpr uint64_t Unlimited = ~uint64_t(0);
+
+/// One walk query on its own graph, searched in resumable slices. Exact
+/// for the monotone modes; for ExactZero a clamped BFS with a quadratic
+/// excursion bound (see the file comment).
+class ExistsWalk {
+public:
+  /// Prepares the search: the relevant subgraph, the signed-cycle test of
+  /// a monotone mode (which may decide the query at once), the counter
+  /// bound and the start states.
+  ExistsWalk(WeightedGraph Graph, WalkMode Mode);
+
+  /// Runs at most \p Slice more expansions and returns the verdict, or
+  /// none while the query is still open. Unknown on NodeBudget exhaustion
+  /// or a budget trip (B.Tripped), and when an ExactZero search whose
+  /// bound had to be capped below the excursion bound runs dry: that
+  /// search proves nothing.
+  std::optional<Verdict> step(ExpansionBudget &B, uint64_t Slice = Unlimited);
+
+  const WeightedGraph &graph() const { return G; }
+  /// On Sat: the walk found, or none when no signed cycle could be pumped
+  /// into one.
+  const std::optional<Walk> &witness() const { return Witness; }
+
+private:
+  bool hit(const Discovered::State &S) const;
+
+  WeightedGraph G;
+  WalkMode Mode;
+  /// Set when the constructor decided the query without a search.
+  std::optional<Verdict> Decided;
+  int64_t Bound = 0;
+  bool Capped = false;
+  SuccRows Succ;
+  Discovered D;
+  std::optional<Walk> Witness;
+};
+
+ExistsWalk::ExistsWalk(WeightedGraph Graph, WalkMode M)
+    : G(std::move(Graph)), Mode(M) {
   std::vector<bool> Rel = relevantNodes(G);
   bool AnyRelStart = false;
   for (uint32_t N = 0; N < G.NumNodes; ++N)
     if (Rel[N] && G.Start[N])
       AnyRelStart = true;
-  if (!AnyRelStart)
-    return Verdict::Unsat;
+  if (!AnyRelStart) {
+    Decided = Verdict::Unsat;
+    return;
+  }
 
   int64_t MaxW = 1;
   uint32_t RelCount = 0;
@@ -379,7 +432,8 @@ Verdict existsWalk(const WeightedGraph &G, WalkMode Mode, WalkSearch &S,
     if (hasSignedCycle(G, Rel, Sign, Cycle)) {
       if (!Cycle.empty())
         Witness = pumpCycle(G, Rel, Cycle, Sign);
-      return Verdict::Sat;
+      Decided = Verdict::Sat;
+      return;
     }
   }
 
@@ -389,8 +443,6 @@ Verdict existsWalk(const WeightedGraph &G, WalkMode Mode, WalkSearch &S,
   // small-excursion bound, capped at MaxBound; a capped search that finds
   // no walk answers Unknown, not Unsat.
   constexpr int64_t MaxBound = 1 << 21;
-  int64_t Bound;
-  bool Capped = false;
   if (Mode == WalkMode::ExactZero) {
     int64_t Expanded = static_cast<int64_t>(RelCount) * (MaxW + 1) + 2;
     Capped = Expanded > MaxBound / Expanded; // Expanded² > MaxBound
@@ -399,54 +451,48 @@ Verdict existsWalk(const WeightedGraph &G, WalkMode Mode, WalkSearch &S,
     Bound = static_cast<int64_t>(RelCount) * MaxW + 1;
   }
 
-  SuccRows Succ = succRows(G, [&](const WeightedGraph::Edge &E) {
+  Succ = succRows(G, [&](const WeightedGraph::Edge &E) {
     return Rel[E.From] && Rel[E.To];
   });
-
-  // FIFO discovery order: Fifo[Head..] is the queue, Fifo[..Head] the
-  // expanded states kept for the parent links.
-  std::vector<WalkSearch::State> &Fifo = S.Fifo;
-  Fifo.clear();
-  S.Seen.reset(Bound);
+  D.Seen.reset(Bound);
   for (uint32_t N = 0; N < G.NumNodes; ++N)
-    if (Rel[N] && G.Start[N]) {
-      S.Seen.insert(N, 0);
-      Fifo.push_back({0, N, NoIdx, NoIdx});
+    if (Rel[N] && G.Start[N])
+      D.seed(N, 0);
+}
+
+bool ExistsWalk::hit(const Discovered::State &S) const {
+  if (!G.Finish[S.Node])
+    return false;
+  switch (Mode) {
+  case WalkMode::ExactZero:
+    return S.Value == 0;
+  case WalkMode::AtLeastOne:
+    return S.Value >= 1;
+  case WalkMode::AtMostMinusOne:
+    return S.Value <= -1;
+  }
+  return false;
+}
+
+std::optional<Verdict> ExistsWalk::step(ExpansionBudget &B, uint64_t Slice) {
+  if (Decided)
+    return Decided;
+  for (; D.Head < D.Fifo.size(); ++D.Head) {
+    const Discovered::State Cur = D.Fifo[D.Head];
+    if (hit(Cur)) {
+      Witness = D.walkTo(D.Head);
+      return Verdict::Sat;
     }
-  for (size_t Head = 0; Head < Fifo.size(); ++Head) {
-    WalkSearch::State Cur = Fifo[Head];
-    if (G.Finish[Cur.Node]) {
-      bool Hit = false;
-      switch (Mode) {
-      case WalkMode::ExactZero:
-        Hit = Cur.Value == 0;
-        break;
-      case WalkMode::AtLeastOne:
-        Hit = Cur.Value >= 1;
-        break;
-      case WalkMode::AtMostMinusOne:
-        Hit = Cur.Value <= -1;
-        break;
-      }
-      if (Hit) {
-        Witness = S.walkTo(Head);
-        return Verdict::Sat;
-      }
-    }
-    if (S.NodesLeft == 0 || !S.mayExpand())
+    if (Slice-- == 0)
+      return std::nullopt;
+    if (!B.take())
       return Verdict::Unknown;
-    --S.NodesLeft;
     for (uint32_t K = Succ.Start[Cur.Node]; K < Succ.Start[Cur.Node + 1];
          ++K) {
       const WeightedGraph::Edge &E = G.Edges[Succ.Edge[K]];
       int64_t V2 = Cur.Value + E.Weight;
-      if (V2 > Bound || V2 < -Bound)
-        continue;
-      if (S.Seen.insert(E.To, V2)) {
-        assert(Head < NoIdx && "walk search outgrew its parent links");
-        Fifo.push_back(
-            {V2, E.To, static_cast<uint32_t>(Head), Succ.Edge[K]});
-      }
+      if (V2 <= Bound && V2 >= -Bound)
+        D.reach(E.To, V2, Succ.Edge[K]);
     }
   }
   return Capped ? Verdict::Unknown : Verdict::Unsat;
@@ -735,8 +781,8 @@ AtProblem buildAtProblem(const VarConcat &Vc, const tagaut::PosPredicate &Pred,
 
 /// Is a target state reachable from (node 0, P.Start)? Exact: values stay
 /// in [0, P.Start]. Unknown on NodeBudget exhaustion or a budget trip
-/// (S.Tripped). On Sat, \p Witness receives the walk.
-Verdict existsTargetWalk(const AtProblem &P, WalkSearch &S,
+/// (B.Tripped). On Sat, \p Witness receives the walk.
+Verdict existsTargetWalk(const AtProblem &P, ExpansionBudget &B,
                          std::optional<Walk> &Witness) {
   Witness.reset();
   const WeightedGraph &G = P.G;
@@ -748,31 +794,23 @@ Verdict existsTargetWalk(const AtProblem &P, WalkSearch &S,
     return true;
   });
 
-  std::vector<WalkSearch::State> &Fifo = S.Fifo;
-  Fifo.clear();
-  S.Seen.reset(P.Start);
-  S.Seen.insert(0, P.Start);
-  Fifo.push_back({P.Start, 0, NoIdx, NoIdx});
-  for (size_t Head = 0; Head < Fifo.size(); ++Head) {
-    WalkSearch::State Cur = Fifo[Head];
+  Discovered D;
+  D.Seen.reset(P.Start);
+  D.seed(0, P.Start);
+  for (; D.Head < D.Fifo.size(); ++D.Head) {
+    const Discovered::State Cur = D.Fifo[D.Head];
     auto [Lo, Hi] = Window[Cur.Node];
     if (Lo <= Cur.Value && Cur.Value <= Hi) {
-      Witness = S.walkTo(Head);
+      Witness = D.walkTo(D.Head);
       return Verdict::Sat;
     }
-    if (S.NodesLeft == 0 || !S.mayExpand())
+    if (!B.take())
       return Verdict::Unknown;
-    --S.NodesLeft;
     for (uint32_t K = Succ.Start[Cur.Node]; K < Succ.Start[Cur.Node + 1];
          ++K) {
       const WeightedGraph::Edge &E = G.Edges[Succ.Edge[K]];
-      if (E.Weight > Cur.Value)
-        continue;
-      int64_t V2 = Cur.Value - E.Weight;
-      if (S.Seen.insert(E.To, V2)) {
-        assert(Head < NoIdx && "walk search outgrew its parent links");
-        Fifo.push_back({V2, E.To, static_cast<uint32_t>(Head), Succ.Edge[K]});
-      }
+      if (E.Weight <= Cur.Value)
+        D.reach(E.To, Cur.Value - E.Weight, Succ.Edge[K]);
     }
   }
   return Verdict::Unsat;
@@ -796,10 +834,10 @@ OneCounterResult decideStrAt(const std::map<VarId, automata::Nfa> &Langs,
   uint64_t States = (static_cast<uint64_t>(P.Start) + 1) * P.G.NumNodes;
   if (Opts.Certify && States > proof::MaxWalkStates)
     return R;
-  WalkSearch S(Opts);
+  ExpansionBudget B(Opts);
   std::optional<Walk> Witness;
-  R.V = existsTargetWalk(P, S, Witness);
-  if (S.Tripped) {
+  R.V = existsTargetWalk(P, B, Witness);
+  if (B.Tripped) {
     R.V = Verdict::Unknown;
     R.Stop = Opts.Budget->reason();
     return R;
@@ -880,13 +918,11 @@ OneCounterResult postr::counter::decideSinglePredicate(
     }
   }
   VarConcat Vc = buildVarConcat(Langs);
-  WalkSearch S(Opts);
-  std::optional<Walk> Witness;
-  // Runs one walk query; true once it settled the decision in R (Sat, or
-  // Unknown on a budget trip).
-  auto Settles = [&](const WeightedGraph &G, WalkMode Mode, Verdict &V) {
-    V = existsWalk(G, Mode, S, Witness);
-    if (S.Tripped) {
+  ExpansionBudget B(Opts);
+  // True once query \p Q's verdict \p V settled the decision in R: Sat,
+  // or Unknown on a budget trip.
+  auto Settles = [&](const ExistsWalk &Q, Verdict V) {
+    if (B.Tripped) {
       R.V = Verdict::Unknown;
       R.Stop = Opts.Budget->reason();
       return true;
@@ -894,31 +930,59 @@ OneCounterResult postr::counter::decideSinglePredicate(
     if (V != Verdict::Sat)
       return false;
     R.V = Verdict::Sat;
-    if (Witness)
-      R.Model = wordsOfWalk(G, Vc, Langs, *Witness);
+    if (Q.witness())
+      R.Model = wordsOfWalk(Q.graph(), Vc, Langs, *Q.witness());
     return true;
   };
-  Verdict V;
-
-  // Length branch.
-  WeightedGraph LenG = buildLengthGraph(Vc, Pred);
-  if (Settles(LenG, WalkMode::AtLeastOne, V))
-    return R;
-  // ≠ also holds when |L| < |R|; for ¬prefixof / ¬suffixof only
-  // |L| > |R| suffices.
-  if (Pred.Kind == tagaut::PredKind::Diseq &&
-      Settles(LenG, WalkMode::AtMostMinusOne, V))
-    return R;
-
-  // Mismatch branch, one 0-reachability query per occurrence pair.
   bool SawUnknown = false;
-  for (size_t I = 0; I < Pred.Lhs.size(); ++I)
-    for (size_t J = 0; J < Pred.Rhs.size(); ++J) {
-      WeightedGraph G = buildMismatchGraph(Vc, Pred, I, J, Sigma);
-      if (Settles(G, WalkMode::ExactZero, V))
+
+  // Length branch: each query runs to its end. ≠ also holds when
+  // |L| < |R|; for ¬prefixof / ¬suffixof only |L| > |R| suffices.
+  WeightedGraph LenG = buildLengthGraph(Vc, Pred);
+  std::vector<WalkMode> LenModes = {WalkMode::AtLeastOne};
+  if (Pred.Kind == tagaut::PredKind::Diseq)
+    LenModes.push_back(WalkMode::AtMostMinusOne);
+  for (WalkMode Mode : LenModes) {
+    ExistsWalk Q(LenG, Mode);
+    Verdict V = *Q.step(B);
+    if (Settles(Q, V))
+      return R;
+    SawUnknown |= V == Verdict::Unknown;
+  }
+
+  // Mismatch branch, one 0-weight query per occurrence pair (i, j),
+  // stepped round-robin in (i, j) order: each open pair gets FirstSlice
+  // expansions, then twice as many each round up to LastSlice, and after
+  // that round each pair still open runs to its end. A pair's graph is
+  // built when it is first stepped and dropped, with its search storage,
+  // once it is decided.
+  constexpr uint64_t FirstSlice = 256, LastSlice = 4096;
+  const size_t NumRhs = Pred.Rhs.size();
+  std::vector<std::optional<ExistsWalk>> Pairs(Pred.Lhs.size() * NumRhs);
+  std::vector<bool> Done(Pairs.size(), false);
+  size_t Open = Pairs.size();
+  for (uint64_t Slice = FirstSlice; Open > 0;
+       Slice = Slice < LastSlice ? 2 * Slice : Unlimited)
+    for (size_t P = 0; P < Pairs.size(); ++P) {
+      if (Done[P])
+        continue;
+      std::optional<ExistsWalk> &Q = Pairs[P];
+      if (!Q)
+        Q.emplace(buildMismatchGraph(Vc, Pred, P / NumRhs, P % NumRhs, Sigma),
+                  WalkMode::ExactZero);
+      std::optional<Verdict> V = Q->step(B, Slice);
+      if (!V)
+        continue;
+      if (Settles(*Q, *V))
         return R;
-      if (V == Verdict::Unknown)
-        SawUnknown = true;
+      // With NodeBudget spent no pair can expand again, and none is Sat
+      // without an expansion (its start states lie in phase ⊥).
+      if (*V == Verdict::Unknown && B.NodesLeft == 0)
+        return R;
+      SawUnknown |= *V == Verdict::Unknown;
+      Done[P] = true;
+      --Open;
+      Q.reset();
     }
   R.V = SawUnknown ? Verdict::Unknown : Verdict::Unsat;
   return R;

@@ -73,11 +73,24 @@
 /// live in one index-addressed FIFO vector of (node, value, parent, edge)
 /// records; the visited set is an open-addressing table of 64-value bit
 /// pages keyed by (node, page), so its memory grows with the states the
-/// search touches, never with nodes × (2·bound + 1) up front.
-/// `OneCounterOptions::NodeBudget` caps the expansions across all
-/// searches of one decision; when it runs out the procedure answers
-/// Unknown with no stop reason and the caller falls back to the NP
-/// tag/LIA path (the differential suite cross-checks both paths).
+/// search touches, never with nodes × (2·bound + 1) up front. The
+/// length branch's queries each run to their end. The mismatch pairs are
+/// stepped round-robin in (i, j) order, so a Sat in a late pair does not
+/// wait for every earlier Unsat pair to be searched out: each open pair
+/// gets 256 expansions, then twice as many each round up to 4096, and
+/// after that round each pair still open runs to its end in order. The
+/// first pair to reach a finish state at value 0 answers Sat with its
+/// walk. A pair's graph is built when it is first stepped and dropped,
+/// with its FIFO and visited set, once it is decided. Memory is thus
+/// bounded by one search run to its end plus, per other open pair, its
+/// graph and the states of at most 7936 expansions (the capped slices
+/// keep a pair that never finishes from growing with the rounds). An
+/// all-Unsat decision expands exactly the states of the pairs searched
+/// one after another. `OneCounterOptions::NodeBudget` caps the
+/// expansions across all searches of one decision; when it runs out the
+/// procedure answers Unknown with no stop reason and the caller falls
+/// back to the NP tag/LIA path (the differential suite cross-checks both
+/// paths).
 ///
 /// **Deadlines.** With `OneCounterOptions::Budget` set, the search probes
 /// it as `counter.walk` on its first expansion and every 64 expansions

@@ -637,8 +637,10 @@ SolveResult Pipeline::runImpl() {
   CertComplete = Stab.Complete;
   if (CertifyOn)
     Certs.assign(Stab.Disjuncts.size(), proof::DisjunctCert());
+  // A stop the root budget did not trip is stabilization's own fuel or
+  // disjunct cap running out.
   if (!Stab.Complete && Stab.Stop != StopReason::None)
-    Stop.note(Stab.Stop, Root.tripSite());
+    Stop.note(Stab.Stop, Root.exceeded() ? Root.tripSite() : "eq.stabilize");
 
   // The decompositions are decided one after another (Sec. 8): the first
   // Sat answers, and Unsat needs every disjunct refuted.
@@ -717,6 +719,7 @@ std::string postr::solver::statsLine(const SolveResult &R) {
   J.str("stop_reason", stopReasonName(R.Stop))
       .str("stop_site", R.StopSite.empty() ? nullptr : R.StopSite.c_str())
       .num("disjuncts", S.Disjuncts)
+      .flag("stabilization_incomplete", S.StabilizationIncomplete)
       .num("mp_calls", S.MpCalls)
       .num("fastpath_decisions", S.FastPathDecisions)
       .num("budget_trips", S.BudgetTrips)

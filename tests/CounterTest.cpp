@@ -216,10 +216,12 @@ TEST(OneCounterTest, NodeBudgetPinsExpansionCount) {
     Verdict V;
     uint64_t Expansions;
   };
-  // xy ≠ yx: commuting powers of ab (Unsat, the whole mismatch branch
-  // searched) and x ∈ (ab)*, y ∈ a(ba)* (Sat, found mid-search).
+  // xy ≠ yx: commuting powers of ab (Unsat, every mismatch pair searched
+  // to its end, so the round-robin order leaves the total as the
+  // sequential one had it) and x ∈ (ab)*, y ∈ a(ba)* (Sat, found in a
+  // pair's first slice; searched pair by pair it took 16648).
   const PinCase Cases[] = {{"(ab)*", "(ab)*", Verdict::Unsat, 39974},
-                           {"(ab)*", "a(ba)*", Verdict::Sat, 16648}};
+                           {"(ab)*", "a(ba)*", Verdict::Sat, 296}};
   for (const PinCase &C : Cases) {
     for (uint64_t Budget : {C.Expansions - 1, C.Expansions}) {
       Fixture F;
@@ -230,6 +232,38 @@ TEST(OneCounterTest, NodeBudgetPinsExpansionCount) {
       EXPECT_EQ(V, Budget == C.Expansions ? C.V : Verdict::Unknown)
           << C.X << ", " << C.Y << " at NodeBudget " << Budget;
     }
+  }
+}
+
+/// A Sat whose only 0-weight walk lies in a late mismatch pair must not
+/// pay for searching the earlier Unsat pairs to their end: postr-bench
+/// position draw #57, ¬suffixof(x1x1x2, x1x2x1) with x1 ∈ (acc)+ and
+/// x2 ∈ c+. Searched pair by pair it needed 114876 expansions; stepped
+/// round-robin it is Sat in about a thousand, with a witness the
+/// concrete evaluator accepts.
+TEST(OneCounterTest, LatePairSatWithinASmallBudget) {
+  Fixture F;
+  VarId X1 = F.var("(acc)+"), X2 = F.var("c+");
+  OneCounterOptions O;
+  O.NodeBudget = 5000;
+  EXPECT_EQ(F.decide({PredKind::NotSuffix, {X1, X1, X2}, {X1, X2, X1}, {}}, O),
+            Verdict::Sat);
+}
+
+/// A length query that runs out of NodeBudget leaves the decision open,
+/// even when no mismatch pair can hold. x ∈ a|aa, y ∈ a: x ≠ y is Sat
+/// only by length (x = aa), and every mismatch graph lacks a start→finish
+/// walk. With too few expansions for the length branch the answer is
+/// Unknown, never Unsat.
+TEST(OneCounterTest, LengthBranchOutOfBudgetIsNotUnsat) {
+  for (auto [Budget, Want] : {std::pair{5, Verdict::Unknown},
+                              std::pair{10, Verdict::Sat}}) {
+    Fixture F;
+    VarId X = F.var("a|aa"), Y = F.var("a");
+    OneCounterOptions O;
+    O.NodeBudget = Budget;
+    EXPECT_EQ(F.decide({PredKind::Diseq, {X}, {Y}, {}}, O), Want)
+        << "NodeBudget " << Budget;
   }
 }
 

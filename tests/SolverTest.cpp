@@ -894,4 +894,31 @@ TEST(SolveReportTest, UnknownWithoutAStopIsIncomplete) {
             std::string::npos);
 }
 
+TEST(SolveReportTest, StabilizationFuelStopNamesItsSite) {
+  // xyz = zyx ∧ xz ≠ zx over (a|b)*: twenty steps of stabilization fuel
+  // do not finish the word equation's case split. The root budget never
+  // trips, so the stop is stabilization's own, and the report says so.
+  Problem P;
+  VarId X = P.strVar("x"), Y = P.strVar("y"), Z = P.strVar("z");
+  for (VarId V : {X, Y, Z})
+    P.assertInRe(V, "(a|b)*");
+  P.assertWordEq({StrElem::var(X), StrElem::var(Y), StrElem::var(Z)},
+                 {StrElem::var(Z), StrElem::var(Y), StrElem::var(X)});
+  P.assertPred(AssertKind::Diseq, {StrElem::var(X), StrElem::var(Z)},
+               {StrElem::var(Z), StrElem::var(X)});
+  SolveOptions Opts;
+  Opts.Stabilize.Fuel = 20;
+  SolveResult R = solver::solveProblem(P, Opts);
+  ASSERT_EQ(R.V, Verdict::Unknown);
+  EXPECT_TRUE(R.Stats.StabilizationIncomplete);
+  EXPECT_EQ(R.Stop, StopReason::StepBudget);
+  EXPECT_EQ(R.StopSite, "eq.stabilize");
+  std::string Line = solver::statsLine(R);
+  EXPECT_NE(Line.find("\"stop_site\": \"eq.stabilize\""), std::string::npos)
+      << Line;
+  EXPECT_NE(Line.find("\"stabilization_incomplete\": true"),
+            std::string::npos)
+      << Line;
+}
+
 } // namespace
