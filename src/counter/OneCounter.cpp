@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 
@@ -85,57 +86,15 @@ std::vector<bool> relevantNodes(const WeightedGraph &G) {
   return Out;
 }
 
-/// Is there a positive-weight (Sign=+1) or negative-weight (Sign=-1)
-/// cycle through relevant nodes? Bellman–Ford on the relevant subgraph
-/// from a virtual source. On true, \p CycleOut receives one such cycle
-/// read off the predecessor links, or stays empty if they do not close
-/// one of the right sign.
-bool hasSignedCycle(const WeightedGraph &G, const std::vector<bool> &Rel,
-                    int Sign, Walk &CycleOut) {
-  // Negate weights for Sign=+1 so that "negative cycle" detection finds
-  // positive cycles.
-  std::vector<int64_t> Dist(G.NumNodes, 0);
-  std::vector<uint32_t> PredEdge(G.NumNodes, NoIdx);
-  uint32_t LastRelaxed = NoIdx;
-  for (uint32_t Round = 0; Round < G.NumNodes; ++Round) {
-    LastRelaxed = NoIdx;
-    for (uint32_t EI = 0; EI < G.Edges.size(); ++EI) {
-      const WeightedGraph::Edge &E = G.Edges[EI];
-      if (!Rel[E.From] || !Rel[E.To])
-        continue;
-      int64_t W = Sign > 0 ? -E.Weight : E.Weight;
-      if (Dist[E.From] + W < Dist[E.To]) {
-        Dist[E.To] = Dist[E.From] + W;
-        PredEdge[E.To] = EI;
-        LastRelaxed = E.To;
-      }
-    }
-    if (LastRelaxed == NoIdx)
-      return false;
-  }
-  // A relaxation in round |V| leaves a cycle on the predecessor links
-  // behind the relaxed node: |V| steps back land on it.
-  CycleOut.clear();
-  uint32_t N = LastRelaxed;
-  for (uint32_t I = 0; I < G.NumNodes && N != NoIdx; ++I)
-    N = PredEdge[N] == NoIdx ? NoIdx : G.Edges[PredEdge[N]].From;
-  if (N == NoIdx)
-    return true;
-  int64_t Weight = 0;
-  uint32_t M = N;
-  do {
-    if (PredEdge[M] == NoIdx || CycleOut.size() > G.NumNodes) {
-      CycleOut.clear();
-      return true;
-    }
-    CycleOut.push_back(PredEdge[M]);
-    Weight += G.Edges[PredEdge[M]].Weight;
-    M = G.Edges[PredEdge[M]].From;
-  } while (M != N);
-  std::reverse(CycleOut.begin(), CycleOut.end());
-  if (Sign * Weight < 1)
-    CycleOut.clear();
-  return true;
+/// The walk that ends at \p N, read back over the links \p PredEdge to a
+/// node that has none.
+Walk walkBack(const WeightedGraph &G, const std::vector<uint32_t> &PredEdge,
+              uint32_t N) {
+  Walk W;
+  for (; PredEdge[N] != NoIdx; N = G.Edges[PredEdge[N]].From)
+    W.push_back(PredEdge[N]);
+  std::reverse(W.begin(), W.end());
+  return W;
 }
 
 /// Shortest relevant-subgraph walk from any node in \p From to any node
@@ -156,13 +115,8 @@ Walk shortestWalk(const WeightedGraph &G, const std::vector<bool> &Rel,
     }
   for (size_t Head = 0; Head < Queue.size(); ++Head) {
     uint32_t N = Queue[Head];
-    if (To[N]) {
-      Walk W;
-      for (uint32_t M = N; PredEdge[M] != NoIdx; M = G.Edges[PredEdge[M]].From)
-        W.push_back(PredEdge[M]);
-      std::reverse(W.begin(), W.end());
-      return W;
-    }
+    if (To[N])
+      return walkBack(G, PredEdge, N);
     for (uint32_t EI : Out[N])
       if (!Seen[G.Edges[EI].To]) {
         Seen[G.Edges[EI].To] = true;
@@ -192,7 +146,8 @@ std::optional<Walk> pumpCycle(const WeightedGraph &G,
     Ends += G.Edges[EI].Weight;
   for (uint32_t EI : Cycle)
     Loop += G.Edges[EI].Weight;
-  int64_t A = Sign * Ends, B = Sign * Loop; // B ≥ 1
+  int64_t A = Sign * Ends, B = Sign * Loop;
+  assert(B >= 1 && "pumped cycle of the wrong sign");
   uint64_t K = A >= 1 ? 0 : static_cast<uint64_t>((B - A) / B);
   if (Prefix.size() + Suffix.size() + K * Cycle.size() > MaxWitnessEdges)
     return std::nullopt;
@@ -201,6 +156,70 @@ std::optional<Walk> pumpCycle(const WeightedGraph &G,
     Out.insert(Out.end(), Cycle.begin(), Cycle.end());
   Out.insert(Out.end(), Suffix.begin(), Suffix.end());
   return Out;
+}
+
+/// Is there a complete walk of weight W with Sign·W ≥ 1? Bellman–Ford on
+/// the relevant subgraph, seeded at 0 on the start nodes, maximising
+/// Sign·weight. A relaxation in round |V| leaves a cycle of positive
+/// Sign·weight, which is pumped into the witness; otherwise the distances
+/// are the exact heaviest weights, and the heaviest finish node's
+/// predecessor path is the witness. On true, \p Witness receives the walk,
+/// or stays empty when the predecessor links close no cycle or the pumped
+/// walk exceeds MaxWitnessEdges.
+bool signedWalk(const WeightedGraph &G, const std::vector<bool> &Rel,
+                int Sign, std::optional<Walk> &Witness) {
+  constexpr int64_t Unreached = std::numeric_limits<int64_t>::min();
+  std::vector<int64_t> Dist(G.NumNodes, Unreached);
+  std::vector<uint32_t> PredEdge(G.NumNodes, NoIdx);
+  for (uint32_t N = 0; N < G.NumNodes; ++N)
+    if (Rel[N] && G.Start[N])
+      Dist[N] = 0;
+  uint32_t LastRelaxed = NoIdx;
+  for (uint32_t Round = 0; Round < G.NumNodes; ++Round) {
+    LastRelaxed = NoIdx;
+    for (uint32_t EI = 0; EI < G.Edges.size(); ++EI) {
+      const WeightedGraph::Edge &E = G.Edges[EI];
+      if (!Rel[E.From] || !Rel[E.To] || Dist[E.From] == Unreached)
+        continue;
+      int64_t D = Dist[E.From] + Sign * E.Weight;
+      if (D > Dist[E.To]) {
+        Dist[E.To] = D;
+        PredEdge[E.To] = EI;
+        LastRelaxed = E.To;
+      }
+    }
+    if (LastRelaxed == NoIdx)
+      break;
+  }
+  if (LastRelaxed == NoIdx) {
+    uint32_t Best = NoIdx;
+    for (uint32_t N = 0; N < G.NumNodes; ++N)
+      if (Rel[N] && G.Finish[N] && (Best == NoIdx || Dist[N] > Dist[Best]))
+        Best = N;
+    if (Best == NoIdx || Dist[Best] < 1)
+      return false;
+    // With no signed cycle the predecessor links form a forest rooted at
+    // start nodes, and each link is tight.
+    Witness = walkBack(G, PredEdge, Best);
+    return true;
+  }
+  // Every cycle of the predecessor links has positive Sign·weight. A
+  // relaxation in round |V| leaves one behind the relaxed node: |V| steps
+  // back land on it, unless they reach a start node first.
+  uint32_t C = LastRelaxed;
+  for (uint32_t I = 0; I < G.NumNodes && C != NoIdx; ++I)
+    C = PredEdge[C] == NoIdx ? NoIdx : G.Edges[PredEdge[C]].From;
+  if (C == NoIdx)
+    return true;
+  Walk Cycle;
+  uint32_t M = C;
+  do {
+    Cycle.push_back(PredEdge[M]);
+    M = G.Edges[PredEdge[M]].From;
+  } while (M != C);
+  std::reverse(Cycle.begin(), Cycle.end());
+  Witness = pumpCycle(G, Rel, Cycle, Sign);
+  return true;
 }
 
 /// Successor edges per node in compressed rows: the edges out of node N
@@ -229,12 +248,12 @@ SuccRows succRows(const WeightedGraph &G, KeepFn &&Keep) {
 
 /// Visited (node, value) pairs of one walk search: an open-addressing
 /// table of 64-value bit pages keyed by (node, page). Memory grows with
-/// the pages the search touches, never with nodes × (2·Bound+1).
+/// the pages the search touches, never with nodes × (Hi − Lo + 1).
 class VisitedSet {
 public:
-  void reset(int64_t Bound) {
-    assert(Bound < (int64_t(1) << 36) && "counter bound overflows page key");
-    Offset = Bound;
+  /// Empties the set for values of at least \p Lo, below Lo + 2^37.
+  void reset(int64_t Lo) {
+    Offset = -Lo;
     Used = 0;
     Shift = 64 - InitialLog2;
     Slots.assign(size_t(1) << InitialLog2, Slot{EmptyKey, 0});
@@ -262,6 +281,8 @@ public:
       }
     }
   }
+
+  uint64_t bytes() const { return Slots.capacity() * sizeof(Slot); }
 
 private:
   struct Slot {
@@ -309,193 +330,168 @@ struct ExpansionBudget {
   explicit ExpansionBudget(const OneCounterOptions &Opts)
       : NodesLeft(Opts.NodeBudget), Bud(Opts.Budget) {}
 
+  /// Probes Bud as `counter.walk`: false once it answered stop.
+  bool probe() {
+    if (Bud && !Bud->checkpoint("counter.walk"))
+      Tripped = true;
+    return !Tripped;
+  }
+
   /// Takes one expansion: false once NodeBudget is spent or the probe, on
   /// the first expansion and every 64th after it, trips.
   bool take() {
     if (NodesLeft == 0)
       return false;
-    if ((Expansions++ & 63) == 0 && Bud && !Bud->checkpoint("counter.walk")) {
-      Tripped = true;
+    if ((Expansions++ & 63) == 0 && !probe())
       return false;
-    }
     --NodesLeft;
     return true;
   }
 };
 
-/// The (node, value) states one FIFO walk search discovered, in discovery
-/// order: Fifo[Head..] is the queue, Fifo[..Head] the expanded states,
-/// kept for the parent links.
-struct Discovered {
-  /// Parent indexes Fifo, Edge the graph (both NoIdx on start states).
+/// A step() slice with no limit.
+constexpr uint64_t Unlimited = ~uint64_t(0);
+
+/// One walk query on its own graph, searched in resumable slices: a FIFO
+/// breadth-first search over (node, value) that starts at value Start on
+/// every start node, adds each edge's weight, keeps values in [Lo, Hi],
+/// and ends at a state whose value lies in its node's target window.
+class ExistsWalk {
+public:
+  /// Prepares the search over the edges between nodes \p Keep accepts
+  /// (every edge when null), seeded on the start nodes it accepts. With
+  /// \p Capped, [Lo, Hi] may cut off walks, so a search that runs dry
+  /// proves nothing.
+  ExistsWalk(WeightedGraph Graph, const std::vector<bool> *Keep,
+             const std::vector<proof::WalkTarget> &Targets, int64_t Start,
+             int64_t Lo, int64_t Hi, bool Capped);
+
+  /// Runs at most \p Slice more expansions and returns the verdict, or
+  /// none while the query is still open. Unknown on NodeBudget exhaustion
+  /// or a budget trip (B.Tripped), and when a capped search runs dry.
+  std::optional<Verdict> step(ExpansionBudget &B, uint64_t Slice = Unlimited);
+
+  const WeightedGraph &graph() const { return G; }
+  /// On Sat: the walk found.
+  const Walk &witness() const { return Witness; }
+
+private:
+  /// A discovered state. Parent indexes Fifo, Edge the graph (both NoIdx
+  /// on start states).
   struct State {
     int64_t Value;
     uint32_t Node, Parent, Edge;
   };
+
+  /// Records (\p Node, \p Value), reached from Fifo[Parent] over \p Edge,
+  /// unless it was seen before.
+  void reach(uint32_t Node, int64_t Value, uint32_t Parent, uint32_t Edge) {
+    if (Seen.insert(Node, Value))
+      Fifo.push_back({Value, Node, Parent, Edge});
+  }
+  /// Charges what the graph and the search storage grew by since the
+  /// last charge to B's budget; a MemOut trip stops the search at its
+  /// next probe.
+  void chargeGrowth(ExpansionBudget &B);
+
+  WeightedGraph G;
+  SuccRows Succ;
+  /// Per node, the target values [first, second]; empty when first >
+  /// second.
+  std::vector<std::pair<int64_t, int64_t>> Window;
+  int64_t Lo, Hi;
+  bool Capped;
+  /// The states discovered, in discovery order: Fifo[Head..] is the
+  /// queue, Fifo[..Head] the expanded states, kept for the parent links.
   std::vector<State> Fifo;
   VisitedSet Seen;
   size_t Head = 0;
-
-  void seed(uint32_t Node, int64_t Value) {
-    Seen.insert(Node, Value);
-    Fifo.push_back({Value, Node, NoIdx, NoIdx});
-  }
-  /// Records (\p Node, \p Value), reached from Fifo[Head] over \p Edge,
-  /// unless it was seen before.
-  void reach(uint32_t Node, int64_t Value, uint32_t Edge) {
-    if (!Seen.insert(Node, Value))
-      return;
-    assert(Head < NoIdx && "walk search outgrew its parent links");
-    Fifo.push_back({Value, Node, static_cast<uint32_t>(Head), Edge});
-  }
-  /// The walk from a start state to Fifo[I], read off the parent links.
-  Walk walkTo(size_t I) const {
-    Walk W;
-    for (uint32_t K = static_cast<uint32_t>(I); Fifo[K].Parent != NoIdx;
-         K = Fifo[K].Parent)
-      W.push_back(Fifo[K].Edge);
-    std::reverse(W.begin(), W.end());
-    return W;
-  }
+  Walk Witness;
+  uint64_t Charged = 0;
 };
 
-/// Does a start→finish walk with total weight satisfying \p Test exist?
-/// \p Test is one of: =0, >=1, <=-1 (encoded by Mode).
-enum class WalkMode { ExactZero, AtLeastOne, AtMostMinusOne };
-
-/// A step() slice with no limit.
-constexpr uint64_t Unlimited = ~uint64_t(0);
-
-/// One walk query on its own graph, searched in resumable slices. Exact
-/// for the monotone modes; for ExactZero a clamped BFS with a quadratic
-/// excursion bound (see the file comment).
-class ExistsWalk {
-public:
-  /// Prepares the search: the relevant subgraph, the signed-cycle test of
-  /// a monotone mode (which may decide the query at once), the counter
-  /// bound and the start states.
-  ExistsWalk(WeightedGraph Graph, WalkMode Mode);
-
-  /// Runs at most \p Slice more expansions and returns the verdict, or
-  /// none while the query is still open. Unknown on NodeBudget exhaustion
-  /// or a budget trip (B.Tripped), and when an ExactZero search whose
-  /// bound had to be capped below the excursion bound runs dry: that
-  /// search proves nothing.
-  std::optional<Verdict> step(ExpansionBudget &B, uint64_t Slice = Unlimited);
-
-  const WeightedGraph &graph() const { return G; }
-  /// On Sat: the walk found, or none when no signed cycle could be pumped
-  /// into one.
-  const std::optional<Walk> &witness() const { return Witness; }
-
-private:
-  bool hit(const Discovered::State &S) const;
-
-  WeightedGraph G;
-  WalkMode Mode;
-  /// Set when the constructor decided the query without a search.
-  std::optional<Verdict> Decided;
-  int64_t Bound = 0;
-  bool Capped = false;
-  SuccRows Succ;
-  Discovered D;
-  std::optional<Walk> Witness;
-};
-
-ExistsWalk::ExistsWalk(WeightedGraph Graph, WalkMode M)
-    : G(std::move(Graph)), Mode(M) {
-  std::vector<bool> Rel = relevantNodes(G);
-  bool AnyRelStart = false;
-  for (uint32_t N = 0; N < G.NumNodes; ++N)
-    if (Rel[N] && G.Start[N])
-      AnyRelStart = true;
-  if (!AnyRelStart) {
-    Decided = Verdict::Unsat;
-    return;
-  }
-
-  int64_t MaxW = 1;
-  uint32_t RelCount = 0;
-  for (const WeightedGraph::Edge &E : G.Edges)
-    MaxW = std::max<int64_t>(MaxW, std::llabs(E.Weight));
-  for (uint32_t N = 0; N < G.NumNodes; ++N)
-    if (Rel[N])
-      ++RelCount;
-
-  // For the monotone modes, an insertable cycle of the right sign makes
-  // the target reachable as soon as any complete walk exists (which it
-  // does: AnyRelStart); otherwise all walk values are realized within
-  // the DAG-ish bound and the clamped BFS below is exact.
-  if (Mode != WalkMode::ExactZero) {
-    int Sign = Mode == WalkMode::AtLeastOne ? +1 : -1;
-    Walk Cycle;
-    if (hasSignedCycle(G, Rel, Sign, Cycle)) {
-      if (!Cycle.empty())
-        Witness = pumpCycle(G, Rel, Cycle, Sign);
-      Decided = Verdict::Sat;
-      return;
-    }
-  }
-
-  // Clamped BFS over (node, value). For the monotone modes, cycles of the
-  // right sign are gone, so values toward the target are bounded by
-  // |Q|·MaxW and the search is exact. For ExactZero we use the quadratic
-  // small-excursion bound, capped at MaxBound; a capped search that finds
-  // no walk answers Unknown, not Unsat.
-  constexpr int64_t MaxBound = 1 << 21;
-  if (Mode == WalkMode::ExactZero) {
-    int64_t Expanded = static_cast<int64_t>(RelCount) * (MaxW + 1) + 2;
-    Capped = Expanded > MaxBound / Expanded; // Expanded² > MaxBound
-    Bound = Capped ? MaxBound : Expanded * Expanded;
-  } else {
-    Bound = static_cast<int64_t>(RelCount) * MaxW + 1;
-  }
-
+ExistsWalk::ExistsWalk(WeightedGraph Graph, const std::vector<bool> *Keep,
+                       const std::vector<proof::WalkTarget> &Targets,
+                       int64_t Start, int64_t Lo, int64_t Hi, bool Capped)
+    : G(std::move(Graph)), Window(G.NumNodes, {1, 0}), Lo(Lo), Hi(Hi),
+      Capped(Capped) {
+  auto Kept = [&](uint32_t N) { return !Keep || (*Keep)[N]; };
   Succ = succRows(G, [&](const WeightedGraph::Edge &E) {
-    return Rel[E.From] && Rel[E.To];
+    return Kept(E.From) && Kept(E.To);
   });
-  D.Seen.reset(Bound);
+  // Each node is the target of at most one window.
+  for (const proof::WalkTarget &T : Targets)
+    Window[T.Node] = {T.Lo, T.Hi};
+  assert(Hi - Lo < (int64_t(1) << 37) && "value range overflows page key");
+  Seen.reset(Lo);
   for (uint32_t N = 0; N < G.NumNodes; ++N)
-    if (Rel[N] && G.Start[N])
-      D.seed(N, 0);
+    if (G.Start[N] && Kept(N))
+      reach(N, Start, NoIdx, NoIdx);
 }
 
-bool ExistsWalk::hit(const Discovered::State &S) const {
-  if (!G.Finish[S.Node])
-    return false;
-  switch (Mode) {
-  case WalkMode::ExactZero:
-    return S.Value == 0;
-  case WalkMode::AtLeastOne:
-    return S.Value >= 1;
-  case WalkMode::AtMostMinusOne:
-    return S.Value <= -1;
+void ExistsWalk::chargeGrowth(ExpansionBudget &B) {
+  uint64_t Now = G.Edges.capacity() * sizeof(WeightedGraph::Edge) +
+                 (Succ.Start.capacity() + Succ.Edge.capacity()) *
+                     sizeof(uint32_t) +
+                 Window.capacity() * sizeof(Window[0]) +
+                 Fifo.capacity() * sizeof(State) + Seen.bytes();
+  if (B.Bud && Now > Charged) {
+    B.Bud->chargeMem(Now - Charged);
+    Charged = Now;
   }
-  return false;
 }
 
 std::optional<Verdict> ExistsWalk::step(ExpansionBudget &B, uint64_t Slice) {
-  if (Decided)
-    return Decided;
-  for (; D.Head < D.Fifo.size(); ++D.Head) {
-    const Discovered::State Cur = D.Fifo[D.Head];
-    if (hit(Cur)) {
-      Witness = D.walkTo(D.Head);
+  chargeGrowth(B);
+  for (; Head < Fifo.size(); ++Head) {
+    const State Cur = Fifo[Head];
+    if (Window[Cur.Node].first <= Cur.Value &&
+        Cur.Value <= Window[Cur.Node].second) {
+      for (size_t K = Head; Fifo[K].Parent != NoIdx; K = Fifo[K].Parent)
+        Witness.push_back(Fifo[K].Edge);
+      std::reverse(Witness.begin(), Witness.end());
       return Verdict::Sat;
     }
     if (Slice-- == 0)
       return std::nullopt;
+    // Charged ahead of the probe take() makes every 64 expansions.
+    if ((B.Expansions & 63) == 0)
+      chargeGrowth(B);
     if (!B.take())
       return Verdict::Unknown;
+    assert(Head < NoIdx && "walk search outgrew its parent links");
     for (uint32_t K = Succ.Start[Cur.Node]; K < Succ.Start[Cur.Node + 1];
          ++K) {
       const WeightedGraph::Edge &E = G.Edges[Succ.Edge[K]];
       int64_t V2 = Cur.Value + E.Weight;
-      if (V2 <= Bound && V2 >= -Bound)
-        D.reach(E.To, V2, Succ.Edge[K]);
+      if (Lo <= V2 && V2 <= Hi)
+        reach(E.To, V2, static_cast<uint32_t>(Head), Succ.Edge[K]);
     }
   }
   return Capped ? Verdict::Unknown : Verdict::Unsat;
+}
+
+/// Cap on the mismatch search's excursion bound (see the file comment).
+constexpr int64_t MaxBound = 1 << 21;
+
+/// The 0-weight query of a mismatch graph: from value 0 on a start node
+/// to value 0 on a finish node, over the relevant subgraph, with the
+/// counter clamped to the quadratic small-excursion bound. Capped at
+/// MaxBound, a search that finds no walk answers Unknown, not Unsat.
+ExistsWalk zeroWalk(WeightedGraph G) {
+  std::vector<bool> Rel = relevantNodes(G);
+  int64_t MaxW = 1;
+  for (const WeightedGraph::Edge &E : G.Edges)
+    MaxW = std::max<int64_t>(MaxW, std::llabs(E.Weight));
+  int64_t RelCount = std::count(Rel.begin(), Rel.end(), true);
+  int64_t Expanded = RelCount * (MaxW + 1) + 2;
+  bool Capped = Expanded > MaxBound / Expanded; // Expanded² > MaxBound
+  int64_t Bound = Capped ? MaxBound : Expanded * Expanded;
+  std::vector<proof::WalkTarget> Targets;
+  for (uint32_t N = 0; N < G.NumNodes; ++N)
+    if (G.Finish[N])
+      Targets.push_back({N, 0, 0});
+  return ExistsWalk(std::move(G), &Rel, Targets, 0, -Bound, Bound, Capped);
 }
 
 /// Reads a complete walk back as one word per variable of \p Langs.
@@ -661,7 +657,7 @@ WeightedGraph buildMismatchGraph(const VarConcat &Vc,
 }
 
 /// Largest |i| a str.at index may have on the fast path (the visited
-/// set's page keys hold values below 2^36).
+/// set's page keys span at most 2^37 values).
 constexpr int64_t MaxAtIndex = int64_t(1) << 32;
 
 /// The words of a language that holds no word longer than one letter:
@@ -695,7 +691,8 @@ std::optional<ShortWords> shortWordsOf(const automata::Nfa &A,
 
 /// The reachability problem of one str.at decision (see the file
 /// comment): node 0 is the start, where the counter holds Start; a
-/// move subtracts its edge's weight and may not go below 0.
+/// move subtracts its edge's weight and may not go below 0. The edges
+/// are stored with their weights negated, as ExistsWalk adds them.
 struct AtProblem {
   WeightedGraph G;
   int64_t Start = 0;
@@ -705,7 +702,7 @@ struct AtProblem {
 
   void edge(uint32_t From, uint32_t To, int64_t W, uint32_t Base,
             bool Sample = false) {
-    G.Edges.push_back({From, To, W, Base});
+    G.Edges.push_back({From, To, -W, Base});
     IsSample.push_back(Sample);
   }
 };
@@ -779,43 +776,6 @@ AtProblem buildAtProblem(const VarConcat &Vc, const tagaut::PosPredicate &Pred,
   return P;
 }
 
-/// Is a target state reachable from (node 0, P.Start)? Exact: values stay
-/// in [0, P.Start]. Unknown on NodeBudget exhaustion or a budget trip
-/// (B.Tripped). On Sat, \p Witness receives the walk.
-Verdict existsTargetWalk(const AtProblem &P, ExpansionBudget &B,
-                         std::optional<Walk> &Witness) {
-  Witness.reset();
-  const WeightedGraph &G = P.G;
-  // Each node is the target of at most one window; {1, 0} is none.
-  std::vector<std::pair<int64_t, int64_t>> Window(G.NumNodes, {1, 0});
-  for (const proof::WalkTarget &T : P.Targets)
-    Window[T.Node] = {T.Lo, T.Hi};
-  SuccRows Succ = succRows(G, [](const WeightedGraph::Edge &) {
-    return true;
-  });
-
-  Discovered D;
-  D.Seen.reset(P.Start);
-  D.seed(0, P.Start);
-  for (; D.Head < D.Fifo.size(); ++D.Head) {
-    const Discovered::State Cur = D.Fifo[D.Head];
-    auto [Lo, Hi] = Window[Cur.Node];
-    if (Lo <= Cur.Value && Cur.Value <= Hi) {
-      Witness = D.walkTo(D.Head);
-      return Verdict::Sat;
-    }
-    if (!B.take())
-      return Verdict::Unknown;
-    for (uint32_t K = Succ.Start[Cur.Node]; K < Succ.Start[Cur.Node + 1];
-         ++K) {
-      const WeightedGraph::Edge &E = G.Edges[Succ.Edge[K]];
-      if (E.Weight <= Cur.Value)
-        D.reach(E.To, Cur.Value - E.Weight, Succ.Edge[K]);
-    }
-  }
-  return Verdict::Unsat;
-}
-
 /// Decides one eligible str.at predicate (see the file comment).
 OneCounterResult decideStrAt(const std::map<VarId, automata::Nfa> &Langs,
                              const tagaut::PosPredicate &Pred, uint32_t Sigma,
@@ -834,19 +794,22 @@ OneCounterResult decideStrAt(const std::map<VarId, automata::Nfa> &Langs,
   uint64_t States = (static_cast<uint64_t>(P.Start) + 1) * P.G.NumNodes;
   if (Opts.Certify && States > proof::MaxWalkStates)
     return R;
+  // Exact: every value stays in [0, P.Start].
   ExpansionBudget B(Opts);
-  std::optional<Walk> Witness;
-  R.V = existsTargetWalk(P, B, Witness);
+  ExistsWalk Q(std::move(P.G), nullptr, P.Targets, P.Start, 0, P.Start,
+               /*Capped=*/false);
+  R.V = *Q.step(B);
   if (B.Tripped) {
     R.V = Verdict::Unknown;
     R.Stop = Opts.Budget->reason();
     return R;
   }
+  const WeightedGraph &G = Q.graph();
   if (R.V == Verdict::Unsat && Opts.Certify) {
     proof::WalkProof &C = R.Cert.emplace();
-    C.NumNodes = P.G.NumNodes;
-    for (const WeightedGraph::Edge &E : P.G.Edges)
-      C.Edges.push_back({E.From, E.To, E.Weight});
+    C.NumNodes = G.NumNodes;
+    for (const WeightedGraph::Edge &E : G.Edges)
+      C.Edges.push_back({E.From, E.To, -E.Weight});
     C.StartValue = C.Bound = P.Start;
     C.Targets = std::move(P.Targets);
   }
@@ -854,11 +817,11 @@ OneCounterResult decideStrAt(const std::map<VarId, automata::Nfa> &Langs,
     return R;
 
   // y's word: the sampled letter's partner, or the ε outcome's.
-  std::map<VarId, Word> Words = wordsOfWalk(P.G, Vc, HayLangs, *Witness);
+  std::map<VarId, Word> Words = wordsOfWalk(G, Vc, HayLangs, Q.witness());
   std::optional<Symbol> Sampled;
-  for (uint32_t EI : *Witness)
+  for (uint32_t EI : Q.witness())
     if (P.IsSample[EI])
-      Sampled = Vc.BaseDelta[P.G.Edges[EI].Base].Sym;
+      Sampled = Vc.BaseDelta[G.Edges[EI].Base].Sym;
   const bool Eq = Pred.Kind == tagaut::PredKind::StrAtEq;
   Word &YWord = Words[Y];
   if (Sampled && Eq) {
@@ -919,35 +882,29 @@ OneCounterResult postr::counter::decideSinglePredicate(
   }
   VarConcat Vc = buildVarConcat(Langs);
   ExpansionBudget B(Opts);
-  // True once query \p Q's verdict \p V settled the decision in R: Sat,
-  // or Unknown on a budget trip.
-  auto Settles = [&](const ExistsWalk &Q, Verdict V) {
-    if (B.Tripped) {
-      R.V = Verdict::Unknown;
-      R.Stop = Opts.Budget->reason();
-      return true;
-    }
-    if (V != Verdict::Sat)
-      return false;
-    R.V = Verdict::Sat;
-    if (Q.witness())
-      R.Model = wordsOfWalk(Q.graph(), Vc, Langs, *Q.witness());
-    return true;
+  // The answer once a probe of the budget tripped.
+  auto Stopped = [&] {
+    R.V = Verdict::Unknown;
+    R.Stop = Opts.Budget->reason();
+    return R;
   };
-  bool SawUnknown = false;
 
-  // Length branch: each query runs to its end. ≠ also holds when
-  // |L| < |R|; for ¬prefixof / ¬suffixof only |L| > |R| suffices.
+  // Length branch, one exact Bellman–Ford pass per sign: ≠ also holds
+  // when |L| < |R|; for ¬prefixof / ¬suffixof only |L| > |R| suffices.
   WeightedGraph LenG = buildLengthGraph(Vc, Pred);
-  std::vector<WalkMode> LenModes = {WalkMode::AtLeastOne};
-  if (Pred.Kind == tagaut::PredKind::Diseq)
-    LenModes.push_back(WalkMode::AtMostMinusOne);
-  for (WalkMode Mode : LenModes) {
-    ExistsWalk Q(LenG, Mode);
-    Verdict V = *Q.step(B);
-    if (Settles(Q, V))
+  std::vector<bool> Rel = relevantNodes(LenG);
+  for (int Sign : {+1, -1}) {
+    if (Sign < 0 && Pred.Kind != tagaut::PredKind::Diseq)
+      break;
+    if (!B.probe())
+      return Stopped();
+    std::optional<Walk> Witness;
+    if (signedWalk(LenG, Rel, Sign, Witness)) {
+      R.V = Verdict::Sat;
+      if (Witness)
+        R.Model = wordsOfWalk(LenG, Vc, Langs, *Witness);
       return R;
-    SawUnknown |= V == Verdict::Unknown;
+    }
   }
 
   // Mismatch branch, one 0-weight query per occurrence pair (i, j),
@@ -957,6 +914,7 @@ OneCounterResult postr::counter::decideSinglePredicate(
   // built when it is first stepped and dropped, with its search storage,
   // once it is decided.
   constexpr uint64_t FirstSlice = 256, LastSlice = 4096;
+  bool SawUnknown = false;
   const size_t NumRhs = Pred.Rhs.size();
   std::vector<std::optional<ExistsWalk>> Pairs(Pred.Lhs.size() * NumRhs);
   std::vector<bool> Done(Pairs.size(), false);
@@ -968,13 +926,18 @@ OneCounterResult postr::counter::decideSinglePredicate(
         continue;
       std::optional<ExistsWalk> &Q = Pairs[P];
       if (!Q)
-        Q.emplace(buildMismatchGraph(Vc, Pred, P / NumRhs, P % NumRhs, Sigma),
-                  WalkMode::ExactZero);
+        Q.emplace(zeroWalk(
+            buildMismatchGraph(Vc, Pred, P / NumRhs, P % NumRhs, Sigma)));
       std::optional<Verdict> V = Q->step(B, Slice);
       if (!V)
         continue;
-      if (Settles(*Q, *V))
+      if (B.Tripped)
+        return Stopped();
+      if (*V == Verdict::Sat) {
+        R.V = Verdict::Sat;
+        R.Model = wordsOfWalk(Q->graph(), Vc, Langs, Q->witness());
         return R;
+      }
       // With NodeBudget spent no pair can expand again, and none is Sat
       // without an expansion (its start states lie in phase ⊥).
       if (*V == Verdict::Unknown && B.NodesLeft == 0)

@@ -412,6 +412,8 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   // falls through to the LIA path. A mono-root predicate is left to
   // solveMP, whose refutation the kernel checks.
   std::optional<int64_t> HayLenAbove;
+  // What the disjunct's charges have added to the root's so far.
+  uint64_t RootCharged = 0;
   if (Opts.UseOcaFastPath && !AllMonoRoot &&
       counter::isEligible(Preds, Langs)) {
     const PosPredicate &Pred = Preds.front();
@@ -437,6 +439,8 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     OcOpts.Certify = CertOut != nullptr;
     counter::OneCounterResult Oc = counter::decideSinglePredicate(
         Langs, Preds.front(), NF.Sigma.size(), OcOpts, *HayLenAbove);
+    RootCharged = Child.memCharged();
+    Root.chargeMem(RootCharged);
     if (Oc.Stop != StopReason::None) {
       ++Stats.BudgetTrips;
       Stop.note(Oc.Stop, Child.tripSite());
@@ -541,7 +545,7 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   Stats.Qf += R.Qf;
   // Root-level accounting: the disjunct's cumulative charges count
   // against the root cap too (the run loop's probe notices the trip).
-  Root.chargeMem(Child.memCharged());
+  Root.chargeMem(Child.memCharged() - RootCharged);
   if (R.V == Verdict::Unknown && R.Stop != StopReason::None) {
     ++Stats.BudgetTrips;
     Stop.note(R.Stop, Child.tripSite());

@@ -654,12 +654,10 @@ TEST(BudgetTest, CancelMidDisjunctStopsTheSolve) {
                       << " ms (" << R.StopSite << ")";
 }
 
-TEST(BudgetTest, DeadlineStopsTheOneCounterWalk) {
-  // x1x2x3x4z ≠ x4x3x2x1z with x_i ∈ (abcbb)* and z ∈ c*: not mono-root,
-  // so the fast path takes it, and the solve is still undecided after
-  // 30 s. Under a 10 ms cap the walk search's own probe notices the
-  // deadline, and no solveMP starts. An unlimited shared Budget beside
-  // the cap must not lift it (it used to replace the cap's root budget).
+/// x1x2x3x4z ≠ x4x3x2x1z with x_i ∈ (abcbb)* and z ∈ c*
+/// (tests/deadline/counter_walk.smt2): not mono-root, so the fast path
+/// takes it, and the solve is still undecided after 30 s.
+strings::Problem counterWalkProblem() {
   strings::Problem P;
   strings::StrSeq L, R;
   for (int I = 1; I <= 4; ++I) {
@@ -673,6 +671,14 @@ TEST(BudgetTest, DeadlineStopsTheOneCounterWalk) {
   L.push_back(strings::StrElem::var(Z));
   R.push_back(strings::StrElem::var(Z));
   P.assertDiseq(L, R);
+  return P;
+}
+
+TEST(BudgetTest, DeadlineStopsTheOneCounterWalk) {
+  // Under a 10 ms cap the walk search's own probe notices the deadline,
+  // and no solveMP starts. An unlimited shared Budget beside the cap must
+  // not lift it (it used to replace the cap's root budget).
+  strings::Problem P = counterWalkProblem();
   Budget Unlimited(Budget::Limits{0, 0, 0, nullptr});
   for (Budget *Shared : {static_cast<Budget *>(nullptr), &Unlimited}) {
     solver::SolveOptions O;
@@ -685,6 +691,22 @@ TEST(BudgetTest, DeadlineStopsTheOneCounterWalk) {
     EXPECT_EQ(Res.Stats.MpCalls, 0u);
     EXPECT_EQ(Res.Stats.FastPathDecisions, 0u);
   }
+}
+
+TEST(BudgetTest, MemCapStopsTheOneCounterWalk) {
+  // The walk search charges its pair graphs, FIFOs and visited sets to
+  // the disjunct's budget, so an 8 MiB cap stops it at its own probe as a
+  // memory stop, well before the 3 s deadline or the NodeBudget hands the
+  // disjunct to solveMP (which would stop in lia.simplex on the deadline).
+  solver::SolveOptions O;
+  O.TimeoutMs = 3000;
+  O.MemLimitBytes = 8u << 20;
+  solver::SolveResult Res = solver::solveProblem(counterWalkProblem(), O);
+  EXPECT_EQ(Res.V, Verdict::Unknown);
+  EXPECT_EQ(Res.Stop, StopReason::MemOut);
+  EXPECT_EQ(solver::exitCodeFor(Res), 5);
+  EXPECT_EQ(Res.StopSite, "counter.walk");
+  EXPECT_EQ(Res.Stats.MpCalls, 0u);
 }
 
 //===----------------------------------------------------------------------===

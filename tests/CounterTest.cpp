@@ -209,7 +209,9 @@ TEST(OneCounterTest, DifferentialAgainstLiaPathAndOracle) {
 /// Pins the walk search's expansion order: each instance needs exactly
 /// its recorded number of expansions (NodeBudget) to reach its verdict,
 /// and one fewer answers Unknown. A change to the discovery order or to
-/// the budget accounting moves these counts.
+/// the budget accounting moves these counts. Only the mismatch pairs
+/// expand states: the length branch is an exact Bellman–Ford pass that
+/// takes none.
 TEST(OneCounterTest, NodeBudgetPinsExpansionCount) {
   struct PinCase {
     const char *X, *Y;
@@ -219,9 +221,9 @@ TEST(OneCounterTest, NodeBudgetPinsExpansionCount) {
   // xy ≠ yx: commuting powers of ab (Unsat, every mismatch pair searched
   // to its end, so the round-robin order leaves the total as the
   // sequential one had it) and x ∈ (ab)*, y ∈ a(ba)* (Sat, found in a
-  // pair's first slice; searched pair by pair it took 16648).
-  const PinCase Cases[] = {{"(ab)*", "(ab)*", Verdict::Unsat, 39974},
-                           {"(ab)*", "a(ba)*", Verdict::Sat, 296}};
+  // pair's first slice).
+  const PinCase Cases[] = {{"(ab)*", "(ab)*", Verdict::Unsat, 39962},
+                           {"(ab)*", "a(ba)*", Verdict::Sat, 282}};
   for (const PinCase &C : Cases) {
     for (uint64_t Budget : {C.Expansions - 1, C.Expansions}) {
       Fixture F;
@@ -250,21 +252,22 @@ TEST(OneCounterTest, LatePairSatWithinASmallBudget) {
             Verdict::Sat);
 }
 
-/// A length query that runs out of NodeBudget leaves the decision open,
-/// even when no mismatch pair can hold. x ∈ a|aa, y ∈ a: x ≠ y is Sat
-/// only by length (x = aa), and every mismatch graph lacks a start→finish
-/// walk. With too few expansions for the length branch the answer is
-/// Unknown, never Unsat.
-TEST(OneCounterTest, LengthBranchOutOfBudgetIsNotUnsat) {
-  for (auto [Budget, Want] : {std::pair{5, Verdict::Unknown},
-                              std::pair{10, Verdict::Sat}}) {
-    Fixture F;
-    VarId X = F.var("a|aa"), Y = F.var("a");
-    OneCounterOptions O;
-    O.NodeBudget = Budget;
-    EXPECT_EQ(F.decide({PredKind::Diseq, {X}, {Y}, {}}, O), Want)
-        << "NodeBudget " << Budget;
-  }
+/// The length branch is exact and spends no NodeBudget, so it cannot run
+/// out. x ∈ a|aa, y ∈ a: x ≠ y is Sat only by length, and every mismatch
+/// graph lacks a start→finish walk. Even at NodeBudget 0 the answer is
+/// Sat, with the heaviest walk as the witness: x = aa.
+TEST(OneCounterTest, LengthBranchNeedsNoNodeBudget) {
+  Fixture F;
+  VarId X = F.var("a|aa"), Y = F.var("a");
+  F.finalize();
+  OneCounterOptions O;
+  O.NodeBudget = 0;
+  OneCounterResult R = decideSinglePredicate(
+      F.Langs, {PredKind::Diseq, {X}, {Y}, {}}, F.Sigma.size(), O);
+  ASSERT_EQ(R.V, Verdict::Sat);
+  ASSERT_TRUE(R.Model);
+  EXPECT_EQ(R.Model->at(X), (Word{0, 0}));
+  EXPECT_EQ(R.Model->at(Y), Word{0});
 }
 
 /// The 0-weight search caps its quadratic excursion bound at 2^21. Once

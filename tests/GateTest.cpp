@@ -6,10 +6,12 @@
 // Pins exact values of fixed-seed workloads over the hot path: the sizes
 // the automata and Parikh constructions build, the verdicts and search
 // counters of the DPLL(T)+Simplex core, the end-to-end verdicts of the
-// pipeline on the bench workload generators, and two footnote-10
+// pipeline on the bench workload generators, the pipeline's search
+// counters on one step-capped full tag encoding, and two footnote-10
 // ¬contains draws that reach the MBQI loop. Every limit is a step
-// budget, never a wall-clock cap, and every solve must finish without
-// tripping it, so no pinned value depends on the host's speed.
+// budget, never a wall-clock cap, so no pinned value depends on the
+// host's speed. Every solve must finish without tripping it, except the
+// one whose search counters are pinned at the point its cap stops it.
 //
 // A changed value means changed behaviour, not noise. A change that
 // alters the search on purpose updates the constants here, in the same
@@ -186,6 +188,50 @@ TEST(GateTest, PipelineVerdicts) {
   EXPECT_EQ(Qf.RowsEliminated, 3u);
   EXPECT_EQ(Qf.EntriesMerged, 22u);
   EXPECT_EQ(Qf.DenNormalizations, 0u);
+}
+
+TEST(GateTest, FullEncodingSearchCountersUnderAStepCap) {
+  // m3: x, z ∈ (ab)*, y ∈ (ba)*, xyz ≠ zyx ∧ xy ≠ yz. Two predicates keep
+  // the one-counter fast path out, and the lone length-first ≠ attempt
+  // cannot hold, so the full tag encoding runs CDCL and Simplex until
+  // the cap of 2000 steps stops it. PipelineVerdicts' instances barely
+  // reach the QF layer; this one pins the pipeline's search there.
+  Result<strings::Problem> P = smtlib::parseString(R"(
+    (declare-fun x () String)
+    (declare-fun y () String)
+    (declare-fun z () String)
+    (assert (str.in_re x (re.* (str.to_re "ab"))))
+    (assert (str.in_re z (re.* (str.to_re "ab"))))
+    (assert (str.in_re y (re.* (str.to_re "ba"))))
+    (assert (not (= (str.++ x y z) (str.++ z y x))))
+    (assert (not (= (str.++ x y) (str.++ y z))))
+    (check-sat))");
+  ASSERT_TRUE(P) << P.error();
+  solver::SolveOptions O;
+  O.StepLimit = 2000;
+  solver::SolveResult R = solver::solveProblem(*P, O);
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stop, StopReason::StepBudget);
+  EXPECT_EQ(R.Stats.MpCalls, 2u);
+  const lia::QfSearchStats &Qf = R.Stats.Qf;
+  EXPECT_EQ(Qf.Solves, 2u);
+  EXPECT_EQ(Qf.BlandSolves, 1u);
+  EXPECT_EQ(Qf.Atoms, 539u);
+  EXPECT_EQ(Qf.Conflicts, 66u);
+  EXPECT_EQ(Qf.Propagations, 6136u);
+  EXPECT_EQ(Qf.Decisions, 1824u);
+  EXPECT_EQ(Qf.Restarts, 0u);
+  EXPECT_EQ(Qf.Reductions, 0u);
+  EXPECT_EQ(Qf.ClausesDeleted, 0u);
+  EXPECT_EQ(Qf.TheoryConflicts, 69u);
+  EXPECT_EQ(Qf.Pivots, 344u);
+  EXPECT_EQ(Qf.Checks, 1302u);
+  EXPECT_EQ(Qf.RowFillIn, 362136u);
+  EXPECT_EQ(Qf.MaxRowNnz, 326u);
+  EXPECT_EQ(Qf.RowsEliminated, 10881u);
+  EXPECT_EQ(Qf.EntriesMerged, 2472095u);
+  EXPECT_EQ(Qf.DenNormalizations, 740u);
+  EXPECT_EQ(Qf.BudgetTrips, 1u);
 }
 
 /// Solves \p Smt2 under the step cap, accumulating MBQI counters in \p St.
