@@ -24,10 +24,6 @@ using namespace postr::lia;
 
 namespace {
 
-/// Branch-and-bound node budget per full-model integrality check;
-/// exhaustion falls back to splitting-on-demand.
-constexpr uint64_t BranchNodesPerCheck = 2000;
-
 /// Hard cap on theory conflicts before giving up (Unknown); a runaway
 /// backstop, not a tuning knob.
 constexpr uint32_t MaxTheoryConflicts = 2000000;
@@ -39,8 +35,10 @@ constexpr uint32_t MaxTheoryConflicts = 2000000;
 /// registered as the core's TheoryClient — mirrors every assigned atom
 /// literal into Simplex bounds as the trail grows. Rational infeasibility
 /// is detected immediately and explained by a small theory lemma
-/// extracted from the conflicting tableau row; the (rare) integrality
-/// conflicts are found by branch-and-bound on full boolean models.
+/// extracted from the conflicting tableau row. Integrality is settled by
+/// splitting on demand: a full boolean model whose vertex has a
+/// fractional coordinate x gets a fresh atom x <= floor(beta(x)), and the
+/// CDCL core branches on it like on any other literal.
 ///
 /// Unlike the pre-incremental engine, everything survives `solve`
 /// boundaries: the gate/atom caches, the learnt clauses and VSIDS order,
@@ -126,11 +124,25 @@ private:
       Out.push_back(~L);
     }
   }
+  /// Counts a theory conflict; false (with Stop set) once the count
+  /// passes MaxTheoryConflicts, an engine-internal runaway cap that is
+  /// structured as StepBudget but does NOT trip a shared budget —
+  /// siblings of this solve keep running.
+  bool countTheoryConflict() {
+    if (++TheoryConflicts <= MaxTheoryConflicts)
+      return true;
+    if (Stop == StopReason::None)
+      Stop = StopReason::StepBudget;
+    return false;
+  }
+  /// Reports the Simplex's most recent conflict: counts it, writes the
+  /// lemma into \p ConflictOut and, when recording, stages its
+  /// certificate.
+  TRes theoryConflict(std::vector<Lit> &ConflictOut);
   /// Translates the Simplex's conflict certificate into proof format and
   /// stages it as the Pending cert for the theory lemma about to be
   /// emitted: Lit reasons pass through as literal codes, intrinsic-bound
-  /// reasons map the extended var back to arena space, split reason
-  /// codes become path-depth references.
+  /// reasons map the extended var back to arena space.
   void stageConflictCert();
   /// The per-solve stop probe: all resource dimensions (deadline,
   /// memory, steps, cancellation) go through the active budget — the
@@ -208,52 +220,37 @@ private:
 };
 
 void IncrementalContext::Impl::stageConflictCert() {
-  const Simplex::ConflictCert &C = Theory->conflictCert();
-  proof::TheoryCert Out;
-  Out.Leaves.reserve(C.Leaves.size());
-  for (const Simplex::FarkasLeafRec &L : C.Leaves) {
-    proof::FarkasLeaf PL;
-    PL.Entries.reserve(L.Terms.size());
-    for (const Simplex::FarkasTerm &T : L.Terms) {
-      proof::FarkasEntry E;
-      if (T.Reason == Simplex::NoReason) {
-        // Intrinsic bound. Only problem variables carry baseline bounds
-        // (slack rows register after the baseline snapshot), so the
-        // extended var maps back to arena space.
-        assert(T.ExtVar < ArenaOfExt.size() && ArenaOfExt[T.ExtVar] != ~0u &&
-               "intrinsic bound cited on a slack row");
-        E.K = proof::FarkasEntry::Kind::VarBound;
-        E.Ref = ArenaOfExt[T.ExtVar];
-        E.Upper = T.Upper;
-      } else if (T.Reason >= Simplex::SplitBase) {
-        E.K = proof::FarkasEntry::Kind::Split;
-        E.Ref = T.Reason - Simplex::SplitBase;
-        E.Upper = T.Upper;
-      } else {
-        E.K = proof::FarkasEntry::Kind::Lit;
-        E.Ref = T.Reason;
-      }
-      E.Mult = {T.Mult.num(), T.Mult.den()};
-      PL.Entries.push_back(std::move(E));
+  proof::FarkasLeaf Out;
+  Out.Entries.reserve(Theory->conflictCert().size());
+  for (const Simplex::FarkasTerm &T : Theory->conflictCert()) {
+    proof::FarkasEntry E;
+    if (T.Reason == Simplex::NoReason) {
+      // Intrinsic bound. Only problem variables carry baseline bounds
+      // (slack rows register after the baseline snapshot), so the
+      // extended var maps back to arena space.
+      assert(T.ExtVar < ArenaOfExt.size() && ArenaOfExt[T.ExtVar] != ~0u &&
+             "intrinsic bound cited on a slack row");
+      E.K = proof::FarkasEntry::Kind::VarBound;
+      E.Ref = ArenaOfExt[T.ExtVar];
+      E.Upper = T.Upper;
+    } else {
+      E.K = proof::FarkasEntry::Kind::Lit;
+      E.Ref = T.Reason;
     }
-    Out.Leaves.push_back(std::move(PL));
+    E.Mult = {T.Mult.num(), T.Mult.den()};
+    Out.Entries.push_back(std::move(E));
   }
-  Out.Nodes.reserve(C.Nodes.size());
-  for (const Simplex::CertNodeRec &N : C.Nodes) {
-    proof::CertNode PN;
-    PN.Leaf = N.Leaf;
-    if (N.Leaf < 0) {
-      assert(N.ExtVar < ArenaOfExt.size() && ArenaOfExt[N.ExtVar] != ~0u &&
-             "integer split on a slack row");
-      PN.Var = ArenaOfExt[N.ExtVar];
-      PN.Floor = N.Floor;
-    }
-    PN.Down = N.Down;
-    PN.Up = N.Up;
-    Out.Nodes.push_back(PN);
-  }
-  Out.Root = C.Root;
   Proof->Pending = Proof->addCert(std::move(Out));
+}
+
+TheoryClient::TRes
+IncrementalContext::Impl::theoryConflict(std::vector<Lit> &ConflictOut) {
+  if (!countTheoryConflict())
+    return TRes::Abort;
+  lemmaFromReasons(Theory->conflictReasons(), ConflictOut);
+  if (Proof)
+    stageConflictCert();
+  return TRes::Conflict;
 }
 
 uint32_t IncrementalContext::Impl::atomVarForTerm(const LinTerm &T) {
@@ -454,16 +451,12 @@ void IncrementalContext::Impl::addLatticeLemmasIncremental() {
   // variable parts cancel and the constants sum negative), and the
   // builder turns the addClause below into a certified Theory step.
   auto StagePair = [&](uint32_t CodeA, uint32_t CodeB) {
-    proof::TheoryCert C;
     proof::FarkasLeaf L;
     L.Entries.push_back(
         {proof::FarkasEntry::Kind::Lit, CodeA, false, {1, 1}});
     L.Entries.push_back(
         {proof::FarkasEntry::Kind::Lit, CodeB, false, {1, 1}});
-    C.Leaves.push_back(std::move(L));
-    C.Nodes.push_back({0, 0, 0, -1, -1});
-    C.Root = 0;
-    Proof->Pending = Proof->addCert(std::move(C));
+    Proof->Pending = Proof->addCert(std::move(L));
   };
   for (; LatticeDone < Atoms.size(); ++LatticeDone) {
     uint32_t AI = static_cast<uint32_t>(LatticeDone);
@@ -517,7 +510,6 @@ void IncrementalContext::Impl::prepareTheory() {
     // The pivot selection is latched at first use; setOptions after that
     // changes budgets/deadlines but not the order of a live tableau.
     Theory = std::make_unique<Simplex>(0, Opts.BlandPivots);
-    Theory->setInterrupt([this] { return stopped("lia.simplex"); });
     Theory->setCertRecording(Proof != nullptr);
   }
   Theory->setBudget(Bud);
@@ -603,28 +595,11 @@ IncrementalContext::Impl::onAssign(const std::vector<Lit> &Trail, size_t From,
       Asserted.push_back({I, M, L});
       Changed = true;
     }
-    if (!Ok) {
-      ++TheoryConflicts;
-      lemmaFromReasons(Theory->conflictReasons(), ConflictOut);
-      if (Proof)
-        stageConflictCert();
-      return TRes::Conflict;
-    }
+    if (!Ok)
+      return theoryConflict(ConflictOut);
   }
-  if (Changed && !Theory->checkRational()) {
-    ++TheoryConflicts;
-    if (TheoryConflicts > MaxTheoryConflicts) {
-      // Engine-internal runaway cap: structured as StepBudget, but does
-      // NOT trip a shared budget — siblings of this solve keep running.
-      if (Stop == StopReason::None)
-        Stop = StopReason::StepBudget;
-      return TRes::Abort;
-    }
-    lemmaFromReasons(Theory->conflictReasons(), ConflictOut);
-    if (Proof)
-      stageConflictCert();
-    return TRes::Conflict;
-  }
+  if (Changed && !Theory->checkRational())
+    return theoryConflict(ConflictOut);
   return TRes::Ok;
 }
 
@@ -642,34 +617,18 @@ TheoryClient::TRes
 IncrementalContext::Impl::onFinalModel(std::vector<Lit> &ConflictOut) {
   if (stopped("lia.sat"))
     return TRes::Abort;
-  // Rational feasibility holds by construction; look for an integer model.
-  TheoryResult R = Theory->checkInteger(FinalModel, BranchNodesPerCheck);
-  if (stopped("lia.sat"))
-    return TRes::Abort; // cancel/deadline interrupted branch-and-bound
-  if (R == TheoryResult::Sat)
-    return TRes::Ok;
-  ++TheoryConflicts;
-  if (TheoryConflicts > MaxTheoryConflicts) {
+  // Every bound on the trail has been through a feasibility check, but
+  // a conflict leaves the vertex where it failed and backtracking does
+  // not move it, so re-check (a queue scan when nothing is violated).
+  if (!Theory->checkRational())
+    return theoryConflict(ConflictOut);
+  if (Bud->exceeded()) {
+    // The check was stopped and claims feasibility it has not shown. A
+    // trip is sticky, so read it without probing (and charging) again.
     if (Stop == StopReason::None)
-      Stop = StopReason::StepBudget;
+      Stop = Bud->reason();
     return TRes::Abort;
   }
-  if (R == TheoryResult::Unsat) {
-    // Integrality conflict: branch-and-bound reports the union of its
-    // leaf explanations as a core over the asserted bounds.
-    lemmaFromReasons(Theory->conflictReasons(), ConflictOut);
-    if (Proof)
-      stageConflictCert();
-    return TRes::Conflict;
-  }
-  // Budget exhausted: split on demand. Mint the atom x ≤ ⌊β(x)⌋ for a
-  // fractional variable and hand the case split to the CDCL core — its
-  // two polarities assert x ≤ ⌊β⌋ / x ≥ ⌊β⌋+1, so clause learning takes
-  // over the integrality branching that exhausted the local search.
-  if (!Theory->checkRational())
-    return TRes::Abort; // cannot happen: bounds only got looser
-  if (stopped("lia.sat"))
-    return TRes::Abort; // interrupted mid-check: the vertex is untrusted
   uint32_t Frac = ~0u;
   Var FracVar = 0;
   for (Var V = 0; V < ExtOf.size(); ++V)
@@ -679,12 +638,18 @@ IncrementalContext::Impl::onFinalModel(std::vector<Lit> &ConflictOut) {
       break;
     }
   if (Frac == ~0u) {
-    // The relaxation vertex is integral after all; accept it.
     FinalModel.resize(ExtOf.size());
     for (Var V = 0; V < ExtOf.size(); ++V)
       FinalModel[V] = Theory->value(ExtOf[V]).asInt64();
     return TRes::Ok;
   }
+  if (!countTheoryConflict())
+    return TRes::Abort;
+  // Split on demand: mint the atom x ≤ ⌊β(x)⌋ for the first fractional
+  // variable and hand the case split to the CDCL core — its two
+  // polarities assert x ≤ ⌊β⌋ / x ≥ ⌊β⌋+1, and clause learning does the
+  // integrality branching. The step is a propositional tautology, so
+  // the proof trace records it certless and the kernel checks it by RUP.
   int64_t Floor = Theory->value(Frac).floor().asInt64();
   uint32_t SplitVar =
       atomVarForTerm(LinTerm::variable(FracVar) - LinTerm(Floor));

@@ -1,4 +1,4 @@
-//===- lia/Simplex.cpp - General simplex with branch-and-bound -----------===//
+//===- lia/Simplex.cpp - General simplex over exact rationals -------------===//
 //
 // Part of PosTr, a reproduction of "A Uniform Framework for Handling
 // Position Constraints in String Solving" (PLDI 2025).
@@ -44,9 +44,6 @@ Simplex::Simplex(uint32_t NumProblemVars, bool BlandPivots)
       ColCount(NumProblemVars, 0) {
   ColNz.resize(NumProblemVars);
   InColNz.resize(NumProblemVars);
-  Integral.resize(NumProblemVars);
-  for (uint32_t V = 0; V < NumProblemVars; ++V)
-    Integral[V] = V;
 }
 
 uint32_t Simplex::addProblemVar(int64_t LoV, int64_t HiV) {
@@ -61,7 +58,6 @@ uint32_t Simplex::addProblemVar(int64_t LoV, int64_t HiV) {
   ColCount.push_back(0);
   ColNz.emplace_back();
   InColNz.emplace_back();
-  Integral.push_back(X);
   // The new variable is nonbasic with β = 0 and appears in no row, so
   // the basis and every row value stay valid. Intrinsic bounds may move
   // β off 0 (updateNonbasic), which keeps the rows consistent too.
@@ -201,7 +197,7 @@ uint32_t Simplex::rowFor(const std::vector<std::pair<Var, int64_t>> &Coeffs) {
   if (Bud)
     // Row storage plus the per-variable bookkeeping (bounds, reasons,
     // column-support vectors, interning key). A MemOut trip here is
-    // noticed at the owner's next checkpoint/interrupt poll.
+    // noticed at the next budget probe.
     Bud->chargeMem(Tableau.back().size() *
                        (sizeof(uint32_t) + sizeof(Int) + sizeof(uint32_t)) +
                    128);
@@ -218,7 +214,7 @@ bool Simplex::assertUpper(uint32_t X, const Rational &U, uint32_t Reason) {
     if (isLemmaReason(LoReason[X]))
       Conflict.push_back(LoReason[X]);
     if (CertOn)
-      recordClashLeaf(X, Reason, /*NewUpper=*/true);
+      recordClashCert(X, Reason, /*NewUpper=*/true);
     return false;
   }
   AssertTrail.push_back({X, /*Upper=*/true, Hi[X], HiReason[X]});
@@ -241,7 +237,7 @@ bool Simplex::assertLower(uint32_t X, const Rational &L, uint32_t Reason) {
     if (isLemmaReason(HiReason[X]))
       Conflict.push_back(HiReason[X]);
     if (CertOn)
-      recordClashLeaf(X, Reason, /*NewUpper=*/false);
+      recordClashCert(X, Reason, /*NewUpper=*/false);
     return false;
   }
   AssertTrail.push_back({X, /*Upper=*/false, Lo[X], LoReason[X]});
@@ -488,15 +484,15 @@ bool Simplex::checkRational() {
   uint64_t PivotsThisCheck = 0;
   for (;;) {
     // A single feasibility restoration can pivot for a long time on
-    // adversarial tableaus; poll the interrupt and bail out claiming
-    // feasibility. The interrupt predicate is sticky (deadline/cancel),
-    // and every caller that would trust a model re-checks it first, so
-    // the white lie only ever leads to an Abort/Unknown. Every 16th pivot,
-    // not every one: the clock read is cheap now, but each poll charges
-    // a budget step, and polling per pivot (and at every check's entry)
-    // cut FuzzDiffTest's step-limited smoke sweep from 207 determinate
-    // answers to 189, below its floor of 200.
-    if (Interrupt && (PivotsThisCheck & 15) == 15 && Interrupt())
+    // adversarial tableaus; probe the budget and bail out claiming
+    // feasibility. A trip is sticky, and every caller that would trust a
+    // model checks the budget first, so the white lie only ever leads to
+    // an Abort/Unknown. Every 16th pivot, not every one: each probe
+    // charges a budget step, and probing per pivot (and at every check's
+    // entry) cut FuzzDiffTest's step-limited smoke sweep from 207
+    // determinate answers to 189, below its floor of 200.
+    if (Bud && (PivotsThisCheck & 15) == 15 &&
+        !Bud->checkpoint("lia.simplex"))
       return true;
     bool Bland = PivotsThisCheck >= BlandFallbackPivots;
     // Compact the lazy queue: verify entries, drop the feasible ones.
@@ -556,45 +552,34 @@ bool Simplex::checkRational() {
       Conflict.erase(std::unique(Conflict.begin(), Conflict.end()),
                      Conflict.end());
       if (CertOn)
-        recordRowLeaf(B, NeedIncrease);
+        recordRowCert(B, NeedIncrease);
       return false;
     }
     pivotAndUpdate(B, N, NeedIncrease ? *Lo[B] : *Hi[B]);
   }
 }
 
-int32_t Simplex::recordClashLeaf(uint32_t X, uint32_t NewReason,
-                                 bool NewUpper) {
-  if (!InBranch)
-    Cert = ConflictCert();
-  FarkasLeafRec Leaf;
+void Simplex::recordClashCert(uint32_t X, uint32_t NewReason,
+                              bool NewUpper) {
   // New bound against the existing opposite bound, unit multipliers:
   // (X <= U) + (X >= L) with U < L sums to 0 <= U - L < 0.
-  Leaf.Terms.push_back({NewReason, X, NewUpper, Rational::one()});
-  Leaf.Terms.push_back({NewUpper ? LoReason[X] : HiReason[X], X, !NewUpper,
-                        Rational::one()});
-  Cert.Leaves.push_back(std::move(Leaf));
-  Cert.Nodes.push_back(
-      {static_cast<int32_t>(Cert.Leaves.size() - 1), 0, 0, -1, -1});
-  int32_t Node = static_cast<int32_t>(Cert.Nodes.size() - 1);
-  if (!InBranch)
-    Cert.Root = Node;
-  return Node;
+  Cert.clear();
+  Cert.push_back({NewReason, X, NewUpper, Rational::one()});
+  Cert.push_back(
+      {NewUpper ? LoReason[X] : HiReason[X], X, !NewUpper, Rational::one()});
 }
 
-int32_t Simplex::recordRowLeaf(uint32_t B, bool NeedIncrease) {
-  if (!InBranch)
-    Cert = ConflictCert();
+void Simplex::recordRowCert(uint32_t B, bool NeedIncrease) {
   const SparseRow &Row = Tableau[RowOf[B]];
-  FarkasLeafRec Leaf;
   // The row identity value(B) = Σ (Nums[i]/Den)·Cols[i] turns the stuck
   // bounds into a bound on B that contradicts B's violated bound:
   //   NeedIncrease:  -B <= -Lo[B], plus  a_i·X_i <= a_i·Hi_i (a_i > 0)
   //                  and -a_i·X_i <= -a_i·Lo_i (a_i < 0);
   // the variable parts cancel through the row identity and the constant
   // is (max achievable B) - Lo[B] < 0. Mirrored for the upper side.
-  Leaf.Terms.push_back({NeedIncrease ? LoReason[B] : HiReason[B], B,
-                        /*Upper=*/!NeedIncrease, Rational::one()});
+  Cert.clear();
+  Cert.push_back({NeedIncrease ? LoReason[B] : HiReason[B], B,
+                  /*Upper=*/!NeedIncrease, Rational::one()});
   for (size_t I = 0; I < Row.size(); ++I) {
     uint32_t X = Row.Cols[I];
     if (X == B || isBasic(X))
@@ -602,133 +587,7 @@ int32_t Simplex::recordRowLeaf(uint32_t B, bool NeedIncrease) {
     bool StuckAtHi = NeedIncrease ? (Row.Nums[I] > 0) : (Row.Nums[I] < 0);
     Int Num = Row.Nums[I];
     Rational Mult(Num < 0 ? -Num : Num, Row.Den);
-    Leaf.Terms.push_back(
+    Cert.push_back(
         {StuckAtHi ? HiReason[X] : LoReason[X], X, StuckAtHi, Mult});
   }
-  Cert.Leaves.push_back(std::move(Leaf));
-  Cert.Nodes.push_back(
-      {static_cast<int32_t>(Cert.Leaves.size() - 1), 0, 0, -1, -1});
-  int32_t Node = static_cast<int32_t>(Cert.Nodes.size() - 1);
-  if (!InBranch)
-    Cert.Root = Node;
-  return Node;
-}
-
-Simplex::Snapshot Simplex::save() const { return {Lo, Hi, Beta}; }
-
-void Simplex::restore(const Snapshot &S) {
-  assert(S.Beta.size() == NumVars &&
-         "rows must be registered before the first snapshot");
-  Lo = S.Lo;
-  Hi = S.Hi;
-  Beta = S.Beta;
-  // Wholesale state change: conservatively requeue every basic variable.
-  for (uint32_t X : BasicVar)
-    touchBasic(X);
-}
-
-TheoryResult Simplex::checkInteger(std::vector<int64_t> &ModelOut,
-                                   uint64_t NodeBudget) {
-  uint64_t Budget = NodeBudget;
-  IntegerCore.clear();
-  int32_t Root = -1;
-  if (CertOn) {
-    Cert = ConflictCert();
-    InBranch = true;
-  }
-  TheoryResult R = branch(ModelOut, Budget, /*Depth=*/0, Root);
-  InBranch = false;
-  if (R == TheoryResult::Unsat) {
-    std::sort(IntegerCore.begin(), IntegerCore.end());
-    IntegerCore.erase(std::unique(IntegerCore.begin(), IntegerCore.end()),
-                      IntegerCore.end());
-    Conflict = IntegerCore;
-    if (CertOn)
-      Cert.Root = Root;
-  } else if (CertOn) {
-    Cert = ConflictCert(); // no refutation to certify
-  }
-  return R;
-}
-
-TheoryResult Simplex::branch(std::vector<int64_t> &ModelOut,
-                             uint64_t &Budget, uint32_t Depth,
-                             int32_t &NodeOut) {
-  NodeOut = -1;
-  if (Budget == 0)
-    return TheoryResult::Unknown;
-  if (Interrupt && Interrupt())
-    return TheoryResult::Unknown;
-  --Budget;
-  if (!checkRational()) {
-    // Leaf of the refutation tree: fold its explanation into the core.
-    // checkRational just recorded the leaf node (when recording is on).
-    IntegerCore.insert(IntegerCore.end(), Conflict.begin(), Conflict.end());
-    if (CertOn)
-      NodeOut = static_cast<int32_t>(Cert.Nodes.size() - 1);
-    return TheoryResult::Unsat;
-  }
-
-  // Find a problem variable with a fractional value. Slack variables
-  // are integer combinations of problem vars, so they need no branching.
-  uint32_t Frac = ~0u;
-  for (uint32_t V : Integral)
-    if (!Beta[V].isInteger()) {
-      Frac = V;
-      break;
-    }
-  if (Frac == ~0u) {
-    // An interrupted checkRational above may have claimed feasibility
-    // spuriously; never hand out a model without re-checking.
-    if (Interrupt && Interrupt())
-      return TheoryResult::Unknown;
-    ModelOut.resize(Integral.size());
-    for (size_t Ord = 0; Ord < Integral.size(); ++Ord)
-      ModelOut[Ord] = Beta[Integral[Ord]].asInt64();
-    return TheoryResult::Sat;
-  }
-
-  Rational Floor = Beta[Frac].floor();
-  bool SawUnknown = false;
-  // Split bounds get the path-depth reason code while recording, so a
-  // leaf can cite the split that constrained it; with recording off the
-  // split carries NoReason exactly as before.
-  const uint32_t SplitReason = CertOn ? SplitBase + Depth : NoReason;
-  int32_t DownNode = -1, UpNode = -1;
-
-  size_t M = mark();
-  if (assertUpper(Frac, Floor, SplitReason)) {
-    TheoryResult R = branch(ModelOut, Budget, Depth + 1, DownNode);
-    if (R == TheoryResult::Sat)
-      return R;
-    if (R == TheoryResult::Unknown)
-      SawUnknown = true;
-  } else {
-    // The split bound clashed with an asserted bound: that bound is part
-    // of the refutation (the split itself resolves away).
-    IntegerCore.insert(IntegerCore.end(), Conflict.begin(), Conflict.end());
-    if (CertOn)
-      DownNode = static_cast<int32_t>(Cert.Nodes.size() - 1);
-  }
-  rollback(M);
-  if (assertLower(Frac, Floor + Rational::one(), SplitReason)) {
-    TheoryResult R = branch(ModelOut, Budget, Depth + 1, UpNode);
-    if (R == TheoryResult::Sat)
-      return R;
-    if (R == TheoryResult::Unknown)
-      SawUnknown = true;
-  } else {
-    IntegerCore.insert(IntegerCore.end(), Conflict.begin(), Conflict.end());
-    if (CertOn)
-      UpNode = static_cast<int32_t>(Cert.Nodes.size() - 1);
-  }
-  rollback(M);
-  if (SawUnknown)
-    return TheoryResult::Unknown;
-  if (CertOn) {
-    Cert.Nodes.push_back(
-        {-1, Frac, Floor.asInt64(), DownNode, UpNode});
-    NodeOut = static_cast<int32_t>(Cert.Nodes.size() - 1);
-  }
-  return TheoryResult::Unsat;
 }

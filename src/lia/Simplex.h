@@ -1,4 +1,4 @@
-//===- lia/Simplex.h - General simplex with branch-and-bound -----*- C++ -*-===//
+//===- lia/Simplex.h - General simplex over exact rationals -----*- C++ -*-===//
 //
 // Part of PosTr, a reproduction of "A Uniform Framework for Handling
 // Position Constraints in String Solving" (PLDI 2025).
@@ -7,15 +7,19 @@
 ///
 /// \file
 /// The theory back-end of the DPLL(T) LIA solver: a Dutertre–de Moura
-/// style general simplex over exact rationals, extended with
-/// branch-and-bound to obtain integer models. This plays the role of Z3's
-/// "Simplex method extended with a branch-and-cut strategy" that the
-/// paper's implementation delegates to (Sec. 8).
+/// style general simplex over exact rationals. It decides rational
+/// feasibility of the asserted bounds and explains every infeasibility
+/// as a Farkas combination. Integrality is not settled here: the
+/// DPLL(T) engine (`lia/Incremental.cpp`) splits on demand, minting an
+/// `x <= floor(beta)` atom for a fractional vertex coordinate and
+/// leaving the case split to the CDCL core. Together they play the role
+/// of the "Simplex method extended with a branch-and-cut strategy" that
+/// the paper's implementation delegates to Z3 for (Sec. 8).
 ///
 /// The tableau maintains one row per registered linear term (a slack
 /// variable); asserted literals become bounds on original or slack
-/// variables. Bounds are snapshot/restorable, which both the DPLL(T)
-/// conflict-minimization loop and the branch-and-bound recursion use.
+/// variables. Bounds are backtracked along an assertion trail
+/// (`mark`/`rollback`) and reset wholesale to a baseline between solves.
 ///
 /// Rows are sparse: sorted column indices with integer numerators over
 /// one common denominator per row. The Parikh/position encoders emit
@@ -33,7 +37,6 @@
 #include "lia/Lia.h"
 #include "lia/Rational.h"
 
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -43,10 +46,6 @@ namespace postr {
 class Budget;
 
 namespace lia {
-
-/// Tri-state outcome of an integer feasibility check. `Unknown` is
-/// produced only when the branch-and-bound node budget is exhausted.
-enum class TheoryResult { Sat, Unsat, Unknown };
 
 /// Cumulative tableau counters (perf triage; tests/GateTest.cpp pins them
 /// on a fixed workload).
@@ -76,14 +75,14 @@ public:
   /// counters are >= 0). INT64_MIN / INT64_MAX mean unbounded.
   void setIntrinsicBounds(Var V, int64_t Lo, int64_t Hi);
 
-  /// Appends a fresh *problem* (integral, branch-and-bound-relevant)
-  /// variable after construction and returns its extended index. This is
-  /// how incremental contexts grow the tableau when the arena mints
-  /// variables between solves: the new variable starts nonbasic at 0 with
-  /// the given intrinsic bounds, no existing row is touched, and the
-  /// current basis stays valid. Note the returned index is in the
-  /// *extended* numbering (it lands after any slack already registered),
-  /// so callers maintain their own arena-var → extended-var map.
+  /// Appends a fresh *problem* (integer) variable after construction and
+  /// returns its extended index. This is how incremental contexts grow
+  /// the tableau when the arena mints variables between solves: the new
+  /// variable starts nonbasic at 0 with the given intrinsic bounds, no
+  /// existing row is touched, and the current basis stays valid. Note the
+  /// returned index is in the *extended* numbering (it lands after any
+  /// slack already registered), so callers maintain their own arena-var →
+  /// extended-var map.
   uint32_t addProblemVar(int64_t Lo = INT64_MIN, int64_t Hi = INT64_MAX);
 
   /// Registers the linear part of \p T (its constant is ignored) and
@@ -97,59 +96,29 @@ public:
 
   /// Opaque token attached to an asserted bound; conflict explanations
   /// report the tokens of the bounds involved. NoReason-tagged bounds
-  /// (intrinsic bounds, branch-and-bound splits) are omitted from
-  /// explanations.
+  /// (intrinsic bounds) are omitted from explanations.
   static constexpr uint32_t NoReason = ~0u;
-
-  /// Reserved reason-code range for branch-and-bound split bounds when
-  /// certificate recording is on: `SplitBase + depth` identifies the
-  /// split at that depth of the current branch path. Codes at or above
-  /// SplitBase never appear in `conflictReasons()` (they resolve away in
-  /// the certificate tree, exactly like NoReason); they only occur in
-  /// `conflictCert()` terms. With recording off, splits carry NoReason
-  /// as before and behavior is bit-identical.
-  static constexpr uint32_t SplitBase = 0x80000000u;
 
   /// One term of a recorded Farkas combination: `Mult` (strictly
   /// positive) times the `Upper` or lower bound of extended variable
   /// `ExtVar`, where `Reason` identifies the bound's origin — the
-  /// asserting literal code, NoReason for an intrinsic bound, or
-  /// `SplitBase + depth` for a branch split on the current path.
+  /// asserting literal code, or NoReason for an intrinsic bound.
   struct FarkasTerm {
     uint32_t Reason = NoReason;
     uint32_t ExtVar = 0;
     bool Upper = false;
     Rational Mult;
   };
-  struct FarkasLeafRec {
-    std::vector<FarkasTerm> Terms;
-  };
-  /// Certificate tree node: terminal Farkas leaf (Leaf >= 0) or an
-  /// integer split `ExtVar <= Floor | ExtVar >= Floor + 1`.
-  struct CertNodeRec {
-    int32_t Leaf = -1;
-    uint32_t ExtVar = 0;
-    int64_t Floor = 0;
-    int32_t Down = -1, Up = -1;
-  };
-  /// Certificate of the most recent conflict: a single-leaf tree for a
-  /// rational conflict (immediate bound clash or infeasible row), a
-  /// proper split tree for an integrality conflict.
-  struct ConflictCert {
-    std::vector<FarkasLeafRec> Leaves;
-    std::vector<CertNodeRec> Nodes;
-    int32_t Root = -1;
-  };
 
   /// Enables Farkas-certificate recording: every subsequent conflict
-  /// (failed assert, failed checkRational, Unsat checkInteger) leaves
-  /// its justification in `conflictCert()`. Off by default — recording
-  /// never changes search decisions, but allocation is not free.
+  /// (failed assert, failed checkRational) leaves its justification in
+  /// `conflictCert()`. Off by default — recording never changes search
+  /// decisions, but allocation is not free.
   void setCertRecording(bool On) { CertOn = On; }
-  /// Certificate of the most recent conflict; valid immediately after a
-  /// false assertUpper/assertLower, a false checkRational, or an Unsat
-  /// checkInteger, while recording is on (Root == -1 otherwise).
-  const ConflictCert &conflictCert() const { return Cert; }
+  /// Farkas combination of the most recent conflict (an immediate bound
+  /// clash or an infeasible row); valid immediately after a false
+  /// assertUpper/assertLower or checkRational while recording is on.
+  const std::vector<FarkasTerm> &conflictCert() const { return Cert; }
 
   /// Asserts value(X) <= U / >= L. Returns false on an immediate bound
   /// conflict, with `conflictReasons()` filled (the caller then reports
@@ -179,30 +148,15 @@ public:
   /// Rational feasibility of the current bounds. On infeasibility,
   /// `conflictReasons()` holds the reasons of an inconsistent bound set
   /// (the violated basic bound plus the blocking nonbasic bounds — the
-  /// standard Dutertre–de Moura explanation).
+  /// standard Dutertre–de Moura explanation). Probes the budget every
+  /// 16th pivot; a stopped probe returns true with the vertex possibly
+  /// infeasible, so a caller that reads a model off it first checks
+  /// that the budget has not tripped.
   bool checkRational();
 
   /// Reasons explaining the most recent assertUpper/assertLower/
   /// checkRational failure, deduplicated, NoReason entries dropped.
   const std::vector<uint32_t> &conflictReasons() const { return Conflict; }
-
-  /// Integer feasibility via branch-and-bound on the problem variables
-  /// (constructor-time originals plus addProblemVar additions, in
-  /// registration order — which is how ModelOut is indexed). On
-  /// Unsat, `conflictReasons()` holds the union of the leaf explanations
-  /// of the refutation tree — a valid integer-infeasibility core over the
-  /// asserted bounds (the branch splits x ≤ f ∨ x ≥ f+1 are integer-valid
-  /// and resolve away).
-  TheoryResult checkInteger(std::vector<int64_t> &ModelOut,
-                            uint64_t NodeBudget = 20000);
-
-  /// Bound snapshot for backtracking (assignment included).
-  struct Snapshot {
-    std::vector<std::optional<Rational>> Lo, Hi;
-    std::vector<Rational> Beta;
-  };
-  Snapshot save() const;
-  void restore(const Snapshot &S);
 
   /// Current assignment of extended variable \p X (valid after a
   /// successful checkRational()).
@@ -214,19 +168,9 @@ public:
   /// True when this tableau picks leaving variables in Bland's order.
   bool blandPivots() const { return BlandPivots; }
 
-  /// Cooperative interruption: when the callback returns true,
-  /// checkInteger() gives up at the next branch node (returning Unknown,
-  /// the same resource-out its budget produces). The QF engine installs
-  /// its deadline-or-cancelled predicate here, so neither a timeout nor
-  /// a raised cancel flag has to sit out a full branch-and-bound tree
-  /// (nodes cost whole Simplex re-checks; budgets alone overran deadlines
-  /// by many seconds).
-  void setInterrupt(std::function<bool()> F) { Interrupt = std::move(F); }
-
   /// Attaches a shared resource budget: tableau-row growth (rowFor) is
-  /// charged against its memory cap. Interruption on trip still flows
-  /// through the interrupt callback, which the owning context points at
-  /// the same budget's checkpoint.
+  /// charged against its memory cap, and checkRational probes it
+  /// ("lia.simplex") every 16th pivot.
   void setBudget(Budget *B) { Bud = B; }
 
 private:
@@ -263,21 +207,15 @@ private:
   /// Entry (R, X) as a normalized rational (zero when absent).
   Rational rowCoeff(uint32_t R, uint32_t X) const;
 
-  TheoryResult branch(std::vector<int64_t> &ModelOut, uint64_t &Budget,
-                      uint32_t Depth, int32_t &NodeOut);
-
-  /// True when \p R should appear in a conflict explanation (lemma):
-  /// NoReason and split codes resolve away.
-  static bool isLemmaReason(uint32_t R) {
-    return R != NoReason && R < SplitBase;
-  }
-  /// Appends a Farkas leaf for the immediate clash of a new bound
-  /// (\p NewReason, \p NewUpper) on \p X against the existing opposite
-  /// bound; returns the new node index. Resets the cert first unless a
-  /// branch-and-bound tree is being built.
-  int32_t recordClashLeaf(uint32_t X, uint32_t NewReason, bool NewUpper);
-  /// Appends a Farkas leaf read off the infeasible row of basic \p B.
-  int32_t recordRowLeaf(uint32_t B, bool NeedIncrease);
+  /// True when \p R should appear in a conflict explanation (lemma).
+  static bool isLemmaReason(uint32_t R) { return R != NoReason; }
+  /// Records the Farkas combination of the immediate clash of a new
+  /// bound (\p NewReason, \p NewUpper) on \p X against the existing
+  /// opposite bound.
+  void recordClashCert(uint32_t X, uint32_t NewReason, bool NewUpper);
+  /// Records the Farkas combination read off the infeasible row of
+  /// basic \p B.
+  void recordRowCert(uint32_t B, bool NeedIncrease);
 
   struct BoundUndo {
     uint32_t X;
@@ -288,11 +226,6 @@ private:
 
   uint32_t NumProblemVars;
   uint32_t NumVars; ///< original + slack
-  /// Extended indices of the problem (integral) variables, in
-  /// registration order: [0, NumProblemVars) then every addProblemVar.
-  /// branch() searches these for fractional values and writes ModelOut
-  /// in this order.
-  std::vector<uint32_t> Integral;
 
   /// Rows: for each basic variable B, Beta[B] == value of row RowOf[B]
   /// under the nonbasic assignment. Sparse — see SparseRow.
@@ -324,19 +257,14 @@ private:
   std::vector<std::optional<Rational>> Lo, Hi;
   std::vector<uint32_t> LoReason, HiReason; ///< per extended variable
 
-  std::function<bool()> Interrupt;
   std::vector<BoundUndo> AssertTrail;
   /// Baseline bound set captured by markBaseline() (sized to the
   /// variable count at capture time; later variables reset to unbounded).
   std::vector<std::optional<Rational>> BaseLo, BaseHi;
   std::vector<uint32_t> BaseLoReason, BaseHiReason;
   std::vector<uint32_t> Conflict;
-  std::vector<uint32_t> IntegerCore; ///< accumulator for branch()
   bool CertOn = false;
-  /// When true, conflict leaves append into the cert under construction
-  /// (checkInteger's tree) instead of resetting it.
-  bool InBranch = false;
-  ConflictCert Cert;
+  std::vector<FarkasTerm> Cert;
   SimplexStats Stats;
   bool BlandPivots;
   Budget *Bud = nullptr;

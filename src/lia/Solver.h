@@ -13,9 +13,11 @@
 /// grows (both polarities — over the integers ¬(t ≤ 0) is t ≥ 1), the
 /// rational relaxation is re-checked incrementally after every
 /// propagation, and infeasibilities become small theory lemmas read off
-/// the conflicting tableau row. Integrality is established by
-/// branch-and-bound on full boolean models only; the 0/1 intrinsic bounds
-/// minted by the Parikh encoder keep those conflicts rare.
+/// the conflicting tableau row. Integrality is checked on full boolean
+/// models only: a fractional vertex coordinate x becomes a fresh split
+/// atom x <= floor(beta(x)) that the CDCL core branches on (splitting on
+/// demand); the 0/1 intrinsic bounds minted by the Parikh encoder keep
+/// those splits rare.
 ///
 /// Satisfiability of quantifier-free LIA is in NP [65]; this solver is the
 /// engine behind the paper's Theorem 7.3 NP procedure.
@@ -69,7 +71,10 @@ struct QfOptions {
 /// Search-core counters of one QF_LIA solve, or summed over several
 /// (MaxRowNnz and Atoms combine by max), for benchmarks and triage.
 struct QfSearchStats {
-  uint64_t Conflicts = 0;      ///< CDCL conflicts (boolean + theory)
+  /// SAT-core conflicts: conflict analyses the CDCL core ran, on a
+  /// falsified clause or on a falsified theory lemma of two or more
+  /// literals above level 0.
+  uint64_t Conflicts = 0;
   uint64_t Propagations = 0;   ///< unit propagations
   uint64_t Decisions = 0;      ///< decision literals
   uint64_t Restarts = 0;       ///< Luby restarts taken
@@ -82,6 +87,10 @@ struct QfSearchStats {
   uint64_t RowsEliminated = 0; ///< rows a pivot substituted into
   uint64_t EntriesMerged = 0;  ///< row entries those substitutions merged
   uint64_t DenNormalizations = 0; ///< row gcd passes that reduced
+  /// Theory vetoes: failed bound assertions, failed rational checks and
+  /// integer splits. A split (its lemma carries a fresh atom) and a unit
+  /// theory lemma never reach conflict analysis, and a boolean conflict
+  /// involves no theory veto, so neither counter bounds the other.
   uint64_t TheoryConflicts = 0;
   uint64_t BudgetTrips = 0;     ///< solves stopped by a resource budget
   uint64_t Solves = 0;          ///< QF solves these counters cover

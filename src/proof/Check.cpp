@@ -301,14 +301,8 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Farkas / branch-tree re-evaluation
+// Farkas re-evaluation
 //===----------------------------------------------------------------------===//
-
-struct PathSplit {
-  uint32_t Var;
-  int64_t Floor;
-  bool UpSide; ///< false: Var <= Floor, true: Var >= Floor+1
-};
 
 class QfChecker {
 public:
@@ -365,7 +359,7 @@ private:
         } else {
           if (static_cast<size_t>(S.Cert) >= P.Certs.size())
             return fail("theory lemma cites missing cert");
-          if (!checkCert(P.Certs[S.Cert], S.Lits))
+          if (!checkLeaf(P.Certs[S.Cert], S.Lits))
             return false;
         }
         R.addClause(S.Lits);
@@ -388,46 +382,14 @@ private:
   }
 
   /// The lemma `¬r1 ∨ … ∨ ¬rk` is justified when the certificate shows
-  /// {r1..rk} ∪ intrinsic bounds jointly infeasible over the integers.
-  bool checkCert(const TheoryCert &C, const std::vector<uint32_t> &Lemma) {
+  /// {r1..rk} ∪ intrinsic bounds jointly infeasible. Accumulates
+  /// Mult · (t <= b) per entry in `<=` normal form; the combination must
+  /// cancel every variable and leave a strictly negative constant:
+  /// 0 <= negative.
+  bool checkLeaf(const FarkasLeaf &Leaf, const std::vector<uint32_t> &Lemma) {
+    ++Stats.FarkasLeaves;
     LemmaLits.clear();
     LemmaLits.insert(Lemma.begin(), Lemma.end());
-    if (C.Root < 0 || static_cast<size_t>(C.Root) >= C.Nodes.size())
-      return fail("theory cert has no root node");
-    Visited.assign(C.Nodes.size(), false);
-    Path.clear();
-    return checkNode(C, C.Root);
-  }
-
-  bool checkNode(const TheoryCert &C, int32_t N) {
-    if (N < 0 || static_cast<size_t>(N) >= C.Nodes.size())
-      return fail("cert node index out of range");
-    if (Visited[static_cast<size_t>(N)])
-      return fail("cert node visited twice (cycle)");
-    Visited[static_cast<size_t>(N)] = true;
-    const CertNode &Nd = C.Nodes[static_cast<size_t>(N)];
-    if (Nd.Leaf >= 0) {
-      if (static_cast<size_t>(Nd.Leaf) >= C.Leaves.size())
-        return fail("cert leaf index out of range");
-      return checkLeaf(C.Leaves[static_cast<size_t>(Nd.Leaf)]);
-    }
-    // Integer split Var <= Floor | Var >= Floor+1: valid for every
-    // integer variable and every integer Floor; both sides must close.
-    Path.push_back({Nd.Var, Nd.Floor, false});
-    if (!checkNode(C, Nd.Down))
-      return false;
-    Path.back().UpSide = true;
-    if (!checkNode(C, Nd.Up))
-      return false;
-    Path.pop_back();
-    return true;
-  }
-
-  /// Accumulates Mult · (t <= b) per entry in `<=` normal form; the
-  /// combination must cancel every variable and leave a strictly
-  /// negative constant: 0 <= negative.
-  bool checkLeaf(const FarkasLeaf &Leaf) {
-    ++Stats.FarkasLeaves;
     Acc.clear();
     KRat Rhs{};
     if (Leaf.Entries.empty())
@@ -477,19 +439,6 @@ private:
         }
         break;
       }
-      case FarkasEntry::Kind::Split: {
-        if (E.Ref >= Path.size())
-          return fail("Farkas entry cites a split off the tree path");
-        const PathSplit &S = Path[E.Ref];
-        if (!S.UpSide) {
-          addAcc(S.Var, M);
-          Rhs = Rhs + M * KRat::make(S.Floor, 1);
-        } else {
-          addAcc(S.Var, KRat::make(-M.N, M.D));
-          Rhs = Rhs + M * KRat::make(-(S.Floor + 1), 1);
-        }
-        break;
-      }
       }
     }
     for (const auto &[V, Coef] : Acc)
@@ -515,8 +464,6 @@ private:
   std::unordered_map<uint32_t, const LinAtom *> Atoms;
   std::unordered_map<uint32_t, const VarBounds *> Bounds;
   std::set<uint32_t> LemmaLits;
-  std::vector<bool> Visited;
-  std::vector<PathSplit> Path;
   std::map<uint32_t, KRat> Acc;
 };
 

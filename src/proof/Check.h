@@ -13,8 +13,9 @@
 /// unit propagation from scratch, and is small enough to audit. A
 /// clause trace is accepted when every learnt clause passes reverse
 /// unit propagation against the live clause DB, every theory lemma's
-/// Farkas/branch-tree certificate re-evaluates to `0 <= negative`, and
-/// the final refutation event conflicts under unit propagation. A
+/// Farkas certificate re-evaluates to `0 <= negative` (a certless one,
+/// an integer split, must pass reverse unit propagation too), and the
+/// final refutation event conflicts under unit propagation. A
 /// trace's mono-root rewrite is accepted when every root is primitive
 /// and every length atom is its predicate's image and among the trace's
 /// atoms. A walk refutation is accepted when a breadth-first search of

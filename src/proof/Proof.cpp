@@ -7,7 +7,7 @@
 // tokens, explicit counts before every list so truncation is always a
 // parse error:
 //
-//   postr-cert 1
+//   postr-cert 2
 //   complete 0|1
 //   disjuncts N
 //   disjunct <i> rule <name>          -- structural short-circuit
@@ -22,9 +22,7 @@
 //          <k> {<x> <coeff>}...       -- a predicate and its length atom
 //     v <var> <lo|*> <hi|*>
 //     atm <satvar> <const> <k> {<var> <coeff>}...
-//     c <id> <leaves> <nodes> <root>
-//     lf <id> <k> { L <lit> <mult> | B <var> u|l <mult> | S <d> <mult> }...
-//     nd <id> lf <leaf>  |  nd <id> sp <var> <floor> <down> <up>
+//     c <id> <k> { L <lit> <mult> | B <var> u|l <mult> }...
 //     i|l|d|f <k> {<lit>}...
 //     t <k> {<lit>}... <certid|->
 //   end
@@ -157,35 +155,15 @@ void serializeQf(std::ostringstream &Out, const QfProof &P) {
     Out << '\n';
   }
   for (size_t I = 0; I < P.Certs.size(); ++I) {
-    const TheoryCert &C = P.Certs[I];
-    Out << "c " << I << ' ' << C.Leaves.size() << ' ' << C.Nodes.size()
-        << ' ' << C.Root << '\n';
-    for (size_t L = 0; L < C.Leaves.size(); ++L) {
-      Out << "lf " << L << ' ' << C.Leaves[L].Entries.size();
-      for (const FarkasEntry &E : C.Leaves[L].Entries) {
-        switch (E.K) {
-        case FarkasEntry::Kind::Lit:
-          Out << " L " << E.Ref;
-          break;
-        case FarkasEntry::Kind::VarBound:
-          Out << " B " << E.Ref << ' ' << (E.Upper ? 'u' : 'l');
-          break;
-        case FarkasEntry::Kind::Split:
-          Out << " S " << E.Ref;
-          break;
-        }
-        Out << ' ' << renderRat(E.Mult);
-      }
-      Out << '\n';
-    }
-    for (size_t N = 0; N < C.Nodes.size(); ++N) {
-      const CertNode &Nd = C.Nodes[N];
-      if (Nd.Leaf >= 0)
-        Out << "nd " << N << " lf " << Nd.Leaf << '\n';
+    Out << "c " << I << ' ' << P.Certs[I].Entries.size();
+    for (const FarkasEntry &E : P.Certs[I].Entries) {
+      if (E.K == FarkasEntry::Kind::Lit)
+        Out << " L " << E.Ref;
       else
-        Out << "nd " << N << " sp " << Nd.Var << ' ' << Nd.Floor << ' '
-            << Nd.Down << ' ' << Nd.Up << '\n';
+        Out << " B " << E.Ref << ' ' << (E.Upper ? 'u' : 'l');
+      Out << ' ' << renderRat(E.Mult);
     }
+    Out << '\n';
   }
   for (const ClauseStep &S : P.Steps) {
     Out << stepTag(S.K) << ' ' << S.Lits.size();
@@ -283,15 +261,6 @@ struct Parser {
     Out = static_cast<int64_t>(V);
     return true;
   }
-  bool i32(int32_t &Out) {
-    int64_t V;
-    if (!i64(V))
-      return false;
-    if (V < INT32_MIN || V > INT32_MAX)
-      return fail("i32 out of range");
-    Out = static_cast<int32_t>(V);
-    return true;
-  }
   bool rat(Rat &Out) {
     std::string T;
     if (!tok(T))
@@ -386,71 +355,34 @@ bool parseQf(Parser &P, DisjunctCert &D) {
         return false;
       Out.Atoms.push_back(std::move(A));
     } else if (Tag == "c") {
-      uint32_t Id, NL, NN;
-      TheoryCert C;
-      if (!P.u32(Id) || !P.u32(NL) || !P.u32(NN) || !P.i32(C.Root))
+      uint32_t Id, NE;
+      FarkasLeaf C;
+      if (!P.u32(Id) || !P.u32(NE))
         return false;
       if (Id != Out.Certs.size())
         return P.fail("cert id out of order");
-      C.Leaves.resize(NL);
-      C.Nodes.resize(NN);
-      for (uint32_t L = 0; L < NL; ++L) {
-        if (!P.nextLine())
+      C.Entries.resize(NE);
+      for (FarkasEntry &E : C.Entries) {
+        std::string K;
+        if (!P.tok(K))
           return false;
-        std::string T;
-        uint32_t LId, NE;
-        if (!P.tok(T) || T != "lf")
-          return P.fail("expected 'lf'");
-        if (!P.u32(LId) || LId != L || !P.u32(NE))
-          return P.fail("bad leaf header");
-        C.Leaves[L].Entries.resize(NE);
-        for (FarkasEntry &E : C.Leaves[L].Entries) {
-          std::string K;
-          if (!P.tok(K))
+        if (K == "L") {
+          E.K = FarkasEntry::Kind::Lit;
+          if (!P.u32(E.Ref))
             return false;
-          if (K == "L") {
-            E.K = FarkasEntry::Kind::Lit;
-            if (!P.u32(E.Ref))
-              return false;
-          } else if (K == "B") {
-            E.K = FarkasEntry::Kind::VarBound;
-            std::string Side;
-            if (!P.u32(E.Ref) || !P.tok(Side))
-              return false;
-            if (Side != "u" && Side != "l")
-              return P.fail("bad bound side");
-            E.Upper = Side == "u";
-          } else if (K == "S") {
-            E.K = FarkasEntry::Kind::Split;
-            if (!P.u32(E.Ref))
-              return false;
-          } else {
-            return P.fail("bad farkas entry kind '" + K + "'");
-          }
-          if (!P.rat(E.Mult))
+        } else if (K == "B") {
+          E.K = FarkasEntry::Kind::VarBound;
+          std::string Side;
+          if (!P.u32(E.Ref) || !P.tok(Side))
             return false;
-        }
-      }
-      for (uint32_t N = 0; N < NN; ++N) {
-        if (!P.nextLine())
-          return false;
-        std::string T, Kind;
-        uint32_t NId;
-        if (!P.tok(T) || T != "nd")
-          return P.fail("expected 'nd'");
-        if (!P.u32(NId) || NId != N || !P.tok(Kind))
-          return P.fail("bad node header");
-        CertNode &Nd = C.Nodes[N];
-        if (Kind == "lf") {
-          if (!P.i32(Nd.Leaf))
-            return false;
-        } else if (Kind == "sp") {
-          if (!P.u32(Nd.Var) || !P.i64(Nd.Floor) || !P.i32(Nd.Down) ||
-              !P.i32(Nd.Up))
-            return false;
+          if (Side != "u" && Side != "l")
+            return P.fail("bad bound side");
+          E.Upper = Side == "u";
         } else {
-          return P.fail("bad node kind '" + Kind + "'");
+          return P.fail("bad farkas entry kind '" + K + "'");
         }
+        if (!P.rat(E.Mult))
+          return false;
       }
       Out.Certs.push_back(std::move(C));
     } else if (Tag == "i" || Tag == "l" || Tag == "t" || Tag == "d" ||
@@ -513,7 +445,7 @@ bool parseWalk(Parser &P, WalkProof &Out) {
 
 std::string proof::serialize(const Certificate &C) {
   std::ostringstream Out;
-  Out << "postr-cert 1\n";
+  Out << "postr-cert 2\n";
   Out << "complete " << (C.Complete ? 1 : 0) << '\n';
   Out << "disjuncts " << C.Disjuncts.size() << '\n';
   for (size_t I = 0; I < C.Disjuncts.size(); ++I) {
@@ -544,7 +476,7 @@ Result<Certificate> proof::parse(std::string_view Text) {
   uint32_t Version = 0;
   if (!P.nextLine() || !P.tok(Tag) || Tag != "postr-cert" || !P.u32(Version))
     return P.fail("expected 'postr-cert <version>' header"), Bail();
-  if (Version != 1)
+  if (Version != 2)
     return P.fail("unsupported version"), Bail();
 
   Certificate C;

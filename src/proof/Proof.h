@@ -21,9 +21,10 @@
 ///    encoding), learnt clauses (checkable by reverse unit propagation),
 ///    theory lemmas (checkable by re-evaluating an attached Farkas
 ///    certificate: a nonnegative rational combination of asserted
-///    bounds summing to `0 <= negative`, with an explicit branch-split
-///    tree for integrality conflicts), DB-reduction deletions, and a
-///    final refutation event (empty-clause or assumption-core). A trace
+///    bounds summing to `0 <= negative`), certless integer splits
+///    `x <= f | x >= f+1` (tautologies over a fresh atom, checkable by
+///    reverse unit propagation), DB-reduction deletions, and a final
+///    refutation event (empty-clause or assumption-core). A trace
 ///    may carry a `MonoRootRewrite` (`mono` and `len` records): the
 ///    disjunct's predicates over powers of one primitive word became
 ///    length atoms of its input, and the kernel checks each atom against
@@ -48,9 +49,9 @@
 /// Atoms tie SAT variables to linear inequalities: SAT var v true means
 /// `Const + Σ Coeff·Var <= 0` over the integer problem variables, false
 /// means `Const + Σ Coeff·Var >= 1` (integer negation). Farkas entries
-/// reference the asserting literal, an intrinsic variable bound, or a
-/// branch split on the current tree path, so the checker reconstructs
-/// each inequality from the tables instead of trusting the emitter.
+/// reference the asserting literal or an intrinsic variable bound, so
+/// the checker reconstructs each inequality from the tables instead of
+/// trusting the emitter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,7 +98,6 @@ struct FarkasEntry {
   enum class Kind : uint8_t {
     Lit,      ///< bound asserted by SAT literal `Ref` (atom table)
     VarBound, ///< intrinsic bound of problem var `Ref`, side `Upper`
-    Split,    ///< branch split at depth `Ref` on the current tree path
   };
   Kind K = Kind::Lit;
   uint32_t Ref = 0;
@@ -105,28 +105,10 @@ struct FarkasEntry {
   Rat Mult;
 };
 
-/// A Farkas leaf: entries summing to a contradiction (all variables
-/// cancel, constant strictly negative).
+/// The certificate of one theory lemma: Farkas entries summing to a
+/// contradiction (all variables cancel, constant strictly negative).
 struct FarkasLeaf {
   std::vector<FarkasEntry> Entries;
-};
-
-/// Branch-and-bound certificate node: either a terminal Farkas leaf or
-/// an integer split `Var <= Floor | Var >= Floor+1` with two subtrees.
-struct CertNode {
-  int32_t Leaf = -1; ///< >= 0: index into TheoryCert::Leaves (terminal)
-  uint32_t Var = 0;
-  int64_t Floor = 0;
-  int32_t Down = -1, Up = -1; ///< node indices of the two branches
-};
-
-/// Certificate attached to one theory lemma. A purely rational conflict
-/// is a single-leaf tree; an integrality conflict is a proper split
-/// tree whose leaves may cite the splits on their path.
-struct TheoryCert {
-  std::vector<FarkasLeaf> Leaves;
-  std::vector<CertNode> Nodes;
-  int32_t Root = -1;
 };
 
 /// One DRUP-style event of the clause trace. Literal codes follow the
@@ -149,7 +131,7 @@ struct QfProof {
   std::vector<LinAtom> Atoms;
   std::vector<VarBounds> Bounds;
   std::vector<ClauseStep> Steps;
-  std::vector<TheoryCert> Certs;
+  std::vector<FarkasLeaf> Certs;
 };
 
 /// One edge of a WalkProof graph; its weight must be non-negative.
@@ -250,7 +232,7 @@ public:
     P.Atoms.push_back({SatVar, Const, std::move(Coeffs)});
   }
   void varBounds(VarBounds B) { P.Bounds.push_back(B); }
-  int32_t addCert(TheoryCert C) {
+  int32_t addCert(FarkasLeaf C) {
     P.Certs.push_back(std::move(C));
     return static_cast<int32_t>(P.Certs.size() - 1);
   }
@@ -290,7 +272,7 @@ public:
   }
 };
 
-/// Renders \p C in the line-based text format (`postr-cert 1` header).
+/// Renders \p C in the line-based text format (`postr-cert 2` header).
 std::string serialize(const Certificate &C);
 
 /// Parses certificate text. Errors carry a line number.

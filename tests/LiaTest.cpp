@@ -327,10 +327,10 @@ TEST(SimplexTest, FeasibleSystem) {
   EXPECT_TRUE(S.assertUpper(R1, Rational(4)));
   EXPECT_TRUE(S.assertUpper(R2, Rational(1)));
   EXPECT_TRUE(S.checkRational());
-  std::vector<int64_t> Model;
-  EXPECT_EQ(S.checkInteger(Model), TheoryResult::Sat);
-  EXPECT_LE(Model[0] + Model[1], 4);
-  EXPECT_LE(Model[0] - Model[1], 1);
+  EXPECT_LE(S.value(R1), Rational(4));
+  EXPECT_LE(S.value(R2), Rational(1));
+  EXPECT_GE(S.value(0), Rational(0));
+  EXPECT_GE(S.value(1), Rational(0));
 }
 
 TEST(SimplexTest, InfeasibleSystem) {
@@ -338,32 +338,6 @@ TEST(SimplexTest, InfeasibleSystem) {
   Simplex S(1);
   EXPECT_TRUE(S.assertLower(0, Rational(3)));
   EXPECT_FALSE(S.assertUpper(0, Rational(2)));
-}
-
-TEST(SimplexTest, RationalFeasibleIntegerInfeasible) {
-  // 2x = 1 (x free): rationally feasible, integrally infeasible.
-  Simplex S(1);
-  uint32_t R = S.rowFor(LinTerm::variable(0) * 2);
-  EXPECT_TRUE(S.assertLower(R, Rational(1)));
-  EXPECT_TRUE(S.assertUpper(R, Rational(1)));
-  EXPECT_TRUE(S.checkRational());
-  std::vector<int64_t> Model;
-  EXPECT_EQ(S.checkInteger(Model), TheoryResult::Unsat);
-}
-
-TEST(SimplexTest, SnapshotRestore) {
-  Simplex S(1);
-  uint32_t R = S.rowFor(LinTerm::variable(0) * 3);
-  Simplex::Snapshot Snap = S.save();
-  EXPECT_TRUE(S.assertLower(R, Rational(6)));
-  EXPECT_TRUE(S.assertUpper(R, Rational(6)));
-  std::vector<int64_t> Model;
-  EXPECT_EQ(S.checkInteger(Model), TheoryResult::Sat);
-  EXPECT_EQ(Model[0], 2);
-  S.restore(Snap);
-  EXPECT_TRUE(S.assertUpper(R, Rational(-3)));
-  EXPECT_EQ(S.checkInteger(Model), TheoryResult::Sat);
-  EXPECT_LE(Model[0], -1);
 }
 
 /// Dense reference tableau with the pre-sparse-rewrite representation
@@ -871,6 +845,39 @@ TEST(SolveQfTest, IntrinsicBoundsRespected) {
   EXPECT_LE(R.Model[X], 7);
   FormulaId G = A.cmp(LinTerm::variable(X), Cmp::Ge, LinTerm(8));
   EXPECT_EQ(solveQF(A, G).V, Verdict::Unsat);
+}
+
+TEST(SolveQfTest, IntegralityConflictIsUnsat) {
+  // 2x = 1 (x free): rationally feasible, integrally infeasible. The
+  // vertex x = 1/2 is split on demand; both branches fail rationally.
+  Arena A;
+  Var X = A.freshVar("x");
+  FormulaId F = A.cmp(LinTerm::variable(X) * 2, Cmp::Eq, LinTerm(1));
+  QfResult R = solveQF(A, F);
+  EXPECT_EQ(R.V, Verdict::Unsat);
+  EXPECT_GE(R.Stats.TheoryConflicts, 1u);
+}
+
+TEST(SolveQfTest, IntegerModelInABox) {
+  // x + y <= 4, x - y <= 1, 3x + 3y >= 7 over x, y >= 0: the vertices the
+  // rational search can land on include fractional ones, the model must
+  // be integral. 3z = 6 pins z = 2 exactly.
+  Arena A;
+  Var X = A.freshVar("x", 0, INT64_MAX), Y = A.freshVar("y", 0, INT64_MAX);
+  Var Z = A.freshVar("z");
+  LinTerm TX = LinTerm::variable(X), TY = LinTerm::variable(Y);
+  FormulaId F = A.conj({
+      A.cmp(TX + TY, Cmp::Le, LinTerm(4)),
+      A.cmp(TX - TY, Cmp::Le, LinTerm(1)),
+      A.cmp(TX * 3 + TY * 3, Cmp::Ge, LinTerm(7)),
+      A.cmp(LinTerm::variable(Z) * 3, Cmp::Eq, LinTerm(6)),
+  });
+  QfResult R = solveQF(A, F);
+  ASSERT_EQ(R.V, Verdict::Sat);
+  EXPECT_LE(R.Model[X] + R.Model[Y], 4);
+  EXPECT_LE(R.Model[X] - R.Model[Y], 1);
+  EXPECT_GE(R.Model[X] + R.Model[Y], 3);
+  EXPECT_EQ(R.Model[Z], 2);
 }
 
 /// Differential test: random small formulae vs brute-force enumeration of

@@ -43,14 +43,10 @@ proof::QfProof tinyFarkasProof() {
   proof::QfProof P;
   P.Atoms.push_back({0, 0, {{0, 1}}});
   P.Atoms.push_back({1, 1, {{0, -1}}});
-  proof::TheoryCert C;
   proof::FarkasLeaf L;
   L.Entries.push_back({proof::FarkasEntry::Kind::Lit, 0, false, {1, 1}});
   L.Entries.push_back({proof::FarkasEntry::Kind::Lit, 2, false, {1, 1}});
-  C.Leaves.push_back(std::move(L));
-  C.Nodes.push_back({0, 0, 0, -1, -1});
-  C.Root = 0;
-  P.Certs.push_back(std::move(C));
+  P.Certs.push_back(std::move(L));
   P.Steps.push_back({proof::ClauseStep::Kind::Input, {0}, -1});
   P.Steps.push_back({proof::ClauseStep::Kind::Input, {2}, -1});
   P.Steps.push_back({proof::ClauseStep::Kind::Theory, {1, 3}, 0});
@@ -105,13 +101,13 @@ TEST(ProofCheckTest, IncompleteStabilizationCertifiesNothing) {
 
 TEST(ProofCheckTest, TamperDroppedFarkasTermRejected) {
   proof::QfProof P = tinyFarkasProof();
-  P.Certs[0].Leaves[0].Entries.pop_back(); // sum no longer cancels x0
+  P.Certs[0].Entries.pop_back(); // sum no longer cancels x0
   EXPECT_FALSE(proof::checkCertificate(wrap(std::move(P))).Ok);
 }
 
 TEST(ProofCheckTest, TamperPerturbedCoefficientRejected) {
   proof::QfProof P = tinyFarkasProof();
-  P.Certs[0].Leaves[0].Entries[0].Mult = {2, 1}; // +2x0 − x0 ≠ 0
+  P.Certs[0].Entries[0].Mult = {2, 1}; // +2x0 − x0 ≠ 0
   EXPECT_FALSE(proof::checkCertificate(wrap(std::move(P))).Ok);
 }
 
@@ -144,6 +140,21 @@ TEST(ProofCheckTest, TamperUseAfterDeleteRejected) {
   EXPECT_NE(Out.Error.find("not RUP"), std::string::npos) << Out.Error;
 }
 
+TEST(ProofCheckTest, TamperCertlessTheoryLemmaRejected) {
+  // A theory step without a certificate is accepted only as a
+  // propositional tautology (an integer split over a fresh atom) that
+  // reverse unit propagation confirms. Dropping the Farkas certificate
+  // of the tiny refutation's lemma {¬a0, ¬a1} leaves a clause RUP cannot
+  // derive from the two unit inputs.
+  proof::QfProof P = tinyFarkasProof();
+  P.Steps[2].Cert = -1;
+  proof::CheckOutcome Out = proof::checkCertificate(wrap(std::move(P)));
+  EXPECT_FALSE(Out.Ok);
+  EXPECT_NE(Out.Error.find("certless theory lemma at step 2 is not RUP"),
+            std::string::npos)
+      << Out.Error;
+}
+
 TEST(ProofCheckTest, TamperTruncatedTraceRejected) {
   proof::QfProof P = tinyFarkasProof();
   P.Steps.pop_back(); // no Final refutation event
@@ -163,9 +174,26 @@ TEST(ProofCheckTest, SerializationRoundTripsByteForByte) {
 
 TEST(ProofCheckTest, GarbageTextRejectedWithLineInfo) {
   EXPECT_FALSE(static_cast<bool>(proof::parse("not a certificate")));
-  std::string Text = proof::serialize(wrap(tinyFarkasProof()));
+  const std::string Good = proof::serialize(wrap(tinyFarkasProof()));
+  ASSERT_TRUE(static_cast<bool>(proof::parse(Good)));
+  auto ExpectRejectedAtLine = [](const std::string &Text) {
+    Result<proof::Certificate> R = proof::parse(Text);
+    ASSERT_FALSE(static_cast<bool>(R));
+    EXPECT_EQ(R.error().rfind("line ", 0), 0u) << R.error();
+  };
+  std::string Text = Good;
   Text.resize(Text.size() / 2); // mid-record truncation
-  EXPECT_FALSE(static_cast<bool>(proof::parse(Text)));
+  ExpectRejectedAtLine(Text);
+  // Another format version is rejected.
+  Text = Good;
+  Text.replace(0, Text.find('\n'), "postr-cert 1");
+  ExpectRejectedAtLine(Text);
+  // So is a Farkas entry of unknown kind.
+  Text = Good;
+  size_t Entry = Text.find(" L 0 1");
+  ASSERT_NE(Entry, std::string::npos) << Text;
+  Text.replace(Entry, 6, " S 0 1");
+  ExpectRejectedAtLine(Text);
 }
 
 //===----------------------------------------------------------------------===//
@@ -391,17 +419,26 @@ TEST(ProofMonoRootTest, AtomOffItsPredicateOrTraceRejected) {
 // Solver-produced traces: solveQF with a QfTraceBuilder attached.
 //===----------------------------------------------------------------------===//
 
-void expectQfUnsatCertified(lia::Arena &A, lia::FormulaId F) {
+/// Solves \p F with a trace attached, expects Unsat, and returns the
+/// kernel's verdict on the trace after a round trip through the text
+/// format, exactly like the pipeline does.
+proof::CheckOutcome qfUnsatChecked(lia::Arena &A, lia::FormulaId F) {
   proof::QfTraceBuilder B;
   lia::QfOptions O;
   O.Proof = &B;
   lia::QfResult R = lia::solveQF(A, F, O);
-  ASSERT_EQ(R.V, Verdict::Unsat);
-  // Round-trip through the text format exactly like the pipeline does.
+  EXPECT_EQ(R.V, Verdict::Unsat);
   std::string Text = proof::serialize(wrap(B.P));
   Result<proof::Certificate> Parsed = proof::parse(Text);
-  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.error();
-  proof::CheckOutcome Out = proof::checkCertificate(*Parsed);
+  if (!Parsed) {
+    ADD_FAILURE() << Parsed.error();
+    return {};
+  }
+  return proof::checkCertificate(*Parsed);
+}
+
+void expectQfUnsatCertified(lia::Arena &A, lia::FormulaId F) {
+  proof::CheckOutcome Out = qfUnsatChecked(A, F);
   EXPECT_TRUE(Out.Ok) << Out.Error;
 }
 
@@ -428,14 +465,20 @@ TEST(ProofQfTest, RowConflictCertified) {
 }
 
 TEST(ProofQfTest, IntegralityConflictCertified) {
-  // 3x − 3y = 1 inside a box: refuting it takes the branch-and-bound
-  // tree with split records, not a single rational Farkas leaf.
+  // 3x − 3y = 1 inside a box: no single rational Farkas combination
+  // refutes it. The search splits on demand, so the trace holds certless
+  // split steps (checked by RUP) beside the Farkas-certified lemmas that
+  // close each branch, and no trusted rule.
   lia::Arena A;
   lia::Var X = A.freshVar("x", 0, 100), Y = A.freshVar("y", 0, 100);
-  expectQfUnsatCertified(A,
-                         A.cmp(lia::LinTerm::variable(X) * 3 -
-                                   lia::LinTerm::variable(Y) * 3,
-                               lia::Cmp::Eq, lia::LinTerm(1)));
+  proof::CheckOutcome Out = qfUnsatChecked(
+      A, A.cmp(lia::LinTerm::variable(X) * 3 - lia::LinTerm::variable(Y) * 3,
+               lia::Cmp::Eq, lia::LinTerm(1)));
+  EXPECT_TRUE(Out.Ok) << Out.Error;
+  EXPECT_GE(Out.Stats.RupChecks, 1u);
+  EXPECT_GE(Out.Stats.FarkasLeaves, 2u);
+  EXPECT_EQ(Out.Stats.TrustedRules, 0u);
+  EXPECT_EQ(Out.Stats.CheckedRefutations, 1u);
 }
 
 TEST(ProofQfTest, BooleanTheoryMixCertified) {
