@@ -261,6 +261,13 @@ struct Parser {
     Out = static_cast<int64_t>(V);
     return true;
   }
+  /// The record line ends after its counted fields.
+  bool end() {
+    std::string T;
+    if (Toks >> T)
+      return fail("trailing token");
+    return true;
+  }
   bool rat(Rat &Out) {
     std::string T;
     if (!tok(T))
@@ -303,10 +310,10 @@ bool parseQf(Parser &P, DisjunctCert &D) {
     if (!P.tok(Tag))
       return false;
     if (Tag == "end")
-      return true;
+      return P.end();
     if (Tag == "len") {
       LenDef L;
-      if (!P.u32(L.StrVar) || !parseTerm(P, L.Coeffs))
+      if (!P.u32(L.StrVar) || !parseTerm(P, L.Coeffs) || !P.end())
         return false;
       if (!D.Rewrite)
         D.Rewrite.emplace();
@@ -325,7 +332,7 @@ bool parseQf(Parser &P, DisjunctCert &D) {
       M.K = static_cast<MonoRootAtom::Kind>(KindIdx);
       M.Cmp = static_cast<MonoRootAtom::Op>(OpIdx);
       if (!parseList(P, M.Root) || !parseList(P, M.Lhs) ||
-          !parseList(P, M.Rhs) || !parseTerm(P, M.Coeffs))
+          !parseList(P, M.Rhs) || !parseTerm(P, M.Coeffs) || !P.end())
         return false;
       if (!D.Rewrite)
         D.Rewrite.emplace();
@@ -333,7 +340,7 @@ bool parseQf(Parser &P, DisjunctCert &D) {
     } else if (Tag == "v") {
       VarBounds B;
       std::string Lo, Hi;
-      if (!P.u32(B.Var) || !P.tok(Lo) || !P.tok(Hi))
+      if (!P.u32(B.Var) || !P.tok(Lo) || !P.tok(Hi) || !P.end())
         return false;
       __int128 V;
       if (Lo != "*") {
@@ -351,7 +358,8 @@ bool parseQf(Parser &P, DisjunctCert &D) {
       Out.Bounds.push_back(B);
     } else if (Tag == "atm") {
       LinAtom A;
-      if (!P.u32(A.SatVar) || !P.i64(A.Const) || !parseTerm(P, A.Coeffs))
+      if (!P.u32(A.SatVar) || !P.i64(A.Const) || !parseTerm(P, A.Coeffs) ||
+          !P.end())
         return false;
       Out.Atoms.push_back(std::move(A));
     } else if (Tag == "c") {
@@ -384,6 +392,8 @@ bool parseQf(Parser &P, DisjunctCert &D) {
         if (!P.rat(E.Mult))
           return false;
       }
+      if (!P.end())
+        return false;
       Out.Certs.push_back(std::move(C));
     } else if (Tag == "i" || Tag == "l" || Tag == "t" || Tag == "d" ||
                Tag == "f") {
@@ -411,6 +421,8 @@ bool parseQf(Parser &P, DisjunctCert &D) {
           S.Cert = static_cast<int32_t>(V);
         }
       }
+      if (!P.end())
+        return false;
       Out.Steps.push_back(std::move(S));
     } else {
       return P.fail("unknown record '" + Tag + "'");
@@ -424,19 +436,20 @@ bool parseWalk(Parser &P, WalkProof &Out) {
   if (!P.nextLine() || !P.tok(Tag) || Tag != "walk")
     return P.fail("expected 'walk' header");
   if (!P.u32(Out.NumNodes) || !P.u32(NumEdges) || !P.u32(NumTargets) ||
-      !P.u32(Out.StartNode) || !P.i64(Out.StartValue) || !P.i64(Out.Bound))
+      !P.u32(Out.StartNode) || !P.i64(Out.StartValue) || !P.i64(Out.Bound) ||
+      !P.end())
     return false;
   Out.Edges.resize(NumEdges);
   for (WalkEdge &E : Out.Edges)
     if (!P.nextLine() || !P.tok(Tag) || Tag != "e" || !P.u32(E.From) ||
-        !P.u32(E.To) || !P.i64(E.Weight))
+        !P.u32(E.To) || !P.i64(E.Weight) || !P.end())
       return P.fail("bad walk edge");
   Out.Targets.resize(NumTargets);
   for (WalkTarget &T : Out.Targets)
     if (!P.nextLine() || !P.tok(Tag) || Tag != "t" || !P.u32(T.Node) ||
-        !P.i64(T.Lo) || !P.i64(T.Hi))
+        !P.i64(T.Lo) || !P.i64(T.Hi) || !P.end())
       return P.fail("bad walk target");
-  if (!P.nextLine() || !P.tok(Tag) || Tag != "end")
+  if (!P.nextLine() || !P.tok(Tag) || Tag != "end" || !P.end())
     return P.fail("expected 'end' after walk targets");
   return true;
 }
@@ -474,18 +487,20 @@ Result<Certificate> proof::parse(std::string_view Text) {
 
   std::string Tag;
   uint32_t Version = 0;
-  if (!P.nextLine() || !P.tok(Tag) || Tag != "postr-cert" || !P.u32(Version))
+  if (!P.nextLine() || !P.tok(Tag) || Tag != "postr-cert" ||
+      !P.u32(Version) || !P.end())
     return P.fail("expected 'postr-cert <version>' header"), Bail();
   if (Version != 2)
     return P.fail("unsupported version"), Bail();
 
   Certificate C;
   uint32_t Complete = 0, NumDisjuncts = 0;
-  if (!P.nextLine() || !P.tok(Tag) || Tag != "complete" || !P.u32(Complete))
+  if (!P.nextLine() || !P.tok(Tag) || Tag != "complete" ||
+      !P.u32(Complete) || !P.end())
     return P.fail("expected 'complete 0|1'"), Bail();
   C.Complete = Complete != 0;
   if (!P.nextLine() || !P.tok(Tag) || Tag != "disjuncts" ||
-      !P.u32(NumDisjuncts))
+      !P.u32(NumDisjuncts) || !P.end())
     return P.fail("expected 'disjuncts N'"), Bail();
 
   C.Disjuncts.resize(NumDisjuncts);
@@ -502,18 +517,20 @@ Result<Certificate> proof::parse(std::string_view Text) {
       D.IsRule = true;
       if (!P.tok(D.Rule))
         return P.fail("missing rule name"), Bail();
+      if (!P.end())
+        return Bail();
     } else if (Kind == "walk") {
-      if (!parseWalk(P, D.Walk.emplace()))
+      if (!P.end() || !parseWalk(P, D.Walk.emplace()))
         return Bail();
     } else if (Kind == "qf") {
-      if (!parseQf(P, D))
+      if (!P.end() || !parseQf(P, D))
         return Bail();
     } else {
       return P.fail("bad disjunct kind '" + Kind + "'"), Bail();
     }
   }
 
-  if (!P.nextLine() || !P.tok(Tag) || Tag != "unsat")
+  if (!P.nextLine() || !P.tok(Tag) || Tag != "unsat" || !P.end())
     return P.fail("expected trailing 'unsat' verdict line"), Bail();
   return Result<Certificate>::success(std::move(C));
 }

@@ -191,7 +191,10 @@ struct MonoRootAtom {
 /// occurrence counts, and that the atom, read through the length terms,
 /// is among the trace's atoms. That every language lies in r* is
 /// trusted encoding, like a walk graph's construction; the lemma behind
-/// the rewrite is metatheory.
+/// the rewrite is metatheory. A `len` term is either a Parikh length
+/// (the sum of a variable's transition counts) or a bare length
+/// variable bounded below by 0: solveMP refutes the atoms over bare
+/// lengths first, and such a trace trusts no encoding of the languages.
 struct MonoRootRewrite {
   std::vector<LenDef> Lens;
   std::vector<MonoRootAtom> Atoms;

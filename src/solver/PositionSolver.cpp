@@ -508,6 +508,8 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   // else falls through to the full encoding, on an arena and a budget the
   // attempt never touched. When every ≠ is mono-root, solveMP's own
   // rewrite is this same attempt, made exact, so it is not run twice.
+  // solveMP's length abstraction is the converse: it keeps only the
+  // mono-root atoms and over-approximates, so only its Unsat is taken.
   if (!Preds.empty() && !AllMonoRoot &&
       std::all_of(Preds.begin(), Preds.end(), [](const PosPredicate &Pred) {
         return Pred.Kind == PredKind::Diseq;

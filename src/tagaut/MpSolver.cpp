@@ -151,6 +151,34 @@ proof::MonoRootAtom rewriteRecord(const PosPredicate &P, const Word &Root) {
   return M;
 }
 
+/// Attaches to \p Out's certificate the rewrite its clause trace over
+/// \p Goal rests on: every rewritten predicate and the length term, out
+/// of \p LenTerms, of each variable it reads. A goal folded to false
+/// defines no atom, so then only the atoms that folded too (a false one
+/// refutes the disjunct) are the trace's.
+void attachRewrite(MpResult &Out, const lia::Arena &A, lia::FormulaId Goal,
+                   std::vector<proof::MonoRootAtom> Records,
+                   const std::vector<lia::FormulaId> &AtomFs,
+                   const std::map<VarId, lia::LinTerm> &LenTerms) {
+  auto Folded = [&A](lia::FormulaId F) {
+    return A.kind(F) == lia::FKind::True || A.kind(F) == lia::FKind::False;
+  };
+  if (A.kind(Goal) == lia::FKind::False)
+    for (size_t I = Records.size(); I-- > 0;)
+      if (!Folded(AtomFs[I]))
+        Records.erase(Records.begin() + static_cast<ptrdiff_t>(I));
+  if (Records.empty())
+    return;
+  proof::MonoRootRewrite &Rw = Out.Cert.Rewrite.emplace();
+  std::set<VarId> Read;
+  for (const proof::MonoRootAtom &M : Records)
+    for (const auto &Mono : M.Coeffs)
+      Read.insert(Mono.first);
+  for (VarId X : Read)
+    Rw.Lens.push_back({X, LenTerms.at(X).coeffs()});
+  Rw.Atoms = std::move(Records);
+}
+
 } // namespace
 
 lia::FormulaId
@@ -260,6 +288,55 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     }
   }
 
+  // I′ over the length terms \p LenTerms beside \p Parts: the caller's
+  // integer constraints and every length atom, whose formulas are left
+  // in \p AtomFs for the rewrite record.
+  auto LengthGoal = [&](std::vector<lia::FormulaId> Parts,
+                        const std::map<VarId, lia::LinTerm> &LenTerms,
+                        std::vector<lia::FormulaId> &AtomFs) {
+    if (IntConstraints)
+      Parts.push_back(IntConstraints(A, LenTerms));
+    for (const LenAtom &At : Atoms)
+      AtomFs.push_back(lenAtomFormula(A, LenTerms, At));
+    Parts.insert(Parts.end(), AtomFs.begin(), AtomFs.end());
+    return A.conj(std::move(Parts));
+  };
+
+  // Length abstraction: I′ and the length atoms over bare lengths
+  // ℓ_x ≥ 0, the other predicates dropped. Every model's lengths satisfy
+  // it, so its Unsat is the disjunct's, and its refutation trusts no
+  // encoding of the languages. Only a Sat leads on to the Parikh encoding.
+  if (!Atoms.empty()) {
+    std::map<VarId, lia::LinTerm> Bare;
+    for (const auto &[X, Nfa] : Langs) {
+      (void)Nfa;
+      Bare.emplace(X, lia::LinTerm::variable(
+                          A.freshVar("len.bare.x" + std::to_string(X), 0)));
+    }
+    std::vector<lia::FormulaId> AtomFs;
+    lia::FormulaId Goal = LengthGoal({}, Bare, AtomFs);
+    lia::QfOptions Qf;
+    Qf.Budget = Bud;
+    proof::QfTraceBuilder Trace;
+    if (Opts.Certify)
+      Qf.Proof = &Trace;
+    lia::QfResult R = lia::solveQF(A, Goal, Qf);
+    Out.Qf = R.Stats;
+    if (R.V == Verdict::Unsat) {
+      Out.V = Verdict::Unsat;
+      if (Opts.Certify) {
+        Out.Cert.Proof = std::move(Trace.P);
+        attachRewrite(Out, A, Goal, std::move(Records), AtomFs, Bare);
+      }
+      return Out;
+    }
+    if (R.V == Verdict::Unknown) {
+      Out.V = Verdict::Unknown;
+      Out.Stop = R.Stop;
+      return Out;
+    }
+  }
+
   // Thm. 6.5's side condition; callers run heuristics before this point.
   if (!notContainsVarsFlat(Langs, Rest)) {
     Out.V = Verdict::Unknown;
@@ -311,14 +388,8 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     return Out;
   }
 
-  std::vector<lia::FormulaId> GoalParts{Enc.Outer};
-  if (IntConstraints)
-    GoalParts.push_back(IntConstraints(A, Enc.LenTerms));
   std::vector<lia::FormulaId> AtomFs;
-  for (const LenAtom &At : Atoms)
-    AtomFs.push_back(lenAtomFormula(A, Enc.LenTerms, At));
-  GoalParts.insert(GoalParts.end(), AtomFs.begin(), AtomFs.end());
-  lia::FormulaId Goal = A.conj(std::move(GoalParts));
+  lia::FormulaId Goal = LengthGoal({Enc.Outer}, Enc.LenTerms, AtomFs);
 
   if (Enc.Blocks.empty()) {
     lia::QfOptions Qf;
@@ -355,30 +426,10 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     };
     lia::QfResult R = lia::solveQF(A, Goal, Qf, Refine);
     Out.V = ExceededCuts ? Verdict::Unknown : R.V;
-    Out.Qf = R.Stats;
+    Out.Qf += R.Stats;
     if (Opts.Certify && Out.V == Verdict::Unsat) {
       Out.Cert.Proof = std::move(Trace.P);
-      // The rewrite the trace rests on: every rewritten predicate and the
-      // length term of each variable it reads. A goal folded to false
-      // defines no atom, so then only the atoms that folded too (a false
-      // one refutes the disjunct) are the trace's.
-      auto Folded = [&A](lia::FormulaId F) {
-        return A.kind(F) == lia::FKind::True || A.kind(F) == lia::FKind::False;
-      };
-      if (A.kind(Goal) == lia::FKind::False)
-        for (size_t I = Records.size(); I-- > 0;)
-          if (!Folded(AtomFs[I]))
-            Records.erase(Records.begin() + static_cast<ptrdiff_t>(I));
-      if (!Records.empty()) {
-        proof::MonoRootRewrite &Rw = Out.Cert.Rewrite.emplace();
-        std::set<VarId> Read;
-        for (const proof::MonoRootAtom &M : Records)
-          for (const auto &Mono : M.Coeffs)
-            Read.insert(Mono.first);
-        for (VarId X : Read)
-          Rw.Lens.push_back({X, Enc.LenTerms.at(X).coeffs()});
-        Rw.Atoms = std::move(Records);
-      }
+      attachRewrite(Out, A, Goal, std::move(Records), AtomFs, Enc.LenTerms);
     }
     if (Out.V == Verdict::Unknown)
       // Exhausted cut rounds are an engine-internal cap, not a shared-

@@ -68,15 +68,20 @@ struct MpResult {
   /// True when the call reached the MBQI loop (a ¬contains predicate was
   /// left after the mono-root rewrite).
   bool UsedMbqi = false;
-  /// The quantifier-free solve's counters, whatever its verdict; zero
-  /// when no QF solve ran (a rule decided the call, or the MBQI loop did,
-  /// whose counters MbqiOptions::Stats collects).
+  /// The quantifier-free solves' counters, whatever the verdict: the
+  /// length abstraction's and the full encoding's, summed. Zero when no
+  /// QF solve ran (a rule decided the call, or the MBQI loop did, whose
+  /// counters MbqiOptions::Stats collects).
   lia::QfSearchStats Qf;
 };
 
-/// Builds the I′ part: invoked after encoding with the per-variable
-/// length terms so `x_i = len(y…)` constraints (Sec. 6.1) and plain LIA
-/// atoms can be expressed over them. May return `A.trueF()`.
+/// Builds the I′ part over the per-variable length terms, so
+/// `x_i = len(y…)` constraints (Sec. 6.1) and plain LIA atoms can be
+/// expressed over them. May return `A.trueF()`. It may be called twice
+/// on one arena: first over bare lengths (the length abstraction of
+/// `solveMP`), then, if that is Sat, over the encoder's Parikh length
+/// terms. Integer handles it mints are shared by both goals; each call
+/// must build its own ties of them to the length terms it is given.
 using IntConstraintBuilder = std::function<lia::FormulaId(
     lia::Arena &A, const std::map<VarId, lia::LinTerm> &LenTerms)>;
 
@@ -110,11 +115,15 @@ LenAtom monoRootAtom(const PosPredicate &P);
 /// Decides R′ ∧ I′ ∧ P′. The caller owns \p A and may have minted integer
 /// variables in it (e.g. for str.at position terms) before the call.
 /// A mono-root predicate (see `monoRoot`) leaves P′ and its length atom
-/// joins I′; the rewrite is exact, so both verdicts stand. A ¬contains
-/// left after it goes to the MBQI loop. The pipeline passes only those
-/// whose haystack can be strictly longer than the needle; it solves a
-/// ¬contains whose needle covers its haystack as the ≠ of its sides,
-/// which is exact. Returns Unknown when a ¬contains predicate left after
+/// joins I′; the rewrite is exact, so both verdicts stand. When any
+/// predicate was rewritten, I′ and the length atoms are first solved over
+/// bare lengths ℓ_x ≥ 0 with the other predicates dropped. That
+/// over-approximates, so its Unsat (certified over the ℓ_x) is the
+/// answer; only a Sat goes on to the Parikh encoding, and `MpResult::Qf`
+/// then sums both solves. A ¬contains left after the rewrite goes to the
+/// MBQI loop. The pipeline passes only those whose haystack can be
+/// strictly longer than the needle; it solves a ¬contains whose needle
+/// covers its haystack as the ≠ of its sides, which is exact. Returns Unknown when a ¬contains predicate left after
 /// the rewrite ranges over a non-flat language (callers apply the Sec. 8
 /// heuristics first) or on resource exhaustion.
 MpResult solveMP(lia::Arena &A,

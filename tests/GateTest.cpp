@@ -368,6 +368,11 @@ TEST(GateTest, MonoRootFootnote10DrawsAreCheckedLengthAtoms) {
     (check-sat))");
   expectMonoRootUnsat(Draw18);
   EXPECT_EQ(Draw18.Stats.MpCalls, 1u);
+  // Refuted by its length atom 0 > |x2| over bare lengths alone, with no
+  // Parikh encoding of a*: one QF solve of one atom, no pivot.
+  EXPECT_EQ(Draw18.Stats.Qf.Solves, 1u);
+  EXPECT_EQ(Draw18.Stats.Qf.Atoms, 1u);
+  EXPECT_EQ(Draw18.Stats.Qf.Pivots, 0u);
 
   // Draw #103 of seed 12: the deadline fixture
   // tests/deadline/notcontains_mixed_root.smt2 without its z.

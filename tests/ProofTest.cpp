@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 using namespace postr;
@@ -413,6 +414,31 @@ TEST(ProofMonoRootTest, AtomOffItsPredicateOrTraceRejected) {
   Out = proof::checkCertificate(C);
   EXPECT_FALSE(Out.Ok);
   EXPECT_NE(Out.Error.find("trace"), std::string::npos) << Out.Error;
+}
+
+TEST(ProofParseTest, TrailingTokenRejected) {
+  // Every record ends after its counted fields: one token more, on a
+  // Farkas line, a length term, a mono-root atom or a walk edge, is
+  // rejected at its line rather than dropped unread.
+  auto ExpectTrailingRejected = [](std::string Text, const std::string &Rec,
+                                   const std::string &Extra) {
+    size_t At = Text.find(Rec);
+    ASSERT_NE(At, std::string::npos) << Rec << " in " << Text;
+    size_t Eol = Text.find('\n', At + 1);
+    Text.insert(Eol, Extra);
+    size_t Line = 1 + std::count(Text.begin(), Text.begin() + Eol, '\n');
+    Result<proof::Certificate> R = proof::parse(Text);
+    ASSERT_FALSE(static_cast<bool>(R)) << Text;
+    EXPECT_EQ(R.error(), "line " + std::to_string(Line) + ": trailing token")
+        << Text;
+  };
+  ExpectTrailingRejected(proof::serialize(wrap(tinyFarkasProof())), "\nc 0 ",
+                         " L 99 7");
+  std::string Mono = proof::serialize(monoRootCert(NotPrefixMonoRoot));
+  ExpectTrailingRejected(Mono, "\nlen ", " 0");
+  ExpectTrailingRejected(Mono, "\nmono ", " 0");
+  ExpectTrailingRejected(proof::serialize(wrapWalk(tinyWalkProof())),
+                         "\ne 0 1 2", " 5");
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,6 +11,7 @@
 
 #include "base/Budget.h"
 #include "counter/OneCounter.h"
+#include "proof/Check.h"
 #include "regex/Regex.h"
 #include "solver/BruteForce.h"
 #include "solver/Semantics.h"
@@ -506,6 +507,7 @@ const RootShape RootShapes[] = {
     {"(ab)*", "(ab)+", "", true},                  // r*, r+, ε only
     {"", "", "", true},                            // ε only
     {"a*", "(aa)*", "a+", true},                   // unary r, r², r+
+    {"ab", "(ab)*", "ab", true},                   // x, z ∈ {ab}
     {"(ab)*", "(ab)+", "(ab)*a", false},           // z off the root
     {"(ab)*", "(ab)*", "(ab)*b(ab)*", false},      // z off the root
 };
@@ -517,17 +519,34 @@ const std::pair<std::vector<VarId>, std::vector<VarId>> RootSides[] = {
 const PredKind RootKinds[] = {PredKind::Diseq, PredKind::NotPrefix,
                               PredKind::NotSuffix, PredKind::NotContains};
 
+/// Kernel verdict on \p R's certificate after a round trip through the
+/// text format, as the pipeline checks it.
+proof::CheckOutcome checkedCert(const MpResult &R) {
+  proof::Certificate C;
+  C.Disjuncts.push_back(R.Cert);
+  Result<proof::Certificate> Parsed = proof::parse(proof::serialize(C));
+  if (!Parsed) {
+    ADD_FAILURE() << Parsed.error();
+    return {};
+  }
+  return proof::checkCertificate(*Parsed);
+}
+
 TEST(MonoRootTest, RewriteFiresExactlyOnOneRootAndAgreesWithOracles) {
   // Each shape, side pair and kind. The rewrite must fire exactly on the
   // mono-root shapes. A mono-root predicate must be decided (its length
   // atom is exact) without MBQI; every Sat model must satisfy it
   // (Mp::solve checks evalSystem), an Unsat must survive the brute-force
-  // oracle, and ≠ / ¬prefixof / ¬suffixof must agree with the one-counter
-  // search wherever it decides. Off-root ¬contains goes through MBQI on a
-  // step limit, and its decided verdicts face the same checks; off-root
-  // ≠ / ¬prefixof / ¬suffixof are the one-counter fast path's, and the
-  // full encoding runs for seconds on them.
+  // oracle and the kernel, and ≠ / ¬prefixof / ¬suffixof must agree with
+  // the one-counter search wherever it decides. A mono-root Unsat is
+  // refuted either by the length abstraction alone (one QF solve) or,
+  // when the abstraction is Sat, by the Parikh encoding after it (two).
+  // Off-root ¬contains goes through MBQI on a step limit, and its decided
+  // verdicts face the same checks; off-root ≠ / ¬prefixof / ¬suffixof are
+  // the one-counter fast path's, and the full encoding runs for seconds
+  // on them.
   uint32_t MonoSat = 0, MonoUnsat = 0, OffDecided = 0;
+  uint32_t ByAbstraction = 0, FellThrough = 0;
   for (const RootShape &Shape : RootShapes)
     for (const auto &[Lhs, Rhs] : RootSides)
       for (PredKind Kind : RootKinds) {
@@ -549,6 +568,7 @@ TEST(MonoRootTest, RewriteFiresExactlyOnOneRootAndAgreesWithOracles) {
         Budget Bud(Budget::Limits{0, 0, 10'000, nullptr});
         MpOptions Opts;
         Opts.Budget = &Bud;
+        Opts.Certify = true;
         MpResult R = M.solve(Opts);
         if (Shape.MonoRoot) {
           ASSERT_NE(R.V, Verdict::Unknown) << Where;
@@ -562,6 +582,18 @@ TEST(MonoRootTest, RewriteFiresExactlyOnOneRootAndAgreesWithOracles) {
           BfOpts.MaxWordLen = 4;
           EXPECT_NE(solveBruteForce(M.Langs, M.Preds, BfOpts).V, Verdict::Sat)
               << Where;
+          proof::CheckOutcome CO = checkedCert(R);
+          EXPECT_TRUE(CO.Ok) << Where << ": " << CO.Error;
+          if (Shape.MonoRoot) {
+            EXPECT_EQ(CO.Stats.TrustedRules, 0u) << Where;
+            EXPECT_EQ(CO.Stats.MonoRootAtoms, 1u) << Where;
+            if (R.Qf.Solves == 1)
+              ++ByAbstraction;
+            else if (R.Qf.Solves == 2)
+              ++FellThrough;
+            else
+              ADD_FAILURE() << Where << ": " << R.Qf.Solves << " QF solves";
+          }
         }
         if (Kind != PredKind::NotContains) {
           counter::OneCounterOptions OcOpts;
@@ -575,6 +607,33 @@ TEST(MonoRootTest, RewriteFiresExactlyOnOneRootAndAgreesWithOracles) {
   EXPECT_GT(MonoSat, 0u);
   EXPECT_GT(MonoUnsat, 0u);
   EXPECT_GT(OffDecided, 0u);
+  EXPECT_GT(ByAbstraction, 0u);
+  EXPECT_GT(FellThrough, 0u);
+
+  // x, y ∈ {ab} and x ≠ y: |x| ≠ |y| is Sat over bare lengths, so the
+  // Parikh encoding refutes it, and the rewrite record reads the Parikh
+  // length terms, never the abstraction's bare ones.
+  Mp M;
+  VarId X = M.var("ab"), Y = M.var("ab");
+  M.Preds.push_back({PredKind::Diseq, {X}, {Y}, {}});
+  M.finalize();
+  lia::Arena A;
+  MpOptions Opts;
+  Opts.Certify = true;
+  MpResult R = solveMP(A, M.Langs, M.Preds, M.Sigma.size(), nullptr, Opts);
+  ASSERT_EQ(R.V, Verdict::Unsat);
+  EXPECT_EQ(R.Qf.Solves, 2u);
+  ASSERT_TRUE(R.Cert.Rewrite.has_value());
+  ASSERT_EQ(R.Cert.Rewrite->Lens.size(), 2u);
+  for (const proof::LenDef &L : R.Cert.Rewrite->Lens) {
+    ASSERT_FALSE(L.Coeffs.empty());
+    for (const auto &[V, C] : L.Coeffs)
+      EXPECT_NE(A.varName(V).rfind("len.bare.", 0), 0u) << A.varName(V);
+  }
+  proof::CheckOutcome CO = checkedCert(R);
+  EXPECT_TRUE(CO.Ok) << CO.Error;
+  EXPECT_EQ(CO.Stats.TrustedRules, 0u);
+  EXPECT_EQ(CO.Stats.MonoRootAtoms, 1u);
 }
 
 //===----------------------------------------------------------------------===
