@@ -27,6 +27,7 @@
 #ifndef POSTR_BENCH_COMMON_H
 #define POSTR_BENCH_COMMON_H
 
+#include "base/Budget.h"
 #include "solver/Baselines.h"
 #include "solver/PositionSolver.h"
 #include "workloads/Workloads.h"
@@ -84,8 +85,9 @@ inline RunOutcome runSolver(const std::string &Name,
     O.TimeoutMs = TimeoutMs;
     V = solver::solveProblem(P, O).V;
   } else if (Name == "eq-reduction") {
+    Budget Deadline(Budget::Limits{TimeoutMs, 0, 0, nullptr});
     solver::EqReductionOptions O;
-    O.TimeoutMs = TimeoutMs;
+    O.Budget = &Deadline;
     V = solver::solveEqReduction(P, O).V;
   } else if (Name == "enum-guess") {
     solver::EnumOptions O;
@@ -93,8 +95,9 @@ inline RunOutcome runSolver(const std::string &Name,
     O.MaxWordLen = 4; // cvc5-profile guessing: shallow but fast
     V = solver::solveEnum(P, O).V;
   } else if (Name == "eq-lowfuel") {
+    Budget Deadline(Budget::Limits{TimeoutMs, 0, 0, nullptr});
     solver::EqReductionOptions O;
-    O.TimeoutMs = TimeoutMs;
+    O.Budget = &Deadline;
     O.MaxBranches = 32;
     O.Stabilize.Fuel = 500;
     V = solver::solveEqReduction(P, O).V;

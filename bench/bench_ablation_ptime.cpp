@@ -65,8 +65,7 @@ void BM_OcaPath(benchmark::State &State) {
 void BM_LiaPath(benchmark::State &State) {
   Instance S = makeInstance(static_cast<uint32_t>(State.range(0)), 7);
   for (auto _ : State) {
-    lia::Arena A;
-    MpResult R = solveMP(A, S.Langs, S.Preds, S.Sigma.size());
+    MpResult R = solveMP(S.Langs, S.Preds, S.Sigma.size());
     benchmark::DoNotOptimize(R.V);
   }
 }

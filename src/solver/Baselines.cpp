@@ -38,7 +38,8 @@ struct Branch {
 class EqReducer {
 public:
   EqReducer(const Problem &P, const EqReductionOptions &Opts)
-      : P(P), Opts(Opts), Bud(callLimits(Opts.Budget, Opts.TimeoutMs)) {}
+      : P(P), Opts(Opts),
+        Bud(Opts.Budget ? Opts.Budget->childLimits() : Budget::Limits()) {}
 
   SolveResult run();
 
@@ -80,7 +81,7 @@ private:
 
   const Problem &P;
   EqReductionOptions Opts;
-  /// The call's one budget: TimeoutMs within Opts.Budget.
+  /// The call's one budget, a child of Opts.Budget when one is given.
   Budget Bud;
   StopReason Stop = StopReason::None;
   NormalForm NF;
@@ -240,31 +241,15 @@ Verdict EqReducer::solveBranchSystem(
   for (const eq::Decomposition &D : Stab.Disjuncts) {
     if (stopped())
       return Verdict::Unknown;
-    lia::Arena A;
-    tagaut::IntConstraintBuilder IntBuilder =
-        [&](lia::Arena &Ar, const std::map<VarId, lia::LinTerm> &LenTerms)
-        -> lia::FormulaId {
-      auto ToLin = [&](const IntTerm &T) {
-        lia::LinTerm Out(T.Const);
-        assert(T.IntVars.empty() &&
-               "eq-reduction baseline supports length terms only");
-        for (auto [X, C] : T.LenVars) {
-          lia::LinTerm Sum;
-          for (VarId Term : D.Subst.at(X))
-            Sum += LenTerms.at(Term);
-          Out += Sum * C;
-        }
-        return Out;
-      };
-      std::vector<lia::FormulaId> Parts;
-      for (const NormIntAtom &Atom : Atoms)
-        Parts.push_back(Ar.cmp(ToLin(Atom.Lhs), Atom.Op, ToLin(Atom.Rhs)));
-      return Ar.conj(std::move(Parts));
-    };
+    tagaut::IntSide Ints;
+    Ints.NumInts = NF.NumIntVars;
+    for (const NormIntAtom &At : Atoms)
+      Ints.Atoms.push_back({lowerIntTerm(Ints, D, At.Lhs), At.Op,
+                            lowerIntTerm(Ints, D, At.Rhs)});
     tagaut::MpOptions MpOpts;
     MpOpts.Budget = &Bud;
     tagaut::MpResult R =
-        tagaut::solveMP(A, D.Langs, {}, NF.Sigma.size(), IntBuilder, MpOpts);
+        tagaut::solveMP(D.Langs, {}, NF.Sigma.size(), Ints, MpOpts);
     if (R.V == Verdict::Sat)
       return Verdict::Sat;
     if (R.V == Verdict::Unknown) {

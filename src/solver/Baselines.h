@@ -34,13 +34,12 @@ namespace postr {
 namespace solver {
 
 struct EqReductionOptions {
-  uint64_t TimeoutMs = 0;
   /// Hard cap on expanded predicate branches (the cross product over
   /// predicates); beyond it the solver answers Unknown.
   uint32_t MaxBranches = 4096;
-  /// Optional shared resource budget. Composes with TimeoutMs: the call
-  /// runs on one child of it whose deadline is the tighter of the two.
-  /// That budget is threaded into stabilization and every branch solve.
+  /// Optional shared resource budget (deadline, caps, cancel flag). The
+  /// call runs on one child of it, threaded into stabilization and every
+  /// branch solve.
   postr::Budget *Budget = nullptr;
   /// Stabilization's fuel and disjunct caps; its Budget is overwritten
   /// with the call's.

@@ -16,9 +16,7 @@ BruteForceResult postr::solver::solveBruteForce(
     const std::map<VarId, automata::Nfa> &Langs,
     const std::vector<tagaut::PosPredicate> &Preds,
     const BruteForceOptions &Opts) {
-  // TimeoutMs and a caller-shared Budget compose in one budget; the
-  // tighter limit wins.
-  Budget Bud(callLimits(Opts.Budget, Opts.TimeoutMs));
+  Budget Bud(Opts.Budget ? Opts.Budget->childLimits() : Budget::Limits());
   BruteForceResult Out;
 
   std::vector<VarId> Vars;

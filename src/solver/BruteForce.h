@@ -35,13 +35,9 @@ struct BruteForceOptions {
   uint32_t MaxWordLen = 4;
   /// Hard cap on evaluated assignments.
   uint64_t MaxAssignments = 2'000'000;
-  /// Optional deadline in milliseconds (0 = none).
-  uint64_t TimeoutMs = 0;
-  /// Optional shared resource budget (base/Budget.h), probed every 64
-  /// evaluations ("solver.bruteforce") — covers cancellation and
-  /// step/memory limits, which the bare TimeoutMs poll never did.
-  /// Composes with TimeoutMs: the call runs on one child of it whose
-  /// deadline is the tighter of the two.
+  /// Optional shared resource budget (base/Budget.h): deadline, caps and
+  /// cancel flag. The call runs on one child of it, probed every 64
+  /// evaluations ("solver.bruteforce").
   postr::Budget *Budget = nullptr;
 };
 

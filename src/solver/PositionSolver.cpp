@@ -258,44 +258,10 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     Seq.push_back(E);
   };
 
-  // The integer handles of one solveMP arena: the problem's integer
-  // variables, minted up front, and one |x| handle per string variable,
-  // minted on first use. Length handles are tied to the Parikh image
-  // later, inside the IntConstraintBuilder callback.
-  struct Handles {
-    lia::Arena &Ar;
-    std::vector<lia::Var> Ints;
-    std::map<VarId, lia::Var> Lens;
-    lia::LinTerm term(const IntTerm &T) {
-      lia::LinTerm Out(T.Const);
-      for (auto [V, C] : T.IntVars)
-        Out += lia::LinTerm::variable(Ints[V], C);
-      for (auto [X, C] : T.LenVars) {
-        auto [It, Inserted] = Lens.try_emplace(X, 0);
-        if (Inserted)
-          It->second = Ar.freshVar("len.x" + std::to_string(X), 0);
-        Out += lia::LinTerm::variable(It->second, C);
-      }
-      return Out;
-    }
-  };
-  auto MintHandles = [&](lia::Arena &Ar) {
-    Handles H{Ar, {}, {}};
-    for (IntVarId V = 0; V < NF.NumIntVars; ++V)
-      H.Ints.push_back(Ar.freshVar("int." + P.intVarName(V)));
-    return H;
-  };
-  auto IntsOf = [&](const Handles &Hs, const std::vector<int64_t> &Model) {
-    std::map<IntVarId, int64_t> Ints;
-    for (IntVarId V = 0; V < NF.NumIntVars; ++V)
-      Ints[V] = Model[Hs.Ints[V]];
-    return Ints;
-  };
-  // The per-disjunct LIA arena exists up-front so that str.at position
-  // terms (which may mention integer variables) can be lowered while the
-  // predicates are substituted.
-  lia::Arena A;
-  Handles H = MintHandles(A);
+  // The integer side, lowered as the predicates are substituted so that
+  // the length groups str.at positions read come first.
+  tagaut::IntSide Ints;
+  Ints.NumInts = NF.NumIntVars;
 
   // Substitute the decomposition into P. A ¬contains(h, n) that is not
   // mono-root and whose needle covers its haystack (occ_n(x) ≥ occ_h(x)
@@ -304,7 +270,6 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   // the other non-flat, non-mono-root ¬contains into the |u| > |v|
   // under-approximation (Sec. 8 heuristic).
   std::vector<PosPredicate> Preds;
-  std::vector<tagaut::LenAtom> ApproxLenGt;
   // Whether every predicate kept is mono-root: solveMP then rewrites each
   // one to its length atom, exactly and with a checked refutation.
   bool AllMonoRoot = true;
@@ -315,21 +280,25 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     Pred.Rhs = substSeq(D, NP.Rhs);
     if (Pred.Kind == PredKind::StrAtEq || Pred.Kind == PredKind::StrAtNe) {
       EnsureNonEmptySeq(Pred.Lhs);
-      Pred.AtPos = H.term(NP.AtPos);
+      Pred.AtPos = lowerIntTerm(Ints, D, NP.AtPos);
     }
     bool MonoRoot = tagaut::monoRoot(Langs, Pred).has_value();
     if (Pred.Kind == PredKind::NotContains && !MonoRoot) {
       if (coversOccurrences(Pred.Lhs, Pred.Rhs)) {
         Pred.Kind = PredKind::Diseq;
       } else if (!tagaut::notContainsVarsFlat(Langs, {Pred})) {
-        ApproxLenGt.push_back({Pred.Lhs, lia::Cmp::Gt, Pred.Rhs});
+        Ints.LenAtoms.push_back({Pred.Lhs, lia::Cmp::Gt, Pred.Rhs});
         continue;
       }
     }
     AllMonoRoot &= MonoRoot;
     Preds.push_back(std::move(Pred));
   }
-  bool Approximated = !ApproxLenGt.empty();
+  // A braced list lowers Lhs before Rhs, as the atom reads them.
+  for (const NormIntAtom &At : NF.IntAtoms)
+    Ints.Atoms.push_back({lowerIntTerm(Ints, D, At.Lhs), At.Op,
+                          lowerIntTerm(Ints, D, At.Rhs)});
+  bool Approximated = !Ints.LenAtoms.empty();
   if (Approximated)
     Stats.UsedApproximation = true;
   bool HasIntSide = !NF.IntAtoms.empty() || Approximated;
@@ -340,26 +309,16 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   // the tag automaton copies 2K+1 times). Its word rejoins the model
   // before the self-check.
   std::set<VarId> Read;
-  auto ReadLens = [&](const IntTerm &T) {
-    for (const auto &Mono : T.LenVars) {
-      const std::vector<VarId> &Rep = D.Subst.at(Mono.first);
-      Read.insert(Rep.begin(), Rep.end());
-    }
-  };
   for (const PosPredicate &Pred : Preds) {
     Read.insert(Pred.Lhs.begin(), Pred.Lhs.end());
     Read.insert(Pred.Rhs.begin(), Pred.Rhs.end());
   }
-  for (const tagaut::LenAtom &At : ApproxLenGt) {
+  for (const tagaut::LenAtom &At : Ints.LenAtoms) {
     Read.insert(At.Lhs.begin(), At.Lhs.end());
     Read.insert(At.Rhs.begin(), At.Rhs.end());
   }
-  for (const NormIntAtom &Atom : NF.IntAtoms) {
-    ReadLens(Atom.Lhs);
-    ReadLens(Atom.Rhs);
-  }
-  for (const NormPred &NP : NF.Preds)
-    ReadLens(NP.AtPos);
+  for (const tagaut::LenGroup &G : Ints.Lens)
+    Read.insert(G.Seq.begin(), G.Seq.end());
   std::map<VarId, Word> Projected;
   for (auto It = Langs.begin(); It != Langs.end();) {
     if (Read.count(It->first)) {
@@ -377,20 +336,18 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     Projected.emplace(It->first, std::move(*W));
     It = Langs.erase(It);
   }
+  // A Sat whose integer variables take \p IntVals, or all 0 when it is
+  // empty (no integer side: they are unconstrained).
   auto Accept = [&](std::map<VarId, Word> Assignment,
-                    std::map<IntVarId, int64_t> Ints) {
+                    const std::vector<int64_t> &IntVals) {
     Assignment.insert(Projected.begin(), Projected.end());
-    return acceptSat(D, Assignment, std::move(Ints), Result);
-  };
-  // No integer side: any declared integer variable is unconstrained.
-  auto ZeroInts = [&] {
-    std::map<IntVarId, int64_t> Ints;
+    std::map<IntVarId, int64_t> Vals;
     for (IntVarId V = 0; V < NF.NumIntVars; ++V)
-      Ints[V] = 0;
-    return Ints;
+      Vals[V] = IntVals.empty() ? 0 : IntVals[V];
+    return acceptSat(D, Assignment, std::move(Vals), Result);
   };
   if (Langs.empty() && Preds.empty() && !HasIntSide)
-    return Accept({}, ZeroInts());
+    return Accept({}, {});
 
   // Child budget: the root's remaining time plus the full memory/step
   // allowance (disjunct state is independent and freed when the disjunct
@@ -462,87 +419,16 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
     }
     if (Oc.V == Verdict::Sat && Oc.Model) {
       ++Stats.FastPathDecisions;
-      return Accept(std::move(*Oc.Model), ZeroInts());
-    }
-  }
-
-  // The I′ part over the handles \p Hs of the arena solveMP is given:
-  // the integer atoms, the length atoms \p LenAtoms, and the ties of
-  // every length handle.
-  auto IntBuilderFor = [&](Handles &Hs,
-                           const std::vector<tagaut::LenAtom> &LenAtoms)
-      -> tagaut::IntConstraintBuilder {
-    return [&, &Hs = Hs, &LenAtoms = LenAtoms](
-               lia::Arena &Ar,
-               const std::map<VarId, lia::LinTerm> &LenTerms) {
-      std::vector<lia::FormulaId> Parts;
-      // Convert the atoms first: term() lazily mints length handles, and
-      // every handle minted anywhere must be tied to the Parikh image
-      // below.
-      for (const NormIntAtom &Atom : NF.IntAtoms)
-        Parts.push_back(
-            Ar.cmp(Hs.term(Atom.Lhs), Atom.Op, Hs.term(Atom.Rhs)));
-      for (const tagaut::LenAtom &At : LenAtoms)
-        Parts.push_back(tagaut::lenAtomFormula(Ar, LenTerms, At));
-      // Tie every length handle to the Parikh length of its substitution.
-      for (const auto &[X, Handle] : Hs.Lens) {
-        lia::LinTerm Len;
-        for (VarId T : D.Subst.at(X))
-          Len += LenTerms.at(T);
-        Parts.push_back(
-            Ar.cmp(lia::LinTerm::variable(Handle), lia::Cmp::Eq, Len));
-      }
-      return Ar.conj(std::move(Parts));
-    };
-  };
-
-  tagaut::MpOptions MpOpts = Opts.Mp;
-  MpOpts.Certify = CertOut != nullptr;
-
-  // Length-first ≠. A second predicate or an integer atom keeps the
-  // one-counter fast path out, and solveMP encodes each ≠ through 2K+1
-  // tag copies; yet a ≠ whose sides may differ in length mostly holds by
-  // length alone. So when every predicate left is a ≠, first solve with
-  // each one strengthened to |u| ≠ |v| and nothing left to encode. That
-  // under-approximates, so only its (validated) Sat is taken; anything
-  // else falls through to the full encoding, on an arena and a budget the
-  // attempt never touched. When every ≠ is mono-root, solveMP's own
-  // rewrite is this same attempt, made exact, so it is not run twice.
-  // solveMP's length abstraction is the converse: it keeps only the
-  // mono-root atoms and over-approximates, so only its Unsat is taken.
-  if (!Preds.empty() && !AllMonoRoot &&
-      std::all_of(Preds.begin(), Preds.end(), [](const PosPredicate &Pred) {
-        return Pred.Kind == PredKind::Diseq;
-      })) {
-    ++Stats.MpCalls;
-    lia::Arena LenArena;
-    Handles LenH = MintHandles(LenArena);
-    Budget LenBud(Root.childLimits());
-    tagaut::MpOptions LenOpts = MpOpts;
-    LenOpts.Certify = false;
-    LenOpts.Budget = &LenBud;
-    std::vector<tagaut::LenAtom> LenAtoms = ApproxLenGt;
-    for (const PosPredicate &Pred : Preds)
-      LenAtoms.push_back(tagaut::monoRootAtom(Pred));
-    tagaut::MpResult R =
-        tagaut::solveMP(LenArena, Langs, {}, NF.Sigma.size(),
-                        IntBuilderFor(LenH, LenAtoms), LenOpts);
-    Stats.Qf += R.Qf;
-    Root.chargeMem(LenBud.memCharged());
-    if (R.V == Verdict::Sat)
-      return Accept(std::move(R.Assignment), IntsOf(LenH, R.Model));
-    if (R.Stop == StopReason::Timeout || R.Stop == StopReason::Cancelled) {
-      ++Stats.BudgetTrips;
-      Stop.note(R.Stop, LenBud.tripSite());
-      return Verdict::Unknown;
+      return Accept(std::move(*Oc.Model), {});
     }
   }
 
   ++Stats.MpCalls;
+  tagaut::MpOptions MpOpts = Opts.Mp;
+  MpOpts.Certify = CertOut != nullptr;
   MpOpts.Budget = &Child;
   tagaut::MpResult R =
-      tagaut::solveMP(A, Langs, Preds, NF.Sigma.size(),
-                      IntBuilderFor(H, ApproxLenGt), MpOpts);
+      tagaut::solveMP(Langs, Preds, NF.Sigma.size(), Ints, MpOpts);
   Stats.UsedMbqi |= R.UsedMbqi;
   Stats.Qf += R.Qf;
   // Root-level accounting: the disjunct's cumulative charges count
@@ -550,11 +436,11 @@ Verdict Pipeline::solveDisjunct(const eq::Decomposition &D,
   Root.chargeMem(Child.memCharged() - RootCharged);
   if (R.V == Verdict::Unknown && R.Stop != StopReason::None) {
     ++Stats.BudgetTrips;
-    Stop.note(R.Stop, Child.tripSite());
+    Stop.note(R.Stop, R.StopSite ? R.StopSite : Child.tripSite());
   }
 
   if (R.V == Verdict::Sat)
-    return Accept(std::move(R.Assignment), IntsOf(H, R.Model));
+    return Accept(std::move(R.Assignment), R.Ints);
   if (R.V == Verdict::Unsat && Approximated)
     return Verdict::Unknown; // an under-approximation cannot prove Unsat
   if (R.V == Verdict::Unsat && CertOut)

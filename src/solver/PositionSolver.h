@@ -102,7 +102,7 @@ struct SolveOptions {
 struct SolveStats {
   uint32_t Disjuncts = 0;
   uint32_t FastPathDecisions = 0;
-  /// solveMP calls, a length-first ≠ attempt included.
+  /// Disjuncts that reached solveMP (one call each).
   uint32_t MpCalls = 0;
   /// Disjuncts whose answer was a budget-tripped Unknown.
   uint32_t BudgetTrips = 0;
@@ -128,8 +128,8 @@ struct SolveStats {
   /// rejected the certificate.
   uint32_t CertificationFailures = 0;
   /// Counters of the quantifier-free LIA solves, summed over every
-  /// solveMP call (a length-first ≠ attempt included). MBQI sub-solves
-  /// are not in them (MbqiOptions::Stats collects those).
+  /// solveMP call (its length stage included). MBQI sub-solves are not
+  /// in them (MbqiOptions::Stats collects those).
   lia::QfSearchStats Qf;
 };
 

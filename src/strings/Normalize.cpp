@@ -333,3 +333,20 @@ private:
 NormalForm postr::strings::normalize(const Problem &P) {
   return Normalizer(P).run();
 }
+
+lia::LinTerm postr::strings::lowerIntTerm(tagaut::IntSide &S,
+                                          const eq::Decomposition &D,
+                                          const IntTerm &T) {
+  lia::LinTerm Out(T.Const);
+  for (auto [V, C] : T.IntVars)
+    Out += lia::LinTerm::variable(V, C);
+  for (auto [X, C] : T.LenVars) {
+    lia::Var G = 0;
+    while (G < S.Lens.size() && S.Lens[G].Of != X)
+      ++G;
+    if (G == S.Lens.size())
+      S.Lens.push_back({X, D.Subst.at(X)});
+    Out += lia::LinTerm::variable(S.NumInts + G, C);
+  }
+  return Out;
+}

@@ -43,7 +43,7 @@
 #include "automata/Nfa.h"
 #include "eq/Stabilize.h"
 #include "strings/Ast.h"
-#include "tagaut/Encoder.h"
+#include "tagaut/MpSolver.h"
 
 #include <map>
 #include <vector>
@@ -88,6 +88,12 @@ struct NormalForm {
 
 /// Normalizes \p P. Pure; does not modify the problem.
 NormalForm normalize(const Problem &P);
+
+/// \p T over solveMP's integer side \p S for the decomposition \p D:
+/// integer variable v reads variable v, and |x| the length group of
+/// D.Subst(x), appended to S.Lens when first read.
+lia::LinTerm lowerIntTerm(tagaut::IntSide &S, const eq::Decomposition &D,
+                          const IntTerm &T);
 
 } // namespace strings
 } // namespace postr

@@ -179,10 +179,8 @@ void attachRewrite(MpResult &Out, const lia::Arena &A, lia::FormulaId Goal,
   Rw.Atoms = std::move(Records);
 }
 
-} // namespace
-
-lia::FormulaId
-postr::tagaut::lenAtomFormula(lia::Arena &A,
+/// \p At over the per-variable length terms \p LenTerms.
+lia::FormulaId lenAtomFormula(lia::Arena &A,
                               const std::map<VarId, lia::LinTerm> &LenTerms,
                               const LenAtom &At) {
   auto Len = [&](const std::vector<VarId> &Seq) {
@@ -193,6 +191,203 @@ postr::tagaut::lenAtomFormula(lia::Arena &A,
   };
   return A.cmp(Len(At.Lhs), At.Op, Len(At.Rhs));
 }
+
+/// The length atom a mono-root predicate is equivalent to: |u| ≠ |v|
+/// for u ≠ v, and |needle| > |haystack| for ¬prefixof, ¬suffixof and
+/// ¬contains (needle = Lhs).
+LenAtom monoRootAtom(const PosPredicate &P) {
+  return {P.Lhs, P.Kind == PredKind::Diseq ? lia::Cmp::Ne : lia::Cmp::Gt,
+          P.Rhs};
+}
+
+/// Probes \p Bud between phases; on a stop, records its reason in \p Out.
+bool stopped(Budget &Bud, MpResult &Out) {
+  if (Bud.checkpoint("tagaut.encode"))
+    return false;
+  Out.Stop = Bud.reason();
+  return true;
+}
+
+/// What every arena of one solveMP call is built from.
+struct Call {
+  const std::map<VarId, automata::Nfa> &Langs;
+  uint32_t AlphabetSize;
+  const IntSide &Ints;
+  /// How many leading groups of Ints.Lens str.at positions read.
+  uint32_t PrefixLens;
+  const lia::MbqiOptions &Mbqi;
+
+  /// Mints the variables every arena of the call starts with: the integer
+  /// variables, then the handles str.at positions read.
+  void mintPrefix(lia::Arena &A) const {
+    for (uint32_t V = 0; V < Ints.NumInts; ++V)
+      A.freshVar("int." + std::to_string(V));
+    for (uint32_t G = 0; G < PrefixLens; ++G)
+      A.freshVar("len.x" + std::to_string(Ints.Lens[G].Of), 0);
+  }
+
+  /// \p Parts, then I′ over the length terms \p LenTerms (the integer
+  /// atoms, the length atoms, and the tie of every handle, those past the
+  /// prefix minted first), then the mono-root atoms \p Mono, whose
+  /// formulas are left in \p MonoFs.
+  lia::FormulaId goal(lia::Arena &A, std::vector<lia::FormulaId> Parts,
+                      const std::vector<LenAtom> &Mono,
+                      const std::map<VarId, lia::LinTerm> &LenTerms,
+                      std::vector<lia::FormulaId> &MonoFs) const {
+    lia::Var Base = A.numVars();
+    for (size_t G = PrefixLens; G < Ints.Lens.size(); ++G)
+      A.freshVar("len.x" + std::to_string(Ints.Lens[G].Of), 0);
+    auto Handle = [&](size_t G) {
+      return static_cast<lia::Var>(G < PrefixLens ? Ints.NumInts + G
+                                                  : Base + (G - PrefixLens));
+    };
+    // Term variables map to arena variables in increasing order, so the
+    // coefficients stay sorted.
+    auto Lower = [&](const lia::LinTerm &T) {
+      lia::LinTerm Out(T.constant());
+      for (auto [V, C] : T.coeffs())
+        Out.addMonomial(V < Ints.NumInts ? V : Handle(V - Ints.NumInts), C);
+      return Out;
+    };
+    std::vector<lia::FormulaId> Int;
+    for (const IntAtom &At : Ints.Atoms)
+      Int.push_back(A.cmp(Lower(At.Lhs), At.Op, Lower(At.Rhs)));
+    for (const LenAtom &At : Ints.LenAtoms)
+      Int.push_back(lenAtomFormula(A, LenTerms, At));
+    // The ties, in the order of the variables they measure.
+    std::map<VarId, size_t> ByVar;
+    for (size_t G = 0; G < Ints.Lens.size(); ++G)
+      ByVar[Ints.Lens[G].Of] = G;
+    for (auto [X, G] : ByVar) {
+      lia::LinTerm Len;
+      for (VarId T : Ints.Lens[G].Seq)
+        Len += LenTerms.at(T);
+      Int.push_back(
+          A.cmp(lia::LinTerm::variable(Handle(G)), lia::Cmp::Eq, Len));
+    }
+    Parts.push_back(A.conj(std::move(Int)));
+    for (const LenAtom &At : Mono)
+      MonoFs.push_back(lenAtomFormula(A, LenTerms, At));
+    Parts.insert(Parts.end(), MonoFs.begin(), MonoFs.end());
+    return A.conj(std::move(Parts));
+  }
+};
+
+/// Encodes R′ ∧ \p Rest on a fresh arena and decides it under \p Bud,
+/// beside I′ and the mono-root atoms \p Mono, which rewrote the
+/// predicates of \p Records.
+MpResult encodeAndDecide(const Call &C, const std::vector<PosPredicate> &Rest,
+                         const std::vector<LenAtom> &Mono,
+                         std::vector<proof::MonoRootAtom> Records,
+                         Budget &Bud, bool Certify) {
+  MpResult Out;
+  if (stopped(Bud, Out))
+    return Out;
+  lia::Arena A;
+  C.mintPrefix(A);
+  EncoderOptions EncOpts;
+  EncOpts.Budget = &Bud;
+  SystemEncoding Enc = encodeSystem(A, C.Langs, Rest, C.AlphabetSize, EncOpts);
+  // A tripped encoder returns a partial encoding — discard it.
+  if (stopped(Bud, Out))
+    return Out;
+
+  std::vector<lia::FormulaId> MonoFs;
+  lia::FormulaId Goal = C.goal(A, {Enc.Outer}, Mono, Enc.LenTerms, MonoFs);
+
+  if (Enc.Blocks.empty()) {
+    lia::QfOptions Qf;
+    Qf.Budget = &Bud;
+    // Clause-trace recording for the quantifier-free path: the whole
+    // DPLL(T) search is mirrored into the builder, and an Unsat verdict
+    // hands the trace to the caller as this call's certificate.
+    proof::QfTraceBuilder Trace;
+    if (Certify)
+      Qf.Proof = &Trace;
+    // Position predicates encode the 2K+1-copy mismatch structure, whose
+    // tableaus run on Bland's order; a bare membership + length system is
+    // the Parikh load where SparsestRow halves the fill-in (docs/BENCH.md).
+    Qf.BlandPivots = !Rest.empty();
+    // Connectivity CEGAR: without ¬contains blocks the outer Parikh
+    // formula is built Lazy (tagaut/Encoder.h), so every Sat model is only
+    // flow-consistent; disconnected pseudo-runs are refuted by cuts fed
+    // back through the solver's refinement hook (which keeps learned
+    // clauses across episodes). Unsat/Unknown are final — cuts only
+    // shrink the model space towards the true one.
+    uint32_t Cuts = 0;
+    bool ExceededCuts = false;
+    lia::ModelRefiner Refine =
+        [&](lia::Arena &Ar,
+            const std::vector<int64_t> &Model) -> std::optional<lia::FormulaId> {
+      std::vector<uint32_t> Gap = connectedComponentGap(Enc.Ta, Enc.Pf, Model);
+      if (Gap.empty())
+        return std::nullopt;
+      if (++Cuts > MaxCutRounds) {
+        ExceededCuts = true;
+        return std::nullopt;
+      }
+      return connectivityCut(Enc.Ta, Enc.Pf, Ar, Gap);
+    };
+    lia::QfResult R = lia::solveQF(A, Goal, Qf, Refine);
+    Out.V = ExceededCuts ? Verdict::Unknown : R.V;
+    Out.Qf = R.Stats;
+    if (Certify && Out.V == Verdict::Unsat) {
+      Out.Cert.Proof = std::move(Trace.P);
+      attachRewrite(Out, A, Goal, std::move(Records), MonoFs, Enc.LenTerms);
+    }
+    if (Out.V == Verdict::Unknown)
+      // Exhausted cut rounds are an engine-internal cap, not a shared-
+      // budget trip.
+      Out.Stop = ExceededCuts ? StopReason::StepBudget : R.Stop;
+    if (Out.V == Verdict::Sat) {
+      Out.Assignment = Enc.decode(R.Model);
+      Out.Ints.assign(R.Model.begin(), R.Model.begin() + C.Ints.NumInts);
+    }
+    return Out;
+  }
+
+  // Resource guard for the quantified path: past a few thousand tag
+  // transitions even the incremental MBQI setup (outer encoding plus one
+  // Parikh clone per accumulated lemma) exceeds any sane budget. Answer
+  // Unknown up-front instead (the same resource-out the paper reports
+  // for OSTRICH-sized encodings).
+  if (Enc.Ta.transitions().size() > MbqiTaTransitionCap) {
+    Out.Stop = StopReason::StepBudget;
+    return Out;
+  }
+
+  lia::MbqiQuery Q;
+  Q.Outer = Goal;
+  Q.OuterVars = Enc.OuterVars;
+  Q.Blocks = Enc.Blocks;
+  Q.BlockTerms = Enc.BlockTerms;
+  lia::MbqiOptions Mb = C.Mbqi;
+  Mb.Budget = &Bud;
+  std::vector<int64_t> Model;
+  Out.UsedMbqi = true;
+  Out.V = lia::solveMbqi(A, Q, &Model, Mb);
+  // An MBQI refutation rests on blocking clauses justified by *inner*
+  // refutations — candidate logic the clause-trace kernel cannot replay.
+  // It enters certificates as a named trusted rule (proof/Proof.h).
+  if (Certify && Out.V == Verdict::Unsat) {
+    Out.Cert.IsRule = true;
+    Out.Cert.Rule = "mbqi";
+  }
+  if (Out.V == Verdict::Unknown) {
+    // solveMbqi reports no reason itself; reconstruct it. A budget trip
+    // (a raised cancel flag included, which the MBQI probes turn into
+    // Cancelled) names itself; candidate / offset exhaustion without a
+    // trip is a step-budget stop.
+    Out.Stop = Bud.exceeded() ? Bud.reason() : StopReason::StepBudget;
+  }
+  if (Out.V == Verdict::Sat) {
+    Out.Assignment = Enc.decode(Model);
+    Out.Ints.assign(Model.begin(), Model.begin() + C.Ints.NumInts);
+  }
+  return Out;
+}
+
+} // namespace
 
 std::optional<Word>
 postr::tagaut::monoRoot(const std::map<VarId, automata::Nfa> &Langs,
@@ -223,16 +418,9 @@ postr::tagaut::monoRoot(const std::map<VarId, automata::Nfa> &Langs,
   return Root;
 }
 
-LenAtom postr::tagaut::monoRootAtom(const PosPredicate &P) {
-  return {P.Lhs,
-          P.Kind == PredKind::Diseq ? lia::Cmp::Ne : lia::Cmp::Gt, P.Rhs};
-}
-
-MpResult postr::tagaut::solveMP(lia::Arena &A,
-                                const std::map<VarId, automata::Nfa> &Langs,
+MpResult postr::tagaut::solveMP(const std::map<VarId, automata::Nfa> &Langs,
                                 const std::vector<PosPredicate> &Preds,
-                                uint32_t AlphabetSize,
-                                const IntConstraintBuilder &IntConstraints,
+                                uint32_t AlphabetSize, const IntSide &Ints,
                                 const MpOptions &Opts) {
   MpResult Out;
   // Resource governance: the caller's budget, or an unlimited per-call
@@ -240,13 +428,6 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
   // encoder can run for a while, so probe between phases.
   Budget Local;
   Budget *Bud = Opts.Budget ? Opts.Budget : &Local;
-  auto Stopped = [Bud, &Out] {
-    if (!Bud->checkpoint("tagaut.encode")) {
-      Out.Stop = Bud->reason();
-      return true;
-    }
-    return false;
-  };
 
   // Named trusted-rule record for certificates (see proof/Proof.h): the
   // automata-level short-circuits below are part of the trusted
@@ -274,11 +455,13 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
   std::vector<PosPredicate> Rest;
   std::vector<LenAtom> Atoms;
   std::vector<proof::MonoRootAtom> Records;
+  uint32_t PrefixLens = 0;
   for (const PosPredicate &P : Preds) {
-    if (Stopped()) {
-      Out.V = Verdict::Unknown;
+    if (stopped(*Bud, Out))
       return Out;
-    }
+    for (const auto &Mono : P.AtPos.coeffs())
+      if (Mono.first >= Ints.NumInts)
+        PrefixLens = std::max(PrefixLens, Mono.first - Ints.NumInts + 1);
     if (std::optional<Word> Root = monoRoot(Langs, P)) {
       Atoms.push_back(monoRootAtom(P));
       if (Opts.Certify)
@@ -287,26 +470,15 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
       Rest.push_back(P);
     }
   }
+  const Call C{Langs, AlphabetSize, Ints, PrefixLens, Opts.Mbqi};
 
-  // I′ over the length terms \p LenTerms beside \p Parts: the caller's
-  // integer constraints and every length atom, whose formulas are left
-  // in \p AtomFs for the rewrite record.
-  auto LengthGoal = [&](std::vector<lia::FormulaId> Parts,
-                        const std::map<VarId, lia::LinTerm> &LenTerms,
-                        std::vector<lia::FormulaId> &AtomFs) {
-    if (IntConstraints)
-      Parts.push_back(IntConstraints(A, LenTerms));
-    for (const LenAtom &At : Atoms)
-      AtomFs.push_back(lenAtomFormula(A, LenTerms, At));
-    Parts.insert(Parts.end(), AtomFs.begin(), AtomFs.end());
-    return A.conj(std::move(Parts));
-  };
-
-  // Length abstraction: I′ and the length atoms over bare lengths
-  // ℓ_x ≥ 0, the other predicates dropped. Every model's lengths satisfy
-  // it, so its Unsat is the disjunct's, and its refutation trusts no
-  // encoding of the languages. Only a Sat leads on to the Parikh encoding.
+  // The length stage. First the length abstraction: I′ and the length
+  // atoms over bare lengths ℓ_x ≥ 0, the other predicates dropped. Every
+  // model's lengths satisfy it, so its Unsat is the disjunct's, and its
+  // refutation trusts no encoding of the languages. Only a Sat goes on.
   if (!Atoms.empty()) {
+    lia::Arena A;
+    C.mintPrefix(A);
     std::map<VarId, lia::LinTerm> Bare;
     for (const auto &[X, Nfa] : Langs) {
       (void)Nfa;
@@ -314,7 +486,7 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
                           A.freshVar("len.bare.x" + std::to_string(X), 0)));
     }
     std::vector<lia::FormulaId> AtomFs;
-    lia::FormulaId Goal = LengthGoal({}, Bare, AtomFs);
+    lia::FormulaId Goal = C.goal(A, {}, Atoms, Bare, AtomFs);
     lia::QfOptions Qf;
     Qf.Budget = Bud;
     proof::QfTraceBuilder Trace;
@@ -331,17 +503,44 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
       return Out;
     }
     if (R.V == Verdict::Unknown) {
-      Out.V = Verdict::Unknown;
       Out.Stop = R.Stop;
       return Out;
     }
   }
 
-  // Thm. 6.5's side condition; callers run heuristics before this point.
-  if (!notContainsVarsFlat(Langs, Rest)) {
-    Out.V = Verdict::Unknown;
-    return Out;
+  // Then length-first ≠: a ≠ is encoded through 2K+1 tag copies, yet
+  // mostly holds by length alone. So when every predicate is a ≠, each is
+  // strengthened to |u| ≠ |v| and the languages alone are encoded, on a
+  // child budget whose memory counts against this call's. That
+  // under-approximates: only its Sat, or a timeout or cancel, is final.
+  // When every ≠ is mono-root, the rewrite above made it exact already.
+  if (!Rest.empty() &&
+      std::all_of(Preds.begin(), Preds.end(), [](const PosPredicate &P) {
+        return P.Kind == PredKind::Diseq;
+      })) {
+    IntSide ByLength = Ints;
+    for (const PosPredicate &P : Preds)
+      ByLength.LenAtoms.push_back(monoRootAtom(P));
+    Budget LenBud(Bud->childLimits());
+    MpResult Len =
+        encodeAndDecide({Langs, AlphabetSize, ByLength, PrefixLens, Opts.Mbqi},
+                        {}, {}, {}, LenBud, false);
+    Bud->chargeMem(LenBud.memCharged());
+    Out.Qf += Len.Qf;
+    if (Len.V == Verdict::Sat) {
+      Len.Qf = Out.Qf;
+      return Len;
+    }
+    if (Len.Stop == StopReason::Timeout || Len.Stop == StopReason::Cancelled) {
+      Out.Stop = Len.Stop;
+      Out.StopSite = LenBud.tripSite();
+      return Out;
+    }
   }
+
+  // Thm. 6.5's side condition; callers run heuristics before this point.
+  if (!notContainsVarsFlat(Langs, Rest))
+    return Out;
 
   // ε-needle short-circuit: when every left-hand variable of a ¬contains
   // is forced to ε, the needle is ε, which is contained in every word —
@@ -375,111 +574,8 @@ MpResult postr::tagaut::solveMP(lia::Arena &A,
     }
   }
 
-  if (Stopped()) {
-    Out.V = Verdict::Unknown;
-    return Out;
-  }
-  EncoderOptions EncOpts;
-  EncOpts.Budget = Bud;
-  SystemEncoding Enc = encodeSystem(A, Langs, Rest, AlphabetSize, EncOpts);
-  // A tripped encoder returns a partial encoding — discard it.
-  if (Stopped()) {
-    Out.V = Verdict::Unknown;
-    return Out;
-  }
-
-  std::vector<lia::FormulaId> AtomFs;
-  lia::FormulaId Goal = LengthGoal({Enc.Outer}, Enc.LenTerms, AtomFs);
-
-  if (Enc.Blocks.empty()) {
-    lia::QfOptions Qf;
-    Qf.Budget = Bud;
-    // Clause-trace recording for the quantifier-free path: the whole
-    // DPLL(T) search is mirrored into the builder, and an Unsat verdict
-    // hands the trace to the caller as this call's certificate.
-    proof::QfTraceBuilder Trace;
-    if (Opts.Certify)
-      Qf.Proof = &Trace;
-    // Position predicates encode the 2K+1-copy mismatch structure, whose
-    // tableaus run on Bland's order; a bare membership + length system is
-    // the Parikh load where SparsestRow halves the fill-in (docs/BENCH.md).
-    Qf.BlandPivots = !Rest.empty();
-    // Connectivity CEGAR: without ¬contains blocks the outer Parikh
-    // formula is built Lazy (tagaut/Encoder.h), so every Sat model is only
-    // flow-consistent; disconnected pseudo-runs are refuted by cuts fed
-    // back through the solver's refinement hook (which keeps learned
-    // clauses across episodes). Unsat/Unknown are final — cuts only
-    // shrink the model space towards the true one.
-    uint32_t Cuts = 0;
-    bool ExceededCuts = false;
-    lia::ModelRefiner Refine =
-        [&](lia::Arena &Ar,
-            const std::vector<int64_t> &Model) -> std::optional<lia::FormulaId> {
-      std::vector<uint32_t> Gap = connectedComponentGap(Enc.Ta, Enc.Pf, Model);
-      if (Gap.empty())
-        return std::nullopt;
-      if (++Cuts > MaxCutRounds) {
-        ExceededCuts = true;
-        return std::nullopt;
-      }
-      return connectivityCut(Enc.Ta, Enc.Pf, Ar, Gap);
-    };
-    lia::QfResult R = lia::solveQF(A, Goal, Qf, Refine);
-    Out.V = ExceededCuts ? Verdict::Unknown : R.V;
-    Out.Qf += R.Stats;
-    if (Opts.Certify && Out.V == Verdict::Unsat) {
-      Out.Cert.Proof = std::move(Trace.P);
-      attachRewrite(Out, A, Goal, std::move(Records), AtomFs, Enc.LenTerms);
-    }
-    if (Out.V == Verdict::Unknown)
-      // Exhausted cut rounds are an engine-internal cap, not a shared-
-      // budget trip.
-      Out.Stop = ExceededCuts ? StopReason::StepBudget : R.Stop;
-    if (Out.V == Verdict::Sat) {
-      Out.Assignment = Enc.decode(R.Model);
-      Out.Model = std::move(R.Model);
-    }
-    return Out;
-  }
-
-  // Resource guard for the quantified path: past a few thousand tag
-  // transitions even the incremental MBQI setup (outer encoding plus one
-  // Parikh clone per accumulated lemma) exceeds any sane budget. Answer
-  // Unknown up-front instead (the same resource-out the paper reports
-  // for OSTRICH-sized encodings).
-  if (Enc.Ta.transitions().size() > MbqiTaTransitionCap) {
-    Out.V = Verdict::Unknown;
-    Out.Stop = StopReason::StepBudget;
-    return Out;
-  }
-
-  lia::MbqiQuery Q;
-  Q.Outer = Goal;
-  Q.OuterVars = Enc.OuterVars;
-  Q.Blocks = Enc.Blocks;
-  Q.BlockTerms = Enc.BlockTerms;
-  lia::MbqiOptions Mb = Opts.Mbqi;
-  Mb.Budget = Bud;
-  std::vector<int64_t> Model;
-  Out.UsedMbqi = true;
-  Out.V = lia::solveMbqi(A, Q, &Model, Mb);
-  // An MBQI refutation rests on blocking clauses justified by *inner*
-  // refutations — candidate logic the clause-trace kernel cannot replay.
-  // It enters certificates as a named trusted rule (proof/Proof.h).
-  if (Opts.Certify && Out.V == Verdict::Unsat) {
-    Out.Cert.IsRule = true;
-    Out.Cert.Rule = "mbqi";
-  }
-  if (Out.V == Verdict::Unknown) {
-    // solveMbqi reports no reason itself; reconstruct it. A budget trip
-    // (a raised cancel flag included, which the MBQI probes turn into
-    // Cancelled) names itself; candidate / offset exhaustion without a
-    // trip is a step-budget stop.
-    Out.Stop = Bud->exceeded() ? Bud->reason() : StopReason::StepBudget;
-  }
-  if (Out.V == Verdict::Sat) {
-    Out.Assignment = Enc.decode(Model);
-    Out.Model = std::move(Model);
-  }
-  return Out;
+  MpResult R =
+      encodeAndDecide(C, Rest, Atoms, std::move(Records), *Bud, Opts.Certify);
+  R.Qf += Out.Qf;
+  return R;
 }

@@ -23,7 +23,6 @@
 #include "proof/Proof.h"
 #include "tagaut/Encoder.h"
 
-#include <functional>
 #include <map>
 #include <optional>
 
@@ -56,11 +55,13 @@ struct MpResult {
   /// without tripping the shared budget. None for Sat/Unsat and for
   /// genuine incompleteness (non-flat ¬contains).
   StopReason Stop = StopReason::None;
+  /// The probe site that noticed Stop when the length-first attempt's
+  /// child budget did; null when MpOptions::Budget's tripSite() names it.
+  const char *StopSite = nullptr;
   /// On Sat: a witnessing string assignment for every variable.
   std::map<VarId, Word> Assignment;
-  /// On Sat: the full LIA model (integer variables the caller minted can
-  /// be read off through their `lia::Var` handles).
-  std::vector<int64_t> Model;
+  /// On Sat: the values of the IntSide's NumInts integer variables.
+  std::vector<int64_t> Ints;
   /// With MpOptions::Certify, on Unsat: this call's refutation — either
   /// a named structural rule or a checkable QF clause trace (with the
   /// mono-root rewrite it rests on, if any predicate was rewritten).
@@ -69,21 +70,11 @@ struct MpResult {
   /// left after the mono-root rewrite).
   bool UsedMbqi = false;
   /// The quantifier-free solves' counters, whatever the verdict: the
-  /// length abstraction's and the full encoding's, summed. Zero when no
-  /// QF solve ran (a rule decided the call, or the MBQI loop did, whose
+  /// length stage's and the full encoding's, summed. Zero when no QF
+  /// solve ran (a rule decided the call, or the MBQI loop did, whose
   /// counters MbqiOptions::Stats collects).
   lia::QfSearchStats Qf;
 };
-
-/// Builds the I′ part over the per-variable length terms, so
-/// `x_i = len(y…)` constraints (Sec. 6.1) and plain LIA atoms can be
-/// expressed over them. May return `A.trueF()`. It may be called twice
-/// on one arena: first over bare lengths (the length abstraction of
-/// `solveMP`), then, if that is Sat, over the encoder's Parikh length
-/// terms. Integer handles it mints are shared by both goals; each call
-/// must build its own ties of them to the length terms it is given.
-using IntConstraintBuilder = std::function<lia::FormulaId(
-    lia::Arena &A, const std::map<VarId, lia::LinTerm> &LenTerms)>;
 
 /// A length atom |Lhs| ⋈ |Rhs| between two concatenations.
 struct LenAtom {
@@ -92,45 +83,67 @@ struct LenAtom {
   std::vector<VarId> Rhs;
 };
 
-/// \p At over the encoder's per-variable length terms.
-lia::FormulaId lenAtomFormula(lia::Arena &A,
-                              const std::map<VarId, lia::LinTerm> &LenTerms,
-                              const LenAtom &At);
+/// An integer atom Lhs ⋈ Rhs of I′ over the variables of an IntSide.
+struct IntAtom {
+  lia::LinTerm Lhs;
+  lia::Cmp Op = lia::Cmp::Eq;
+  lia::LinTerm Rhs;
+};
+
+/// A length handle of I′: the length of the caller's variable Of, which
+/// stands for the concatenation Seq of the call's variables.
+struct LenGroup {
+  VarId Of = 0;
+  std::vector<VarId> Seq;
+};
+
+/// I′ as data. Its terms (IntAtom sides and PosPredicate::AtPos) read
+/// variable v < NumInts as the caller's integer variable v, and
+/// NumInts + g as the handle of Lens[g]. Every arena `solveMP` builds
+/// starts with the NumInts integer variables and then the handles that
+/// str.at positions read, so AtPos terms are valid in each of them;
+/// those groups must come first in Lens. The other handles are minted
+/// when a goal is built, after the encoding, and ties are built in the
+/// order of LenGroup::Of.
+struct IntSide {
+  uint32_t NumInts = 0;
+  std::vector<LenGroup> Lens;
+  std::vector<IntAtom> Atoms;
+  /// Length atoms over the call's variables. The pipeline puts here the
+  /// |needle| > |haystack| under-approximation (Sec. 8) of each
+  /// ¬contains it leaves out of P′.
+  std::vector<LenAtom> LenAtoms;
+};
 
 /// The primitive root r when \p P is a ≠, ¬prefixof, ¬suffixof or
 /// ¬contains and the language of every variable on both sides lies in
 /// r*. A language holding only ε fits any root; when all of them do, r
 /// is the first letter. Every side is then a power r^a, so by
 /// Lyndon–Schützenberger and "r^b is a factor of r^a iff b ≤ a" the
-/// predicate is equivalent to `monoRootAtom(P)`. The containment test is
-/// a product walk of each trimmed automaton against r's |r|-state cycle.
+/// predicate is equivalent to a length atom: |u| ≠ |v| for u ≠ v, and
+/// |needle| > |haystack| for ¬prefixof, ¬suffixof and ¬contains (needle
+/// = Lhs). The containment test is a product walk of each trimmed
+/// automaton against r's |r|-state cycle.
 std::optional<Word> monoRoot(const std::map<VarId, automata::Nfa> &Langs,
                              const PosPredicate &P);
 
-/// The length atom a mono-root predicate is equivalent to: |u| ≠ |v|
-/// for u ≠ v, and |needle| > |haystack| for ¬prefixof, ¬suffixof and
-/// ¬contains (needle = Lhs).
-LenAtom monoRootAtom(const PosPredicate &P);
-
-/// Decides R′ ∧ I′ ∧ P′. The caller owns \p A and may have minted integer
-/// variables in it (e.g. for str.at position terms) before the call.
-/// A mono-root predicate (see `monoRoot`) leaves P′ and its length atom
-/// joins I′; the rewrite is exact, so both verdicts stand. When any
-/// predicate was rewritten, I′ and the length atoms are first solved over
-/// bare lengths ℓ_x ≥ 0 with the other predicates dropped. That
-/// over-approximates, so its Unsat (certified over the ℓ_x) is the
-/// answer; only a Sat goes on to the Parikh encoding, and `MpResult::Qf`
-/// then sums both solves. A ¬contains left after the rewrite goes to the
-/// MBQI loop. The pipeline passes only those whose haystack can be
-/// strictly longer than the needle; it solves a ¬contains whose needle
-/// covers its haystack as the ≠ of its sides, which is exact. Returns Unknown when a ¬contains predicate left after
-/// the rewrite ranges over a non-flat language (callers apply the Sec. 8
+/// Decides R′ ∧ I′ ∧ P′, with I′ given as data (\p Ints); the call
+/// builds every LIA arena it solves in. A mono-root predicate (see
+/// `monoRoot`) leaves P′ and its exact length atom joins I′. Then the
+/// length stage, each shortcut on a scratch arena: when a predicate was
+/// rewritten, I′ over bare lengths ℓ_x ≥ 0 (an over-approximation: only
+/// its Unsat, certified over the ℓ_x, is taken); when every predicate is
+/// a ≠ and one is left, the languages alone with each strengthened to
+/// |u| ≠ |v| (an under-approximation, on a child budget: only its Sat, or
+/// a timeout or cancel, is taken). Otherwise the predicates left are
+/// encoded, and `MpResult::Qf` sums every QF solve. A ¬contains left goes
+/// to the MBQI loop; the pipeline passes only those whose haystack can be
+/// strictly longer than the needle. Returns Unknown when such a
+/// ¬contains ranges over a non-flat language (callers apply the Sec. 8
 /// heuristics first) or on resource exhaustion.
-MpResult solveMP(lia::Arena &A,
-                 const std::map<VarId, automata::Nfa> &Langs,
+MpResult solveMP(const std::map<VarId, automata::Nfa> &Langs,
                  const std::vector<PosPredicate> &Preds,
-                 uint32_t AlphabetSize,
-                 const IntConstraintBuilder &IntConstraints = nullptr,
+                 uint32_t AlphabetSize, const IntSide &Ints = {},
                  const MpOptions &Opts = {});
 
 } // namespace tagaut

@@ -318,12 +318,10 @@ Verdict mpDriver(std::vector<tagaut::PosPredicate> Preds,
   std::map<VarId, Nfa> Langs;
   for (const auto &[X, Re] : Regexes)
     Langs[X] = regex::compileString(Re, Sigma);
-  lia::Arena A;
   Budget Bud;
   tagaut::MpOptions O;
   O.Budget = &Bud;
-  tagaut::MpResult R =
-      solveMP(A, Langs, Preds, Sigma.size(), nullptr, O);
+  tagaut::MpResult R = solveMP(Langs, Preds, Sigma.size(), {}, O);
   if (R.V == Verdict::Unknown)
     EXPECT_NE(R.Stop, StopReason::None);
   return R.V;
@@ -713,14 +711,14 @@ TEST(BudgetTest, MemCapStopsTheOneCounterWalk) {
 // Cancellation carried only by the Budget
 //===----------------------------------------------------------------------===
 
-enum class RaiseCancel { Never, BeforeCall, InBuilder };
+enum class RaiseCancel { Never, BeforeCall, MidSolve };
 
-/// solveMP under a budget carrying a cancel flag, raised before the call
-/// or from the int-constraint builder. The builder runs after solveMP's
-/// last own probe, so then only the QF/MBQI engine's probes can see it.
+/// solveMP under a budget carrying a cancel flag: never raised, raised
+/// before the call, or raised by a second thread 200 ms into the solve.
+/// \p Site receives the probe site that noticed the stop, if any.
 tagaut::MpResult mpWithCancel(const std::vector<tagaut::PosPredicate> &Preds,
                               const std::map<VarId, std::string> &Regexes,
-                              RaiseCancel When) {
+                              RaiseCancel When, std::string &Site) {
   Alphabet Sigma;
   std::map<VarId, Nfa> Langs;
   for (const auto &[X, Re] : Regexes)
@@ -729,71 +727,94 @@ tagaut::MpResult mpWithCancel(const std::vector<tagaut::PosPredicate> &Preds,
   Budget Bud(Budget::Limits{0, 0, 0, &Cancel});
   tagaut::MpOptions O;
   O.Budget = &Bud;
-  tagaut::IntConstraintBuilder Builder =
-      [&Cancel, When](lia::Arena &Ar, const std::map<VarId, lia::LinTerm> &) {
-        if (When == RaiseCancel::InBuilder)
-          Cancel.store(true);
-        return Ar.trueF();
-      };
-  lia::Arena A;
-  return solveMP(A, Langs, Preds, Sigma.size(), Builder, O);
+  std::thread Raiser;
+  if (When == RaiseCancel::MidSolve)
+    Raiser = std::thread([&Cancel] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      Cancel.store(true);
+    });
+  tagaut::MpResult R = solveMP(Langs, Preds, Sigma.size(), {}, O);
+  if (Raiser.joinable())
+    Raiser.join();
+  const char *At = R.StopSite ? R.StopSite : Bud.tripSite();
+  Site = At ? At : "";
+  return R;
 }
 
 TEST(BudgetTest, CancelFlagInBudgetStopsMpOnBothPaths) {
+  // Each path twice: a quick instance, free and with the flag raised
+  // before the call, and one the path works on for seconds, with the
+  // flag raised mid-solve. By then solveMP's own probes are behind it, so
+  // only the QF / MBQI engine's probes can notice the flag.
+  using tagaut::PredKind;
   struct PathCase {
     const char *Path;
     std::vector<tagaut::PosPredicate> Preds;
     std::map<VarId, std::string> Regexes;
     Verdict Oracle;
+    std::vector<tagaut::PosPredicate> LongPreds;
+    std::map<VarId, std::string> LongRegexes;
   };
   const PathCase Cases[] = {
       // x ≠ y over a{1,2} / b{1,2}: no short-circuit applies, QF decides.
-      {"QF", {{tagaut::PredKind::Diseq, {0}, {1}, {}}},
-       {{0, "a{1,2}"}, {1, "b{1,2}"}}, Verdict::Sat},
+      // m3 (x, z ∈ (ab)*, y ∈ (ba)*, xyz ≠ zyx ∧ xy ≠ yz) runs in CDCL and
+      // Simplex for seconds.
+      {"QF",
+       {{PredKind::Diseq, {0}, {1}, {}}},
+       {{0, "a{1,2}"}, {1, "b{1,2}"}},
+       Verdict::Sat,
+       {{PredKind::Diseq, {0, 1, 2}, {2, 1, 0}, {}},
+        {PredKind::Diseq, {0, 1}, {1, 2}, {}}},
+       {{0, "(ab)*"}, {1, "(ba)*"}, {2, "(ab)*"}}},
       // ¬contains(x, y), x ∈ a, y ∈ aa: the MBQI loop refutes it.
-      {"MBQI", {{tagaut::PredKind::NotContains, {0}, {1}, {}}},
-       {{0, "a"}, {1, "aa"}}, Verdict::Unsat},
+      // tests/deadline/notcontains_mixed_root.smt2 runs in MBQI for more
+      // than 5 s.
+      {"MBQI",
+       {{PredKind::NotContains, {0}, {1}, {}}},
+       {{0, "a"}, {1, "aa"}},
+       Verdict::Unsat,
+       {{PredKind::NotContains, {0, 1, 1}, {2, 1, 0, 0, 1}, {}}},
+       {{0, "(ab)*"}, {1, "(ab)*"}, {2, "c*"}}},
   };
   for (const PathCase &C : Cases) {
-    tagaut::MpResult Free = mpWithCancel(C.Preds, C.Regexes,
-                                         RaiseCancel::Never);
+    std::string Site;
+    tagaut::MpResult Free =
+        mpWithCancel(C.Preds, C.Regexes, RaiseCancel::Never, Site);
     EXPECT_EQ(Free.V, C.Oracle) << C.Path;
-    for (RaiseCancel When : {RaiseCancel::BeforeCall, RaiseCancel::InBuilder}) {
-      tagaut::MpResult R = mpWithCancel(C.Preds, C.Regexes, When);
-      EXPECT_EQ(R.V, Verdict::Unknown)
-          << C.Path << ", raised " << static_cast<int>(When);
-      EXPECT_EQ(R.Stop, StopReason::Cancelled)
-          << C.Path << ", raised " << static_cast<int>(When);
-    }
+    tagaut::MpResult Before =
+        mpWithCancel(C.Preds, C.Regexes, RaiseCancel::BeforeCall, Site);
+    EXPECT_EQ(Before.V, Verdict::Unknown) << C.Path;
+    EXPECT_EQ(Before.Stop, StopReason::Cancelled) << C.Path;
+    tagaut::MpResult Mid = mpWithCancel(C.LongPreds, C.LongRegexes,
+                                        RaiseCancel::MidSolve, Site);
+    EXPECT_EQ(Mid.V, Verdict::Unknown) << C.Path;
+    EXPECT_EQ(Mid.Stop, StopReason::Cancelled) << C.Path;
+    EXPECT_TRUE(Site == "lia.sat" || Site == "lia.simplex" ||
+                Site == "lia.mbqi")
+        << C.Path << " stopped at " << Site;
   }
 }
 
-TEST(BudgetTest, BruteForceTimeoutComposesWithSharedBudget) {
-  // Regression: a caller-supplied Budget used to silently replace the
-  // legacy TimeoutMs deadline in solveBruteForce — an unlimited shared
-  // budget turned a 1 ms deadline into minutes of enumeration. Both are
-  // probed now; the tighter limit wins.
+TEST(BudgetTest, BudgetDeadlineStopsBruteForce) {
+  // The enumeration's only deadline is its Budget's: x ≠ x never holds,
+  // so over (a|b)* up to length 12 only the 1 ms deadline stops it.
   Alphabet Sigma;
   std::map<VarId, Nfa> Langs;
   Langs[0] = regex::compileString("(a|b)*", Sigma);
   Langs[1] = regex::compileString("(a|b)*", Sigma);
-  // x != x never holds, so enumeration can only stop on a limit.
   std::vector<tagaut::PosPredicate> Preds = {
       {tagaut::PredKind::Diseq, {0}, {0}, {}}};
 
-  Budget Unlimited(Budget::Limits{0, 0, 0, nullptr});
+  Budget Deadline(Budget::Limits{1, 0, 0, nullptr});
   solver::BruteForceOptions O;
   O.MaxWordLen = 12;
-  O.TimeoutMs = 1;
-  O.Budget = &Unlimited;
+  O.Budget = &Deadline;
   solver::BruteForceResult R = solver::solveBruteForce(Langs, Preds, O);
   EXPECT_EQ(R.V, Verdict::Unknown);
   EXPECT_EQ(R.Stop, StopReason::Timeout);
 }
 
-TEST(BudgetTest, BruteForceSharedBudgetComposesWithTimeout) {
-  // The other direction: a step-limited shared budget must still trip
-  // under a generous TimeoutMs.
+TEST(BudgetTest, BudgetStepLimitStopsBruteForce) {
   Alphabet Sigma;
   std::map<VarId, Nfa> Langs;
   Langs[0] = regex::compileString("(a|b)*", Sigma);
@@ -803,7 +824,6 @@ TEST(BudgetTest, BruteForceSharedBudgetComposesWithTimeout) {
   Budget Stepped(Budget::Limits{0, 0, 1, nullptr});
   solver::BruteForceOptions O;
   O.MaxWordLen = 12;
-  O.TimeoutMs = 20000;
   O.Budget = &Stepped;
   solver::BruteForceResult R = solver::solveBruteForce(Langs, Preds, O);
   EXPECT_EQ(R.V, Verdict::Unknown);
@@ -827,10 +847,9 @@ TEST(BudgetTest, EnumTimeoutComposesWithSharedBudget) {
   EXPECT_EQ(R.Stop, StopReason::Timeout);
 }
 
-TEST(BudgetTest, EqReductionTimeoutComposesWithSharedBudget) {
-  // Regression: a caller-supplied Budget used to replace TimeoutMs in
-  // solveEqReduction. xy ≠ yx over (a|b)* takes the reduction over a
-  // second to answer Sat, so only the 1 ms deadline can stop it early.
+TEST(BudgetTest, BudgetDeadlineStopsEqReduction) {
+  // xy ≠ yx over (a|b)* takes the reduction over a second to answer Sat,
+  // so only the Budget's 1 ms deadline can stop it early.
   strings::Problem P;
   VarId X = P.strVar("x"), Y = P.strVar("y");
   P.assertInRe(X, "(a|b)*");
@@ -838,10 +857,9 @@ TEST(BudgetTest, EqReductionTimeoutComposesWithSharedBudget) {
   P.assertDiseq({strings::StrElem::var(X), strings::StrElem::var(Y)},
                 {strings::StrElem::var(Y), strings::StrElem::var(X)});
 
-  Budget Unlimited(Budget::Limits{0, 0, 0, nullptr});
+  Budget Deadline(Budget::Limits{1, 0, 0, nullptr});
   solver::EqReductionOptions O;
-  O.TimeoutMs = 1;
-  O.Budget = &Unlimited;
+  O.Budget = &Deadline;
   solver::SolveResult R = solver::solveEqReduction(P, O);
   EXPECT_EQ(R.V, Verdict::Unknown);
   EXPECT_EQ(R.Stop, StopReason::Timeout);

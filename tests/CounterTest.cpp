@@ -192,8 +192,7 @@ TEST(OneCounterTest, DifferentialAgainstLiaPathAndOracle) {
     Verdict Fast = F.decide(Pred);
     ASSERT_NE(Fast, Verdict::Unknown) << "budget hit on tiny instance";
 
-    lia::Arena A;
-    MpResult Slow = solveMP(A, F.Langs, {Pred}, F.Sigma.size());
+    MpResult Slow = solveMP(F.Langs, {Pred}, F.Sigma.size());
     ASSERT_NE(Slow.V, Verdict::Unknown);
     EXPECT_EQ(Fast, Slow.V) << "iteration " << Iter;
 

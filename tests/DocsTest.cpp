@@ -219,7 +219,10 @@ TEST(KnobCoverageTest, EngineOptionsTakeOnlyABudget) {
 // caller varied: the scratch MBQI loop, nested sub-solve options whose
 // Budget would cut a sub-solve off from the solve's deadline, a span
 // mode the encoder derives from the predicates, and a switch for the
-// Sat-model self-check, which is unconditional.
+// Sat-model self-check, which is unconditional. The two baselines'
+// deadlines were a second resource mechanism beside their Budget. So
+// was solveMP's integer-side callback, which ran twice on one arena; its
+// integer side is data (tagaut::IntSide) now.
 TEST(KnobCoverageTest, DeletedEngineFieldsStayOut) {
   const struct {
     const char *Header;
@@ -230,6 +233,8 @@ TEST(KnobCoverageTest, DeletedEngineFieldsStayOut) {
       {"src/tagaut/MpSolver.h", "MpOptions", {"Qf", "Encoder"}},
       {"src/tagaut/Encoder.h", "EncoderOptions", {"Span"}},
       {"src/solver/PositionSolver.h", "SolveOptions", {"ValidateModels"}},
+      {"src/solver/Baselines.h", "EqReductionOptions", {"TimeoutMs"}},
+      {"src/solver/BruteForce.h", "BruteForceOptions", {"TimeoutMs"}},
   };
   for (const auto &S : Structs) {
     std::vector<std::string> Fields = structFields(Root / S.Header, S.Name);
@@ -240,6 +245,10 @@ TEST(KnobCoverageTest, DeletedEngineFieldsStayOut) {
         EXPECT_NE(F, D) << S.Name << "::" << F << " (" << S.Header
                         << ") was deleted but is declared again";
   }
+  EXPECT_EQ(slurp(Root / "src/tagaut/MpSolver.h").find("IntConstraint"
+                                                       "Builder"),
+            std::string::npos)
+      << "the integer-side callback was deleted but is declared again";
 }
 
 } // namespace

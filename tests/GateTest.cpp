@@ -192,8 +192,8 @@ TEST(GateTest, PipelineVerdicts) {
 
 TEST(GateTest, FullEncodingSearchCountersUnderAStepCap) {
   // m3: x, z ∈ (ab)*, y ∈ (ba)*, xyz ≠ zyx ∧ xy ≠ yz. Two predicates keep
-  // the one-counter fast path out, and the lone length-first ≠ attempt
-  // cannot hold, so the full tag encoding runs CDCL and Simplex until
+  // the one-counter fast path out, and solveMP's length-first ≠ attempt
+  // cannot hold, so its full tag encoding runs CDCL and Simplex until
   // the cap of 2000 steps stops it. PipelineVerdicts' instances barely
   // reach the QF layer; this one pins the pipeline's search there.
   Result<strings::Problem> P = smtlib::parseString(R"(
@@ -212,7 +212,7 @@ TEST(GateTest, FullEncodingSearchCountersUnderAStepCap) {
   solver::SolveResult R = solver::solveProblem(*P, O);
   EXPECT_EQ(R.V, Verdict::Unknown);
   EXPECT_EQ(R.Stop, StopReason::StepBudget);
-  EXPECT_EQ(R.Stats.MpCalls, 2u);
+  EXPECT_EQ(R.Stats.MpCalls, 1u);
   const lia::QfSearchStats &Qf = R.Stats.Qf;
   EXPECT_EQ(Qf.Solves, 2u);
   EXPECT_EQ(Qf.BlandSolves, 1u);

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "base/Budget.h"
 #include "proof/Check.h"
 #include "smtlib/Reader.h"
 #include "solver/Baselines.h"
@@ -186,8 +187,8 @@ TEST(PipelineTest, UnreadEmptyLanguageIsCertifiedUnsat) {
 
 TEST(PipelineTest, LengthFirstDisequalityHoldsByLength) {
   // |x| ≥ 3 keeps the one-counter fast path out, and both ≠ hold by
-  // length alone, so the length-first attempt answers with one solveMP
-  // call. The full tag encoding of the two ≠ does not finish in 60 s.
+  // length alone, so the length-first attempt answers with one QF solve.
+  // The full tag encoding of the two ≠ does not finish in 60 s.
   Problem P;
   VarId X = P.strVar("x"), Y = P.strVar("y"), Z = P.strVar("z");
   for (VarId V : {X, Y, Z})
@@ -200,6 +201,7 @@ TEST(PipelineTest, LengthFirstDisequalityHoldsByLength) {
   SolveResult R = solve(P, 5000);
   ASSERT_EQ(R.V, Verdict::Sat);
   EXPECT_EQ(R.Stats.MpCalls, 1u);
+  EXPECT_EQ(R.Stats.Qf.Solves, 1u);
   EXPECT_EQ(R.Stats.ModelsValidated, 1u);
   EXPECT_GE(R.Words.at(X).size(), 3u);
 }
@@ -207,7 +209,7 @@ TEST(PipelineTest, LengthFirstDisequalityHoldsByLength) {
 TEST(PipelineTest, LengthFirstDisequalityNeedsNoIntSide) {
   // thefuck/11/81 (bench/workloads): two ≠ and no integer side. Two
   // predicates keep the one-counter fast path out; all-ε satisfies both
-  // by length, so the attempt answers with one solveMP call in under 300
+  // by length, so the attempt answers with one QF solve in under 300
   // budget steps. The full tag encoding alone needs over 10000.
   Problem P;
   VarId In0 = P.strVar("in0"), In1 = P.strVar("in1"), In2 = P.strVar("in2");
@@ -220,13 +222,14 @@ TEST(PipelineTest, LengthFirstDisequalityNeedsNoIntSide) {
   Opts.StepLimit = 2000;
   SolveResult R = solver::solveProblem(P, Opts);
   ASSERT_EQ(R.V, Verdict::Sat);
-  EXPECT_EQ(R.Stats.MpCalls, 1u);
+  EXPECT_EQ(R.Stats.Qf.Solves, 1u);
   EXPECT_EQ(R.Stats.ModelsValidated, 1u);
 }
 
 TEST(PipelineTest, LengthFirstDisequalityFallsThroughOnEqualLengths) {
   // |x| = |y| = 1 forces |x·y| = |"ab"|, so the attempt finds nothing and
-  // the full encoding decides the mismatch: a second solveMP call.
+  // the full encoding decides the mismatch: a second QF solve, in the
+  // same solveMP call.
   Problem P;
   VarId X = P.strVar("x"), Y = P.strVar("y");
   P.assertInRe(X, "a|b");
@@ -236,7 +239,8 @@ TEST(PipelineTest, LengthFirstDisequalityFallsThroughOnEqualLengths) {
   P.assertIntAtom(IntTerm::lenOf(X), lia::Cmp::Eq, IntTerm::constant(1));
   SolveResult R = solve(P);
   ASSERT_EQ(R.V, Verdict::Sat);
-  EXPECT_EQ(R.Stats.MpCalls, 2u);
+  EXPECT_EQ(R.Stats.MpCalls, 1u);
+  EXPECT_EQ(R.Stats.Qf.Solves, 2u);
   ASSERT_EQ(R.Words.at(X).size(), 1u);
   ASSERT_EQ(R.Words.at(Y).size(), 1u);
   strings::NormalForm N = strings::normalize(P);
@@ -258,7 +262,7 @@ TEST(PipelineTest, LengthFirstDisequalityNeverRefutes) {
   Opts.CertifyUnsat = true;
   SolveResult R = solver::solveProblem(P, Opts);
   ASSERT_EQ(R.V, Verdict::Unsat);
-  EXPECT_EQ(R.Stats.MpCalls, 2u);
+  EXPECT_EQ(R.Stats.Qf.Solves, 2u);
   EXPECT_EQ(R.Stats.UnsatsCertified, 1u);
   Result<proof::Certificate> Parsed = proof::parse(R.CertText);
   ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.error();
@@ -269,8 +273,8 @@ TEST(PipelineTest, LengthFirstDisequalityMatchesEnum) {
   // Seeded draws of one or two ≠ over concatenations of x, y against
   // words, the first 40 under a length atom and the last 20 without one,
   // all languages finite so that solveEnum is complete. Both outcomes of
-  // the attempt must occur: a Sat by length alone (one solveMP call) and
-  // a fall-through (two).
+  // the attempt must occur: a Sat by length alone (one QF solve) and a
+  // fall-through to the full encoding (two).
   const char *Words[] = {"", "a", "ab", "ba", "abb"};
   const lia::Cmp Ops[] = {lia::Cmp::Eq, lia::Cmp::Ge, lia::Cmp::Le};
   std::mt19937 Rng(7);
@@ -294,11 +298,66 @@ TEST(PipelineTest, LengthFirstDisequalityMatchesEnum) {
     EXPECT_EQ(R.V, solver::solveEnum(P, EO).V) << Draw;
     if (R.V == Verdict::Sat)
       EXPECT_EQ(R.Stats.ModelsValidated, 1u) << Draw;
-    ByLength += R.V == Verdict::Sat && R.Stats.MpCalls == 1;
-    FellThrough += R.Stats.MpCalls == 2;
+    ByLength += R.V == Verdict::Sat && R.Stats.Qf.Solves == 1;
+    FellThrough += R.Stats.Qf.Solves == 2;
   }
   EXPECT_GT(ByLength, 0);
   EXPECT_GT(FellThrough, 0);
+}
+
+TEST(PipelineTest, LengthStageOrderMatchesEnum) {
+  // Seeded draws of a mono-root ≠ (over x, z ∈ a-powers and a word of
+  // a's) beside a mixed-root one (over x or y ∈ {a,b}-words and y), the
+  // first 40 under a length atom and the last 20 without one, all
+  // languages finite so that solveEnum is complete. solveMP's length
+  // stage runs the bare-length abstraction, then length-first ≠, then the
+  // encoding, one QF solve each, so Qf.Solves tells which decided: each
+  // of the three must decide a draw.
+  const char *AWords[] = {"", "a", "aa", "aaa"};
+  const char *Words[] = {"", "a", "ab", "ba", "abb"};
+  const lia::Cmp Ops[] = {lia::Cmp::Eq, lia::Cmp::Ge, lia::Cmp::Le};
+  std::mt19937 Rng(11);
+  int Decided[4] = {0, 0, 0, 0};
+  for (int Draw = 0; Draw < 60; ++Draw) {
+    Problem P;
+    VarId X = P.strVar("x"), Y = P.strVar("y"), Z = P.strVar("z");
+    P.assertInRe(X, "a{0,2}");
+    P.assertInRe(Y, "(a|b){0,2}");
+    P.assertInRe(Z, "(aa){0,1}");
+    StrSeq XZ = {StrElem::var(X), StrElem::var(Z)};
+    StrSeq ZX = {StrElem::var(Z), StrElem::var(X)};
+    switch (Rng() % 3) {
+    case 0:
+      P.assertDiseq(XZ, ZX); // never holds
+      break;
+    case 1:
+      P.assertDiseq(XZ, {StrElem::lit(AWords[Rng() % 4])});
+      break;
+    default:
+      P.assertDiseq(XZ, {StrElem::var(Z), StrElem::lit("a")});
+      break;
+    }
+    StrSeq Mixed = {StrElem::var(Rng() % 2 ? X : Y), StrElem::var(Y)};
+    P.assertDiseq(Mixed, {StrElem::lit(Words[Rng() % 5])});
+    if (Draw < 40) {
+      VarId V = Rng() % 3 == 0 ? X : Rng() % 2 ? Y : Z;
+      P.assertIntAtom(IntTerm::lenOf(V), Ops[Rng() % 3],
+                      IntTerm::constant(Rng() % 3));
+    }
+    SolveResult R = solve(P);
+    solver::EnumOptions EO;
+    EO.TimeoutMs = 5000;
+    ASSERT_NE(R.V, Verdict::Unknown) << Draw;
+    EXPECT_EQ(R.V, solver::solveEnum(P, EO).V) << Draw;
+    if (R.V == Verdict::Sat)
+      EXPECT_EQ(R.Stats.ModelsValidated, 1u) << Draw;
+    EXPECT_LE(R.Stats.MpCalls, 1u) << Draw;
+    if (R.Stats.MpCalls == 1 && R.Stats.Qf.Solves <= 3)
+      ++Decided[R.Stats.Qf.Solves];
+  }
+  EXPECT_GT(Decided[1], 0) << "abstraction";
+  EXPECT_GT(Decided[2], 0) << "length-first";
+  EXPECT_GT(Decided[3], 0) << "encoding";
 }
 
 TEST(PipelineTest, StrAtAfterWordEquationSplitMatchesEnum) {
@@ -654,8 +713,9 @@ TEST(BaselineTest, EqReductionAgreesOnEasyCases) {
     VarId X = P.strVar("x");
     P.assertInRe(X, Case == 0 ? "ab" : "(a|b){1,2}");
     P.assertDiseq({StrElem::var(X)}, {StrElem::lit("ab")});
+    Budget Deadline(Budget::Limits{10000, 0, 0, nullptr});
     solver::EqReductionOptions O;
-    O.TimeoutMs = 10000;
+    O.Budget = &Deadline;
     Verdict Expect = Case == 0 ? Verdict::Unsat : Verdict::Sat;
     EXPECT_EQ(solver::solveEqReduction(P, O).V, Expect) << Case;
   }
@@ -826,9 +886,10 @@ TEST(SelfCheckTest, ParanoidCrossCheckKeepsTrueUnsat) {
 
 TEST(SolveReportTest, BothQfSolvesOfADisjunctAreCounted) {
   // m3: x, z ∈ (ab)*, y ∈ (ba)*, xyz ≠ zyx ∧ xy ≠ yz. Two predicates keep
-  // the one-counter fast path out; the length-first ≠ attempt (a bare
-  // length system, SparsestRow) cannot hold, and the full encoding (the
-  // position predicates, on Bland's order) runs until the step cap.
+  // the one-counter fast path out; in the one solveMP call the
+  // length-first ≠ attempt (a bare length system, SparsestRow) cannot
+  // hold, and the full encoding (the position predicates, on Bland's
+  // order) runs until the step cap.
   Result<Problem> P = smtlib::parseString(R"(
     (declare-fun x () String)
     (declare-fun y () String)
@@ -846,7 +907,7 @@ TEST(SolveReportTest, BothQfSolvesOfADisjunctAreCounted) {
   ASSERT_EQ(R.V, Verdict::Unknown);
   EXPECT_EQ(R.Stop, StopReason::StepBudget);
   EXPECT_STREQ(solver::unknownReason(R), "stepbudget");
-  EXPECT_EQ(R.Stats.MpCalls, 2u);
+  EXPECT_EQ(R.Stats.MpCalls, 1u);
   EXPECT_EQ(R.Stats.Qf.Solves, 2u);
   EXPECT_EQ(R.Stats.Qf.BlandSolves, 1u);
   EXPECT_GT(R.Stats.Qf.Pivots, 0u);

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 using namespace postr;
 using namespace postr::tagaut;
@@ -177,8 +178,7 @@ struct Mp {
 
   MpResult solve(const MpOptions &Opts = {}) {
     finalize();
-    lia::Arena A;
-    MpResult R = solveMP(A, Langs, Preds, Sigma.size(), nullptr, Opts);
+    MpResult R = solveMP(Langs, Preds, Sigma.size(), {}, Opts);
     if (R.V == Verdict::Sat) {
       // Every Sat answer must decode to a model of the direct semantics
       // and respect the regular constraints.
@@ -370,33 +370,30 @@ TEST(MpSolverTest, StrAtNeUnsat) {
   EXPECT_EQ(M.solve().V, Verdict::Unsat);
 }
 
-TEST(MpSolverTest, LengthConstraintsViaCallback) {
+TEST(MpSolverTest, LengthAtomsOfTheIntSide) {
   // x ≠ y with x,y ∈ a* and len(x) = len(y): only mismatches could help,
-  // but the unary alphabet has none — Unsat.
+  // but the unary alphabet has none — Unsat. Handle g of the integer
+  // side is variable NumInts + g = g.
+  IntSide Ints;
+  Ints.Atoms.push_back({lia::LinTerm::variable(0), lia::Cmp::Eq,
+                        lia::LinTerm::variable(1)});
   Mp M;
   VarId X = M.var("a*"), Y = M.var("a*");
   M.Preds.push_back({PredKind::Diseq, {X}, {Y}, {}});
   M.finalize();
-  lia::Arena A;
-  MpResult R = solveMP(
-      A, M.Langs, M.Preds, M.Sigma.size(),
-      [&](lia::Arena &Ar, const std::map<VarId, lia::LinTerm> &Len) {
-        return Ar.cmp(Len.at(X), lia::Cmp::Eq, Len.at(Y));
-      });
+  Ints.Lens = {{X, {X}}, {Y, {Y}}};
+  MpResult R = solveMP(M.Langs, M.Preds, M.Sigma.size(), Ints);
   EXPECT_EQ(R.V, Verdict::Unsat);
 
-  // Same but over (a|b)*: now a mismatch exists.
+  // Same but over (a|b)* and |x| ≥ 2: now a mismatch exists.
+  Ints.Atoms.push_back(
+      {lia::LinTerm::variable(0), lia::Cmp::Ge, lia::LinTerm(2)});
   Mp M2;
   VarId X2 = M2.var("(a|b)*"), Y2 = M2.var("(a|b)*");
   M2.Preds.push_back({PredKind::Diseq, {X2}, {Y2}, {}});
   M2.finalize();
-  lia::Arena A2;
-  MpResult R2 = solveMP(
-      A2, M2.Langs, M2.Preds, M2.Sigma.size(),
-      [&](lia::Arena &Ar, const std::map<VarId, lia::LinTerm> &Len) {
-        return Ar.conj({Ar.cmp(Len.at(X2), lia::Cmp::Eq, Len.at(Y2)),
-                        Ar.cmp(Len.at(X2), lia::Cmp::Ge, lia::LinTerm(2))});
-      });
+  Ints.Lens = {{X2, {X2}}, {Y2, {Y2}}};
+  MpResult R2 = solveMP(M2.Langs, M2.Preds, M2.Sigma.size(), Ints);
   ASSERT_EQ(R2.V, Verdict::Sat);
   EXPECT_EQ(R2.Assignment.at(X2).size(), R2.Assignment.at(Y2).size());
   EXPECT_GE(R2.Assignment.at(X2).size(), 2u);
@@ -409,8 +406,7 @@ TEST(MpSolverTest, EmptyLanguageIsUnsat) {
   M.finalize();
   // Intersection trick: give X an empty language directly.
   M.Langs[X] = automata::intersect(M.Langs.at(X), M.Langs.at(Y));
-  lia::Arena A;
-  MpResult R = solveMP(A, M.Langs, M.Preds, M.Sigma.size());
+  MpResult R = solveMP(M.Langs, M.Preds, M.Sigma.size());
   EXPECT_EQ(R.V, Verdict::Unsat);
 }
 
@@ -484,8 +480,7 @@ TEST(NotContainsTest, NonFlatReportsUnknown) {
   VarId X = M.var("(a|b)*"), Y = M.var("a");
   M.Preds.push_back({PredKind::NotContains, {X}, {Y}, {}});
   M.finalize();
-  lia::Arena A;
-  MpResult R = solveMP(A, M.Langs, M.Preds, M.Sigma.size());
+  MpResult R = solveMP(M.Langs, M.Preds, M.Sigma.size());
   EXPECT_EQ(R.V, Verdict::Unknown);
 }
 
@@ -611,25 +606,33 @@ TEST(MonoRootTest, RewriteFiresExactlyOnOneRootAndAgreesWithOracles) {
   EXPECT_GT(FellThrough, 0u);
 
   // x, y ∈ {ab} and x ≠ y: |x| ≠ |y| is Sat over bare lengths, so the
-  // Parikh encoding refutes it, and the rewrite record reads the Parikh
-  // length terms, never the abstraction's bare ones.
+  // Parikh encoding refutes it, on an arena of its own: the trace
+  // declares bounds (`v` records) only of variables it reads, so none of
+  // the abstraction's bare lengths, and the rewrite record reads the
+  // Parikh length terms.
   Mp M;
   VarId X = M.var("ab"), Y = M.var("ab");
   M.Preds.push_back({PredKind::Diseq, {X}, {Y}, {}});
   M.finalize();
-  lia::Arena A;
   MpOptions Opts;
   Opts.Certify = true;
-  MpResult R = solveMP(A, M.Langs, M.Preds, M.Sigma.size(), nullptr, Opts);
+  MpResult R = solveMP(M.Langs, M.Preds, M.Sigma.size(), {}, Opts);
   ASSERT_EQ(R.V, Verdict::Unsat);
   EXPECT_EQ(R.Qf.Solves, 2u);
   ASSERT_TRUE(R.Cert.Rewrite.has_value());
   ASSERT_EQ(R.Cert.Rewrite->Lens.size(), 2u);
+  std::set<uint32_t> Read;
+  for (const proof::LinAtom &At : R.Cert.Proof.Atoms)
+    for (const auto &[V, C] : At.Coeffs)
+      Read.insert(V);
   for (const proof::LenDef &L : R.Cert.Rewrite->Lens) {
     ASSERT_FALSE(L.Coeffs.empty());
     for (const auto &[V, C] : L.Coeffs)
-      EXPECT_NE(A.varName(V).rfind("len.bare.", 0), 0u) << A.varName(V);
+      EXPECT_TRUE(Read.count(V)) << "len of x" << L.StrVar << " reads " << V;
   }
+  ASSERT_FALSE(R.Cert.Proof.Bounds.empty());
+  for (const proof::VarBounds &B : R.Cert.Proof.Bounds)
+    EXPECT_TRUE(Read.count(B.Var)) << "dead v " << B.Var;
   proof::CheckOutcome CO = checkedCert(R);
   EXPECT_TRUE(CO.Ok) << CO.Error;
   EXPECT_EQ(CO.Stats.TrustedRules, 0u);
@@ -722,14 +725,13 @@ TEST_P(MpDifferentialTest, AgreesWithBruteForce) {
     }
 
     M.finalize();
-    lia::Arena A;
     // A step limit, not a wall clock, so the outcome does not depend on
     // the build: the most any iteration takes is 514977 steps (seed 203),
     // and steps are counted identically in every build type.
     Budget Bud(Budget::Limits{0, 0, SweepStepLimit, nullptr});
     MpOptions Opts;
     Opts.Budget = &Bud;
-    MpResult R = solveMP(A, M.Langs, M.Preds, M.Sigma.size(), nullptr,
+    MpResult R = solveMP(M.Langs, M.Preds, M.Sigma.size(), {},
                          Opts);
     ASSERT_NE(R.V, Verdict::Unknown) << "seed " << Params.Seed << " iter "
                                      << Iter;
